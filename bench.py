@@ -146,7 +146,6 @@ def run_bench() -> dict:
         lambda sf: minhash_lsh_duplicates(
             rd.read_parquet(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
             shingle_k=3,
-            concurrency=(2, max(4, NUM_CPUS // 2)),
         ),
     )
     from crawtext_ray.stages.dedup import simhash_duplicates

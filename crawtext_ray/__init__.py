@@ -10,7 +10,7 @@ Layout (SURVEY.md §7.0 guiding split):
   cleaners, scorer, formatter, adblock, url, query. Everything the golden
   byte-identity tests touch. No Ray imports allowed here.
 - ``crawtext_ray.stages`` / ``sources`` / ``pipelines`` / ``state`` — thin
-  Arrow/Ray wrappers: map_batches UDFs, actor-pool stages, partitioning,
+  Arrow/Ray wrappers: map_batches UDFs, task-fused stages, partitioning,
   lineage, reports.
 - ``crawtext_ray.functions`` — scalar/sketch functions over Arrow arrays
   (word counts, hashes, minhash/simhash, language id, quality scores).

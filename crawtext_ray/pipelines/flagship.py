@@ -1,20 +1,17 @@
 """The flagship pipeline (SURVEY.md §3.1): pages parquet → decode → parse
-→ adblock-filter → content-score → extract → articles, with url-hash
-repartitioning to break host-level skew and a lineage-tracked resumable
-sink (BASELINE.json:6).
+→ adblock-filter → content-score → extract → articles, with a url-hash
+partitioned, lineage-tracked resumable sink (BASELINE.json:6).
 
 Partitioning model: ONE key — ``url_hash = sha1(url) % P`` — serves as
-(a) the output partition id and (b) the checkpoint/resume unit; the keyed
-all-to-all happens once, at the partitioned sink, over extracted articles
-(~5x smaller than the raw html). Host-level skew at the extract stage is
-broken the streaming way — shuffled file order + randomized block order +
-a dynamic actor pool — because a pre-extract url-hash repartition of raw
-html measured 3.5–5x the cost of the entire extraction (see
-stages/partitioning.py); the keyed form remains available via
-``build_articles(skew_break="repartition")``. A rerun recomputes bucket
-membership deterministically from the input, filters out buckets whose
-lineage sidecar exists, and only re-extracts the rest (re-reading skipped
-buckets costs IO only, never parse/extract compute).
+(a) the output partition id and (b) the checkpoint/resume unit; the sink
+(state/lineage.write_partitioned) assigns it and runs the one keyed
+all-to-all, over extracted articles (~5x smaller than the raw html).
+Host-level skew at the extract stage is broken the streaming way — the
+scan reads files in shuffled order and tasks pick up batches dynamically
+(see stages/partitioning.py for why not a pre-extract exchange). A rerun
+recomputes bucket membership deterministically from the input, filters
+out buckets whose lineage sidecar exists, and only re-extracts the rest
+(re-reading skipped buckets costs IO only, never parse/extract compute).
 """
 
 from __future__ import annotations
@@ -22,11 +19,12 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 
 from ..sources.pages import read_pages
 from ..stages.extract_stage import ARTICLES_SCHEMA, extract_articles
-from ..stages.partitioning import add_url_hash, keyed_repartition
+from ..stages.partitioning import url_buckets
 from ..state.lineage import completed_partitions, read_lineage
 
 # The extraction stage touches exactly these page columns
@@ -42,29 +40,18 @@ def build_articles(
     query_expression: str | None = None,
     rule_lines: list[str] | None = None,
     num_partitions: int = 64,
-    skew_break: bool = True,
     batch_size: int = 64,
     concurrency="tasks",
 ):
     """pages → articles Dataset (lazy; no sink).
 
-    ``skew_break``: True (default) = zero-cost skew break — shuffled
-    FILE order at the scan (host-clustered dumps land on different
-    workers) while keeping the read and the extract stage fusable into
-    one operator (a RandomizeBlockOrder between them would split the
-    fusion; dynamic batch scheduling absorbs remaining block-level
-    variance). "repartition" = full url-hash keyed repartition before
-    extraction (pays an all-to-all of raw html — only worth it when a
-    downstream stage needs key co-location pre-extract).
-
-    ``concurrency="tasks"`` (default) = the fused stateless-task extract
-    (fastest, no tuning); pass an int/(min,max) for the actor-pool mode."""
+    The scan reads files in shuffled order (host-clustered dumps land on
+    different workers) and stays fused with the extract stage in one
+    operator. ``num_partitions`` is unused: the articles are not
+    partitioned until a sink partitions them. ``concurrency``: see
+    ``extract_articles``."""
     ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS,
-                    shuffle="files" if skew_break else None)
-    if skew_break == "repartition":
-        ds = add_url_hash(ds, num_buckets=num_partitions)
-        ds = keyed_repartition(ds, num_partitions, ["url_hash"])
-        ds = ds.drop_columns(["url_hash"])
+                    shuffle="files")
     return extract_articles(
         ds,
         rule_lines=rule_lines,
@@ -81,7 +68,7 @@ def run_extract_job(
     rule_lines: list[str] | None = None,
     num_partitions: int = 64,
     batch_size: int = 64,
-    concurrency=None,
+    concurrency="tasks",
     incremental_from: str | None = None,
 ) -> dict:
     """Resume-aware job: extract all not-yet-completed url-hash partitions
@@ -90,9 +77,6 @@ def run_extract_job(
     Called by ``python -m crawtext_ray.run`` (the ``ray job submit``
     entrypoint, SURVEY.md §3.1)."""
     from ..state.lineage import write_partitioned
-
-    if concurrency is None:
-        concurrency = "tasks"  # fused task mode needs no pool sizing
 
     t0 = time.time()
     done = completed_partitions(out_dir)
@@ -122,22 +106,14 @@ def run_extract_job(
                 bloom = build_bloom(prev, "url", capacity=n_prev,
                                     fp_rate=1e-6)
                 ds = bloom_anti_join(ds, bloom, key="url")
-    ds = add_url_hash(ds, num_buckets=num_partitions)
     if done:
-        done_list = sorted(done)
+        done_ids = np.array(sorted(done), np.int64)
 
         def drop_done(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            mask = pc.invert(
-                pc.is_in(batch["url_hash"], value_set=pa.array(done_list, pa.int64()))
-            )
-            return batch.filter(mask)
+            pids = url_buckets(batch["url"].to_pylist(), num_partitions)
+            return batch.filter(pa.array(~np.isin(pids, done_ids)))
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow", zero_copy_batch=True)
-    # No pre-extract all-to-all: the url-hash keyed exchange happens in the
-    # partitioned sink below, on extracted articles (~5x smaller than html).
-    ds = ds.drop_columns(["url_hash"])
 
     articles = extract_articles(
         ds,
@@ -146,19 +122,8 @@ def run_extract_job(
         batch_size=batch_size,
         concurrency=concurrency,
     )
-    # carry the partition key through the extract stage
-    # (extract_articles preserves only the articles schema, so re-derive)
-    articles = add_url_hash(articles, num_buckets=num_partitions)
-    articles = articles.map_batches(
-        lambda t: t.append_column(
-            "partition_id", t["url_hash"].combine_chunks()
-        ).drop_columns(["url_hash"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    out_schema = ARTICLES_SCHEMA
-    summary_ds = write_partitioned(articles, out_dir, schema=out_schema)
+    summary_ds = write_partitioned(articles, out_dir, num_partitions,
+                                   schema=ARTICLES_SCHEMA)
     recs = summary_ds.take_all()  # small: one row per partition
     wall = time.time() - t0
     total_rows = sum(r["row_count"] for r in recs)

@@ -327,7 +327,6 @@ def curate(
         pages_path,
         query_expression=query_expression,
         rule_lines=rule_lines,
-        num_partitions=num_partitions,
         concurrency=concurrency,
     )
     ok = arts.map_batches(
@@ -468,17 +467,9 @@ def curate(
 
         import ray.data as rd
 
-        from ..stages.partitioning import add_url_hash
         from ..state.lineage import write_partitioned
 
-        keyed = add_url_hash(curated, num_buckets=num_partitions)
-        keyed = keyed.map_batches(
-            lambda t: t.append_column(
-                "partition_id", t["url_hash"].combine_chunks()
-            ).drop_columns(["url_hash"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        write_partitioned(keyed, out_dir).take_all()
+        write_partitioned(curated, out_dir, num_partitions).take_all()
         # the gated checkpoints served their purpose once the audited
         # sink is complete; the returned Dataset re-reads the SINK
         # (stable), so they can go (at 100 TB you might keep them for

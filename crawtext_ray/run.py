@@ -66,9 +66,10 @@ def main(argv: list[str] | None = None) -> int:
                          "dedup (C4/Dolma boilerplate removal: every "
                          ">=30-char paragraph keeps one occurrence)")
     ap.add_argument("--hash-shuffle", action="store_true",
-                    help="use the HASH_SHUFFLE strategy (enables keyed "
-                         "repartition with true key co-location; default "
-                         "sort-shuffle measured faster on this workload)")
+                    help="run the keyed exchanges (the sink's url-hash "
+                         "groupby, dedup aggregates) as HASH_SHUFFLE; the "
+                         "default sort-shuffle measured faster on this "
+                         "workload")
     ap.add_argument("--export-shards", type=int, default=None,
                     metavar="N",
                     help="after the job, deterministically shuffle-shard "

@@ -2,4 +2,3 @@
 plus the relational / dedup / similarity / text-analysis operator set."""
 
 from .extract_stage import ARTICLES_SCHEMA, ExtractArticles, extract_articles  # noqa: F401
-from .partitioning import add_url_hash, repartition_by_url_hash  # noqa: F401

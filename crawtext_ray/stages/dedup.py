@@ -345,7 +345,7 @@ def minhash_lsh_duplicates(
     num_perm: int = 128,
     bands: int = 32,
     shingle_k: int = 5,
-    concurrency=(1, 8),
+    concurrency="tasks",
     dup_bucket_broadcast_cap: int = 5_000_000,
 ):
     """MinHash+LSH near-dup. Returns one (id, rep_id) row per candidate
@@ -372,7 +372,7 @@ def minhash_lsh_duplicates(
         lambda: _MinHashBands(num_perm=num_perm, bands=bands,
                               shingle_k=shingle_k, text_col=text_col,
                               id_col=id_col),
-        concurrency=concurrency if isinstance(concurrency, int) else "tasks",
+        concurrency=concurrency,
     ).materialize()  # (id, band_keys): both passes below consume it
     return banded_lsh_pairs(banded, bands, id_col, dup_bucket_broadcast_cap)
 

@@ -1,6 +1,7 @@
-"""The extraction actor-pool stage (SURVEY.md §2 M3–M9, C*, X*, F3 fused;
+"""The extraction stage (SURVEY.md §2 M3–M9, C*, X*, F3 fused;
 BASELINE.json:6 "parser instances and compiled Adblock rule tries held in
-actor pools").
+actor pools" — met by the task-fused stage's per-worker cached state,
+stages/fusion.py).
 
 ``ExtractArticles`` is a callable class: all per-worker state (stopword
 tables, compiled boilerplate regexes, compiled Adblock rule index, the
@@ -81,18 +82,14 @@ class ExtractArticles:
         self,
         rule_lines: list[str] | None = None,
         query_expression: str | None = None,
-        use_default_rules: bool = True,
     ):
-        if rule_lines is not None:
-            self.rules: AdblockRules | None = AdblockRules(rule_lines)
-        elif use_default_rules:
-            self.rules = default_rules()
-        else:
-            self.rules = None
+        self.rules = (
+            AdblockRules(rule_lines) if rule_lines is not None else default_rules()
+        )
         self.query: Query | None = (
             Query(query_expression) if query_expression else None
         )
-        # warm the per-language stopword caches once per actor
+        # warm the per-language stopword caches once per worker
         from ..extract.stopwords import KNOWN_LANGUAGES, stopword_set
 
         for lang in KNOWN_LANGUAGES:
@@ -147,71 +144,29 @@ class ExtractArticles:
         return pa.Table.from_arrays(arrays, schema=sch)
 
 
-# per-worker-process stage cache for the task-fused mode: Ray reuses
-# worker processes across tasks, so the compiled state (rules trie,
-# stopword tables, query AST) is built once per worker — the same
-# stateful reuse an actor pool gives, without pinning CPUs to a pool.
-_WORKER_STAGE_CACHE: dict = {}
-
-
-def make_extract_fn(rule_lines: list[str] | None = None,
-                    query_expression: str | None = None):
-    key = (tuple(rule_lines) if rule_lines is not None else None,
-           query_expression)
-
-    def extract_fn(batch: pa.Table) -> pa.Table:
-        stage = _WORKER_STAGE_CACHE.get(key)
-        if stage is None:
-            stage = _WORKER_STAGE_CACHE[key] = ExtractArticles(
-                rule_lines=list(key[0]) if key[0] is not None else None,
-                query_expression=query_expression,
-            )
-        return stage(batch)
-
-    return extract_fn
-
-
 def extract_articles(
     pages,
     rule_lines: list[str] | None = None,
     query_expression: str | None = None,
     batch_size: int = 64,
     concurrency="tasks",
-    num_cpus: float = 1,
 ):
-    """Wire the extraction stage onto a pages Dataset.
-
-    Two modes:
-
-    - ``concurrency="tasks"`` (default): stateless-task stage with
-      per-worker-process cached state. Ray Data FUSES it with the
-      parquet read into one operator — html bytes never take a plasma
-      hop, no pool sizing needed, and throughput measured 25% higher
-      than the best-tuned actor pool (11.5k vs 9.2k docs/s at 32 cpus
-      on 100k pages; see BASELINE.md).
-    - ``concurrency=<int | (min,max)>``: classic actor pool
-      (BASELINE.json:6's "parser instances ... held in actor pools") —
-      use when the stage must pin resources (e.g. sharing a node with
-      other pools) or hold heavyweight models.
+    """Wire the extraction stage onto a pages Dataset as a task-fused
+    stage (stages/fusion.py): Ray Data fuses it with the parquet read
+    into one operator, and each worker process builds ``ExtractArticles``
+    once per (rules, query) and reuses it across tasks and wirings — so
+    a warm-up wiring carries into a later job with the same rules.
+    ``concurrency``: "tasks"/None = uncapped tasks, an int caps them.
 
     ``batch_size`` defaults small (64) because html rows can be 100 KiB+
     (SURVEY.md §7.4: keep a batch of html bytes ~32–64 MiB)."""
-    if concurrency == "tasks" or concurrency is None:
-        return pages.map_batches(
-            make_extract_fn(rule_lines, query_expression),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    return pages.map_batches(
-        ExtractArticles,
-        fn_constructor_kwargs={
-            "rule_lines": rule_lines,
-            "query_expression": query_expression,
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+    from .fusion import map_stage
+
+    # the factory's name names the Ray operator ("MapBatches(extract_fn)")
+    def extract_fn():
+        return ExtractArticles(rule_lines, query_expression)
+
+    key = (tuple(rule_lines) if rule_lines is not None else None,
+           query_expression)
+    return map_stage(pages, extract_fn, key=key, batch_size=batch_size,
+                     concurrency=concurrency)

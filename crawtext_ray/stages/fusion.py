@@ -8,9 +8,6 @@ the function the same once-per-worker state an actor would hold
 (Ray reuses worker processes across tasks). Measured on the extract
 stage: +25–40% over the best-tuned actor pool, zero pool sizing
 (BASELINE.md note 5).
-
-Use an actor pool instead when the stage must pin resources (GPUs, a
-bounded-memory model) or needs autoscaling isolation.
 """
 
 from __future__ import annotations
@@ -21,10 +18,13 @@ _WORKER_CACHE: dict = {}
 _KEYS = itertools.count()
 
 
-def fused(factory, key: str | None = None):
+def fused(factory, key=None):
     """Wrap ``factory() -> callable-batch-stage`` as a task function with
-    per-worker cached construction. ``factory`` may close over
-    ray.ObjectRef broadcasts (resolved once per worker at first batch)."""
+    per-worker cached construction, named after ``factory`` (the Ray
+    operator shows that name). ``factory`` may close over ray.ObjectRef
+    broadcasts (resolved once per worker at first batch). ``key``
+    (hashable, not a str) shares one instance across wirings built from
+    the same construction args; the default is one instance per wiring."""
     if key is None:
         key = f"fused-{next(_KEYS)}"
 
@@ -34,18 +34,20 @@ def fused(factory, key: str | None = None):
             inst = _WORKER_CACHE[key] = factory()
         return inst(batch)
 
+    stage_fn.__name__ = getattr(factory, "__name__", stage_fn.__name__)
     return stage_fn
 
 
-def map_stage(ds, factory, *, concurrency="tasks", batch_size=None,
+def map_stage(ds, factory, *, key=None, concurrency="tasks", batch_size=None,
               batch_format: str = "pyarrow", zero_copy_batch: bool = True):
-    """Wire a stage task-fused (default); pass an int/tuple ``concurrency``
-    to cap parallelism (still tasks — per-worker cache works either way)."""
+    """Wire a stage task-fused: ``concurrency`` "tasks"/None runs
+    uncapped tasks, an int caps how many run at once (still tasks — the
+    per-worker cache works either way). ``key``: see ``fused``."""
     kwargs: dict = {}
     if concurrency not in ("tasks", None):
         kwargs["concurrency"] = concurrency
     return ds.map_batches(
-        fused(factory),
+        fused(factory, key),
         batch_format=batch_format,
         zero_copy_batch=zero_copy_batch,
         batch_size=batch_size,

@@ -1,7 +1,7 @@
 """Multimodal column stages (training-data operator set).
 
 Images / audio / video are opaque ``binary`` columns with typed metadata
-(mime, width/height or duration). The Ray-side plumbing — schema, actor
+(mime, width/height or duration). The Ray-side plumbing — schema, stage
 signature, small batches for large payloads, output layout — is real and
 tested; the decode kernels themselves are STUBBED because no image/audio
 libraries exist in this container:
@@ -12,8 +12,8 @@ libraries exist in this container:
 - ``decode="real"``: raises NotImplementedError with the dependency note.
 
 At 100 TB these stages want small ``batch_size`` (payload rows are
-MB-scale) and an actor pool sized to pin decoder state (codec contexts /
-models) per worker.
+MB-scale); decoder state (codec contexts / models) is built once per
+worker by the task-fused stage (stages/fusion.py).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class DecodeImageFeatures:
 
 
 def decode_image_features(ds, decode: str = "fake", batch_size: int = 16,
-                          concurrency=(1, 4)):
+                          concurrency="tasks"):
     """Small batches: payload rows are large; batch bytes stay bounded
     (SURVEY.md §4.3 memory-pressure rule)."""
     from .fusion import map_stage
@@ -85,7 +85,7 @@ def decode_image_features(ds, decode: str = "fake", batch_size: int = 16,
     return map_stage(
         ds, lambda: DecodeImageFeatures(decode=decode),
         batch_size=batch_size,
-        concurrency=concurrency if isinstance(concurrency, int) else "tasks",
+        concurrency=concurrency,
     )
 
 
@@ -171,13 +171,13 @@ class ResizeImages:
 
 
 def resize_images(ds, max_side: int = 256, batch_size: int = 16,
-                  concurrency=(1, 4)):
+                  concurrency="tasks"):
     from .fusion import map_stage
 
     return map_stage(
         ds, lambda: ResizeImages(max_side=max_side),
         batch_size=batch_size,
-        concurrency=concurrency if isinstance(concurrency, int) else "tasks",
+        concurrency=concurrency,
     )
 
 
@@ -217,21 +217,21 @@ class AudioSegments:
 
 
 def audio_segments(ds, window_ms: int = 10_000, batch_size: int = 16,
-                   concurrency=(1, 4)):
+                   concurrency="tasks"):
     from .fusion import map_stage
 
     return map_stage(
         ds, lambda: AudioSegments(window_ms=window_ms),
         batch_size=batch_size,
-        concurrency=concurrency if isinstance(concurrency, int) else "tasks",
+        concurrency=concurrency,
     )
 
 
-def sample_frames(ds, every_n: int = 10, batch_size: int = 8, concurrency=(1, 4)):
+def sample_frames(ds, every_n: int = 10, batch_size: int = 8, concurrency="tasks"):
     from .fusion import map_stage
 
     return map_stage(
         ds, lambda: SampleFrames(every_n=every_n),
         batch_size=batch_size,
-        concurrency=concurrency if isinstance(concurrency, int) else "tasks",
+        concurrency=concurrency,
     )

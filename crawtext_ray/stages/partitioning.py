@@ -1,11 +1,16 @@
-"""URL-hash partitioning to break host-level skew (SURVEY.md §4.3;
-BASELINE.json:6 "repartitioning by url-hash to break host-level skew").
+"""URL-hash partitioning (SURVEY.md §4.3; BASELINE.json:6
+"repartitioning by url-hash to break host-level skew") plus the shared
+hash kernels of the sampling ops.
 
-Common-Crawl-style dumps cluster rows by host; a hot host's heavy pages
-would otherwise land in consecutive blocks and serialize on one worker.
-``add_url_hash`` computes a stable 64-bit hash bucket per url in a
-vectorized pass; ``repartition_by_url_hash`` hash-repartitions on it
-(Ray 2.49 native ``Dataset.repartition(keys=...)``).
+``url_buckets`` is the one url → bucket function: the lineage sink
+(state/lineage.write_partitioned) turns it into each article's
+``partition_id`` and keys its exchange on it, and the extract job's
+resume filter uses it to skip completed partitions. Host-level skew at
+the extract stage is broken the streaming way instead — shuffled file
+order at the scan — because a url-hash repartition of raw html before
+extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
+26 s on 100k pages at 32 CPUs), while the exchange of extracted articles
+(~5x smaller) at the sink is the one the output layout needs.
 """
 
 from __future__ import annotations
@@ -13,23 +18,19 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pyarrow as pa
 
 
-def _hash_urls(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Bucket = first 8 big-endian sha1 bytes mod num_buckets. The sha1
-    per url is the irreducible Python; digests land in ONE buffer decoded
-    by a single frombuffer and the mod runs vectorized (bit-identical to
-    the per-url int.from_bytes form — resume partition ids are stable)."""
-    urls = batch["url"].to_pylist()
-    if not urls:
-        return batch.append_column("url_hash", pa.array([], pa.int64()))
+def url_buckets(urls: list, num_buckets: int) -> np.ndarray:
+    """Bucket = first 8 big-endian sha1 bytes mod num_buckets (int64). The
+    sha1 per url is the irreducible Python; digests land in ONE buffer
+    decoded by a single frombuffer and the mod runs vectorized
+    (bit-identical to the per-url int.from_bytes form — resume partition
+    ids are stable). A null url hashes as ""."""
     buf = b"".join(
         hashlib.sha1((u or "").encode("utf-8")).digest()[:8] for u in urls
     )
     vals = np.frombuffer(buf, dtype=">u8").astype(np.uint64)
-    buckets = (vals % np.uint64(num_buckets)).astype(np.int64)
-    return batch.append_column("url_hash", pa.array(buckets, pa.int64()))
+    return (vals % np.uint64(num_buckets)).astype(np.int64)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -82,62 +83,15 @@ def require_integer_ids(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def add_url_hash(ds, num_buckets: int = 1024):
-    """Append a deterministic ``url_hash`` bucket column."""
-    return ds.map_batches(
-        _hash_urls,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"num_buckets": num_buckets},
-    )
-
-
-def keyed_repartition(ds, num_partitions: int, keys: list[str]):
-    """Hash-repartition by key. Ray 2.49's keyed ``repartition`` requires
-    the HASH_SHUFFLE strategy; when the session runs the (default) sort
-    shuffle we fall back to ``shuffle=True`` — rows still spread evenly
-    across partitions (the skew-breaking goal), just without key
-    co-location, and the keyed sinks (groupby) hash-partition on their
-    own."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    if DataContext.get_current().shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
-        return ds.repartition(num_partitions, keys=keys)
-    return ds.repartition(num_partitions, shuffle=True)
-
-
-def repartition_by_url_hash(ds, num_partitions: int, num_buckets: int = 1024):
-    """Hash-repartition by url so one host's pages spread across
-    partitions."""
-    ds = add_url_hash(ds, num_buckets)
-    return keyed_repartition(ds, num_partitions, ["url_hash"])
-
-
-def streaming_skew_break(ds):
-    """Zero-cost skew break: randomize block order so a hot host's
-    consecutive blocks don't land on one worker back-to-back. Combined
-    with (a) ``read_parquet(shuffle="files")`` at the scan and (b) the
-    extract stage being a dynamic actor POOL (any free actor takes the
-    next batch), this absorbs host-level cost variance without an
-    all-to-all. Measured on 100k synthetic pages at 32 CPUs: a full
-    url-hash ``repartition`` before extract costs 90–128s vs 26s total
-    without it — the exchange of raw html is 3.5–5x the entire pipeline —
-    while the keyed exchange that semantics actually need (url-hash
-    partitioned OUTPUT for dedup/resume) happens on extracted articles
-    (~5x smaller) in the sink groupby. Use ``repartition_by_url_hash``
-    only when downstream stages need key co-location BEFORE extraction."""
-    return ds.randomize_block_order()
-
-
 def use_hash_shuffle() -> None:
-    """Opt the session into HASH_SHUFFLE, which enables keyed
-    ``repartition(keys=...)`` (true key co-location). OPT-IN, not the
-    default: session owners reach it via ``python -m crawtext_ray.run
-    --hash-shuffle`` (or call this before building a pipeline). The
+    """Opt the session into HASH_SHUFFLE: the keyed exchanges (the lineage
+    sink's partition_id groupby, dedup aggregates) then hash-partition
+    instead of sort-partitioning. OPT-IN, not the default: session owners
+    reach it via ``python -m crawtext_ray.run --hash-shuffle`` (or call
+    this before building a pipeline). The
     default sort-shuffle measured faster for this workload's bounded-key
     groupbys on the 32-cpu host (hash shuffle spawns per-partition
-    aggregator actors with a fixed ramp cost), so only enable it when a
-    pipeline needs key co-location across stages.
+    aggregator actors with a fixed ramp cost).
 
     The aggregator pool is sized to the session: Ray's defaults
     (parallelism 200 → up to 64 aggregator ACTORS) can never be placed

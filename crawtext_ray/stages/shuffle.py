@@ -141,9 +141,11 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
     shards get an empty file with the full schema, so a rank-per-file
     loader never hits a hole. ``out_dir`` (path or URI, see module
     docstring) is cleared of stale part files first (a prior export with
-    a different n_shards must not leak extra parts into a glob). Atomic
-    per shard (tmp+rename) and idempotent: re-running rewrites identical
-    bytes. ``pack_seq_len``: also compute GPT-style pack assignments
+    a different n_shards must not leak extra parts into a glob). Each
+    shard is written tmp+rename — atomic on a local or NFS filesystem
+    only: on an object store ``fs.move`` is a copy then a delete, so a
+    reader can see a partial listing mid-write. Idempotent: re-running
+    rewrites identical bytes. ``pack_seq_len``: also compute GPT-style pack assignments
     (``pack_id``/``pack_offset`` over ``n_tokens_col``) inside the SAME
     single exchange before writing — the packed-export form."""
     import pyarrow.parquet as pq

@@ -17,7 +17,7 @@ from ..functions.text import (
 
 
 class TextFeatures:
-    """Actor-pool stage: stopword tables loaded once per actor; per batch
+    """Batch stage: stopword tables loaded once per worker; per batch
     emits doc_id + the feature columns."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id",
@@ -664,11 +664,13 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
         return weighted
     # walk bins from the top until >= keep_frac of the mass is covered;
     # the threshold is that bin's LOWER edge (so the kept fraction errs
-    # toward keeping one extra bin of mass, never silently under-keeping)
+    # toward keeping one extra bin of mass, never silently under-keeping).
+    # Bin 0 also holds the weights clipped up from below -clip, so
+    # reaching it keeps everything.
     wanted = keep_frac * total
     acc = 0
-    thr = edges[0]
-    for b in range(n_bins - 1, -1, -1):
+    thr = -np.inf
+    for b in range(n_bins - 1, 0, -1):
         acc += totals[b]
         if acc >= wanted:
             thr = edges[b]

@@ -12,10 +12,10 @@ A partition is "completed" iff its lineage sidecar exists — the sidecar
 is the commit record. Both files are written tmp+rename so a killed run
 never leaves a half-visible partition.
 
-Partition identity = input file index (deterministic from the sorted
-input listing), so a rerun lists lineage files, skips completed input
-files, and only reprocesses the rest — resume cost is the failed
-partitions only.
+Partition identity = url-hash bucket (``stages.partitioning.url_buckets``
+mod the job's partition count), assigned here in the sink — so a rerun
+lists lineage files, skips urls whose bucket is complete, and only
+reprocesses the rest: resume cost is the failed partitions only.
 
 Storage requirement (BASELINE.md "At 100 TB"): the grouped writers run
 INSIDE Ray workers while the driver lists/reads the same paths, and the
@@ -63,9 +63,10 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
-                    row_start: int, row_end: int, wall_s: float,
                     schema: pa.Schema | None = None) -> dict:
-    """Write one partition's data + lineage sidecar atomically."""
+    """Write one partition's data + lineage sidecar atomically. ``wall_s``
+    and ``rows_per_sec`` time the parquet write plus the checksum."""
+    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, f"part-{pid:05d}.parquet")
     tmp_path = data_path + ".tmp"
@@ -74,13 +75,15 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
     dict_cols = [c for c in ("lang", "status") if c in table.column_names]
     pq.write_table(table, tmp_path, use_dictionary=dict_cols or False)
     os.replace(tmp_path, data_path)
+    checksum = _partition_checksum(df)
+    wall_s = time.perf_counter() - t0
 
     record = {
         "partition_id": pid,
-        "input_row_start": row_start,
-        "input_row_end": row_end,
+        "input_row_start": 0,
+        "input_row_end": int(len(df)),
         "row_count": int(len(df)),
-        "checksum": _partition_checksum(df),
+        "checksum": checksum,
         "wall_s": round(wall_s, 4),
         "rows_per_sec": round(len(df) / wall_s, 2) if wall_s > 0 else 0.0,
         "status": "ok",
@@ -110,25 +113,26 @@ def read_lineage(out_dir: str) -> list[dict]:
     return recs
 
 
-def write_partitioned(articles, out_dir: str, schema: pa.Schema | None = None):
-    """Sink: group article rows by their ``partition_id`` column and write
-    each partition + lineage atomically inside the grouped task (one
-    shuffle keyed on partition_id — rows are already laid out by input
-    file, so the exchange is mostly local).
+def write_partitioned(articles, out_dir: str, num_partitions: int,
+                      schema: pa.Schema | None = None):
+    """Sink: give each article row its ``partition_id`` (the url-hash
+    bucket mod ``num_partitions``), group rows by it — the job's one
+    url-hash keyed exchange, over extracted articles — and write each
+    partition + lineage atomically inside the grouped task.
 
     Returns the small lineage summary as a Dataset (one row/partition)."""
+    from ..stages.partitioning import url_buckets
+
+    def add_partition_id(t: pa.Table) -> pa.Table:
+        pids = url_buckets(t["url"].to_pylist(), num_partitions)
+        return t.append_column("partition_id", pa.array(pids, pa.int64()))
 
     def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        t0 = time.time()
         pid = int(g["partition_id"].iloc[0])
-        rs = int(g["row_start"].min()) if "row_start" in g.columns else 0
-        re_ = int(g["row_end"].max()) if "row_end" in g.columns else len(g)
-        body = g.drop(columns=[c for c in ("partition_id", "row_start", "row_end")
-                               if c in g.columns])
-        rec = write_partition(body, out_dir, pid, rs, re_, time.time() - t0,
+        rec = write_partition(g.drop(columns=["partition_id"]), out_dir, pid,
                               schema=schema)
         return pd.DataFrame([rec])
 
-    return articles.groupby("partition_id").map_groups(
-        write_group, batch_format="pandas"
-    )
+    return articles.map_batches(
+        add_partition_id, batch_format="pyarrow", zero_copy_batch=True
+    ).groupby("partition_id").map_groups(write_group, batch_format="pandas")

@@ -87,9 +87,9 @@ def test_idempotence_identical_bytes(ray_session, pages_small):
         .sort_values("url")
         .reset_index(drop=True)
     )
-    # different partitioning, same bytes
+    # reruns produce the same bytes
     assert a.equals(b)
-    # task-fused mode produces the same bytes as the actor-pool mode
+    # uncapped tasks produce the same bytes as capped tasks
     c = (
         build_articles(pages_small, num_partitions=2, concurrency="tasks")
         .to_pandas()[["url", "content_sha256"]]
@@ -232,53 +232,118 @@ def test_extract_survives_null_rows(ray_session, tmp_path):
     assert "real paragraph with the usual" in ok["extracted_text"].iloc[0]
 
 
-def test_hash_shuffle_keyed_repartition_true_colocation(ray_session, pages_small):
-    """Under HASH_SHUFFLE (the --hash-shuffle CLI path), keyed
-    repartition truly co-locates keys AND the extraction output is
-    unchanged; the DataContext is restored afterwards."""
+def test_hash_shuffle_extract_job_same_checksums(ray_session, pages_small,
+                                                tmp_path):
+    """Under HASH_SHUFFLE (the --hash-shuffle CLI path) the extract job's
+    url-hash exchange writes the same per-partition checksums as the
+    default sort shuffle; the shuffle strategy is restored afterwards."""
     from ray.data.context import DataContext, ShuffleStrategy
 
-    from crawtext_ray.pipelines.flagship import build_articles
+    from crawtext_ray.pipelines.flagship import run_extract_job
     from crawtext_ray.stages.partitioning import use_hash_shuffle
+    from crawtext_ray.state.lineage import read_lineage
+
+    def checksums(out):
+        run_extract_job(pages_small, out, num_partitions=4)
+        return {r["partition_id"]: r["checksum"] for r in read_lineage(out)}
 
     ctx = DataContext.get_current()
     prev = ctx.shuffle_strategy
     try:
         use_hash_shuffle()
         assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
-        a = (
-            build_articles(pages_small, num_partitions=4,
-                           skew_break="repartition", concurrency="tasks")
-            .to_pandas()[["url", "content_sha256"]]
-            .sort_values("url").reset_index(drop=True)
-        )
+        hashed = checksums(str(tmp_path / "hash"))
     finally:
         ctx.shuffle_strategy = prev
-    b = (
-        build_articles(pages_small, num_partitions=4, concurrency="tasks")
-        .to_pandas()[["url", "content_sha256"]]
-        .sort_values("url").reset_index(drop=True)
-    )
-    assert a.equals(b)
+    assert len(hashed) == 4
+    assert hashed == checksums(str(tmp_path / "sort"))
 
 
-def test_keyed_repartition_mode_preserves_rows(ray_session, pages_small):
-    """skew_break='repartition' (url-hash keyed pre-extract exchange)
-    yields the same row set and bytes as the streaming default."""
-    from crawtext_ray.pipelines.flagship import build_articles
+def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
+                                    monkeypatch):
+    """The job's sink Dataset names its extract and write operators in
+    ``stats()`` — per-layer tooling finds the operators by these names."""
+    import crawtext_ray.state.lineage as lineage
+    from crawtext_ray.pipelines.flagship import run_extract_job
 
-    a = (
-        build_articles(pages_small, num_partitions=4, skew_break="repartition",
-                       concurrency="tasks")
-        .to_pandas()[["url", "content_sha256"]]
-        .sort_values("url").reset_index(drop=True)
-    )
-    b = (
-        build_articles(pages_small, num_partitions=4, concurrency="tasks")
-        .to_pandas()[["url", "content_sha256"]]
-        .sort_values("url").reset_index(drop=True)
-    )
-    assert a.equals(b)
+    held = []
+    write_partitioned = lineage.write_partitioned
+
+    def holding(*a, **k):
+        held.append(write_partitioned(*a, **k))
+        return held[-1]
+
+    monkeypatch.setattr(lineage, "write_partitioned", holding)
+    run_extract_job(pages_small, str(tmp_path / "out"), num_partitions=4)
+    stats = held[0].stats()
+    assert "extract_fn" in stats
+    assert "write_group" in stats
+
+
+def test_extract_wirings_share_worker_state(monkeypatch):
+    """Wirings with equal construction args share one ``ExtractArticles``
+    per worker cache (a warm-up wiring carries into the job); different
+    rules build a new one. Batch functions are called directly, no Ray."""
+    import datetime
+
+    import pyarrow as pa
+
+    from crawtext_ray.stages import extract_stage, fusion
+
+    built = []
+
+    class Counting(extract_stage.ExtractArticles):
+        def __init__(self, *a, **k):
+            built.append(a)
+            super().__init__(*a, **k)
+
+    class Pages:  # stands in for a Dataset: hands back the batch function
+        def map_batches(self, fn, **kwargs):
+            return fn
+
+    monkeypatch.setattr(extract_stage, "ExtractArticles", Counting)
+    monkeypatch.setattr(fusion, "_WORKER_CACHE", {})
+    batch = pa.table({
+        "url": ["http://a.example/1"],
+        "warc_ts": pa.array([datetime.datetime(2024, 1, 1)], pa.timestamp("us")),
+        "html": pa.array([b"<html><body><p>x</p></body></html>"], pa.binary()),
+        "lang": ["en"],
+    })
+    rules = ["||ads.example^"]
+    first = extract_stage.extract_articles(Pages(), rule_lines=rules)
+    second = extract_stage.extract_articles(Pages(), rule_lines=list(rules),
+                                            batch_size=8)
+    assert first.__name__ == "extract_fn"
+    assert first(batch).num_rows == 1 and second(batch).num_rows == 1
+    assert len(built) == 1
+    extract_stage.extract_articles(Pages(), rule_lines=rules + ["/ad/"])(batch)
+    assert len(built) == 2
+    extract_stage.extract_articles(Pages())(batch)
+    extract_stage.extract_articles(Pages())(batch)
+    assert len(built) == 3
+
+
+def test_write_partition_times_the_write(tmp_path, monkeypatch):
+    """Lineage ``wall_s`` / ``rows_per_sec`` time the parquet write itself."""
+    import time
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from crawtext_ray.state import lineage
+
+    write_table = pq.write_table
+
+    def slow_write(*a, **k):
+        time.sleep(0.05)
+        return write_table(*a, **k)
+
+    monkeypatch.setattr(lineage.pq, "write_table", slow_write)
+    df = pd.DataFrame({"url": ["http://a.example/1", "http://a.example/2"]})
+    rec = lineage.write_partition(df, str(tmp_path), 3)
+    assert rec["wall_s"] >= 0.05
+    assert 0 < rec["rows_per_sec"] <= 2 / 0.05
+    assert lineage.read_lineage(str(tmp_path)) == [rec]
 
 
 def test_hash_shuffle_sized_to_session(ray_session):

@@ -697,3 +697,22 @@ def test_dsir_select_planted_target(ray_session):
     kept2 = dsir_select(corpus, target, keep_frac=0.25,
                         vocab_size=500).to_pandas()
     assert sorted(kept2["doc_id"]) == sorted(kept["doc_id"])
+
+
+def test_dsir_select_keep_all_keeps_weights_below_clip(ray_session):
+    """keep_frac=1.0 keeps every document, including those whose log
+    weight lies below -clip (the histogram clips them into bin 0)."""
+    import ray.data as rd
+
+    from crawtext_ray.stages.textops import dsir_select
+
+    target = rd.from_items(
+        [{"text": "science research method data result model theory"}] * 5)
+    corpus = rd.from_items(
+        [{"doc_id": 0, "text": "science research method data result"},
+         {"doc_id": 1, "text": "zqbx zqcd zqfg zqxx zqbb zqcc zqdd zqff"},
+         {"doc_id": 2, "text": "model theory evidence analysis study"}]
+    ).materialize()
+    kept = dsir_select(corpus, target, keep_frac=1.0, clip=1.0).to_pandas()
+    assert kept["dsir_logw"].min() < -1.0
+    assert sorted(kept["doc_id"]) == [0, 1, 2]
