@@ -17,9 +17,11 @@ make a key-gathering pass and a filtering pass over it.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
-from ..stages.dedup import minhash_lsh_duplicates
+from ..stages.dedup import first_by, minhash_lsh_duplicates
+from ..stages.partitioning import key_runs, run_starts
 from .flagship import build_articles
 
 
@@ -31,7 +33,6 @@ def quality_gate_mask(texts_col, langs_col, n_words_col,
     kernels + one is_in per language + bincount — no per-row Python.
     Differentially tested against the scalar definition
     (tests/test_training_data.py)."""
-    import numpy as np
     import pyarrow.compute as pc
 
     from ..extract.stopwords import stopword_set
@@ -108,8 +109,8 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
     urls (the dup fraction, the genuinely small side) come back as a
     broadcast anti-join over the streaming articles. Exact: no Bloom in
     this path. When the loser set exceeds ``loser_broadcast_cap`` the
-    stage falls back to the fully distributed full-row groupby (pays the
-    wide shuffle, needs zero driver memory) — the same
+    stage falls back to a full-row ``first_by`` (pays the wide shuffle,
+    needs zero driver memory) — the same
     two-modes-by-threshold shape as ``connected_components``.
 
     (A native hash semi-join on winners was tried and rejected: Acero
@@ -128,32 +129,30 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
         )
 
     keys = articles.select_columns(["content_sha256", "url", "warc_ts"])
+    by_age = ["warc_ts", "url"]
 
-    def losers_of(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("warc_ts", "ascending"), ("url", "ascending")]
-        )
-        g = g.take(idx)
-        if g.num_rows > 1 and pc.count_distinct(
-            row_key(g)
-        ).as_py() != g.num_rows:
+    def losers_of(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ident = run_starts(t["content_sha256"], t["warc_ts"], t["url"])
+        if len(ident) != t.num_rows:
             # two rows sharing (url, warc_ts) identity would make the
             # anti-join drop the winner along with the loser — fail loud
             # on contract-violating input instead of silently losing rows
+            dup = int(np.setdiff1d(np.arange(t.num_rows), ident)[0])
             raise ValueError(
                 "drop_exact_dups: duplicate (url, warc_ts) row identity "
-                f"inside a content group (url={g['url'][0].as_py()!r}); "
+                f"inside a content group (url={t['url'][dup].as_py()!r}); "
                 "the pages contract requires it to be unique"
             )
-        return g.slice(1).select(["url", "warc_ts"])  # all but the winner
+        keep = np.ones(t.num_rows, dtype=bool)
+        keep[starts] = False  # all but each run's winner
+        return t.filter(pa.array(keep)).select(["url", "warc_ts"])
 
-    # per-GROUP Python calls are the expensive part of map_groups
-    # (~10 s per 150k groups measured), and with mostly-unique content
-    # the group count ≈ the corpus size — so first find the hashes that
-    # actually duplicate with ONE hash aggregate (fixed ~2.5 s cost),
-    # then run the loser-picking pass over only those groups (the dup
-    # fraction). Falls back to the full groupby when the dup-hash set
-    # exceeds the broadcast cap (same threshold shape as the anti-join).
+    # with mostly-unique content almost every group is a singleton — so
+    # first find the hashes that actually duplicate with ONE hash
+    # aggregate (fixed ~2.5 s cost), then run the loser-picking key-run
+    # reduce over only those rows (the dup fraction). Falls back to all
+    # rows when the dup-hash set exceeds the broadcast cap (same
+    # threshold shape as the anti-join).
     import ray
 
     counts = keys.groupby("content_sha256").count()
@@ -190,9 +189,8 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
         dup_keys = map_stage(keys, OnlyDupGroups)
     else:
         dup_keys = keys  # cap exceeded: pay the full groupby
-    losers = dup_keys.groupby("content_sha256").map_groups(
-        losers_of, batch_format="pyarrow"
-    ).materialize()
+    losers = key_runs(dup_keys, "content_sha256", by_age,
+                      losers_of).materialize()
     n_losers = losers.count()
     if n_losers == 0:
         return articles
@@ -226,13 +224,7 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
         return map_stage(articles, DropLosers)
 
     # distributed fallback: exact, no driver memory, full-row exchange
-    def pick(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("warc_ts", "ascending"), ("url", "ascending")]
-        )
-        return g.take(idx[:1])
-
-    return articles.groupby("content_sha256").map_groups(pick, batch_format="pyarrow")
+    return first_by(articles, "content_sha256", *by_age)
 
 
 def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,

@@ -8,14 +8,16 @@ Crawl-side (SURVEY.md §2.8):
   queue de-dup analog.
 
 Training-data-side (scale ops beyond the reference):
-- exact content dedup (hash-partition + per-group first)
+- exact content dedup (hash aggregate keeping the min id)
 - MinHash + LSH near-dup (shingle → minhash → band → bucket groupby)
 - SimHash near-dup (64-bit, hamming-banded)
 - n-gram Jaccard verification of candidate pairs
 
-All shuffles are keyed groupbys; per-batch sketching is vectorized and
-the groupby only ever sees (key, id) rows — never full text — so the
-exchange volume is O(rows), not O(bytes).
+All shuffles are keyed groupbys — hash aggregates, or the shared
+key-run reduce (``partitioning.key_runs``) wherever a whole key's rows
+are needed; per-batch sketching is vectorized and the groupby only ever
+sees (key, id) rows — never full text — so the exchange volume is
+O(rows), not O(bytes).
 """
 
 from __future__ import annotations
@@ -24,75 +26,21 @@ import hashlib
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 # ---------------------------------------------------------------- J2 ----
 
 
-def first_by(ds, key: str, order_col: str, tiebreak: str | None = None,
-             num_shards: int = 256):
+def first_by(ds, key: str, order_col: str, tiebreak: str):
     """J2: keep exactly one row per ``key`` — the minimal ``order_col``,
-    ties broken by ``tiebreak`` (pass a unique tiebreak for a fully
-    deterministic pick; keys must be non-null).
+    ties broken by ``tiebreak`` (required, and it must be unique within
+    a key so reruns pick the same row; keys must be non-null). Each
+    key-run's first row after the shard sort (``partitioning.key_runs``)
+    — Python calls = shards, not keys."""
+    from .partitioning import key_runs
 
-    Scale shape: ``groupby(key).map_groups`` pays one Python call per
-    GROUP — at key cardinality that is the corpus size (~10 s per 150k
-    groups measured). Instead group by a COARSE shard of the key
-    (Python calls = ``num_shards``) and take each key-run's first row
-    after ONE vectorized arrow sort inside the shard — the same
-    segment pattern as the window family (relational.py). Skewed keys
-    cost nothing extra: a hot KEY is still one run inside one shard's
-    single sort. ``first_by_pandas`` below is the per-group reference
-    kept as the equivalence baseline (tests force both paths)."""
-    import pyarrow.compute as pc
-
-    from .partitioning import md5_prefix_array
-
-    sort_keys = [(key, "ascending"), (order_col, "ascending")] + (
-        [(tiebreak, "ascending")] if tiebreak else []
-    )
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_fb_shard", pa.array([], pa.int64()))
-        col = batch[key]
-        if pa.types.is_integer(col.type):
-            shard = (col.to_numpy(zero_copy_only=False).astype(np.int64)
-                     % num_shards)
-        else:  # strings / binary: batched md5 prefix (driver-independent)
-            shard = (md5_prefix_array(col.to_pylist(), 8)
-                     % np.uint64(num_shards)).astype(np.int64)
-        return batch.append_column("_fb_shard", pa.array(shard, pa.int64()))
-
-    def pick_firsts(g: pa.Table) -> pa.Table:
-        g = g.sort_by(sort_keys)
-        if g.num_rows <= 1:
-            return g.drop_columns(["_fb_shard"])
-        k = g[key].combine_chunks()
-        first = np.ones(g.num_rows, dtype=bool)
-        first[1:] = pc.not_equal(
-            k.slice(1), k.slice(0, g.num_rows - 1)
-        ).to_numpy(zero_copy_only=False)
-        return g.filter(pa.array(first)).drop_columns(["_fb_shard"])
-
-    hashed = ds.map_batches(add_shard, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return hashed.groupby("_fb_shard").map_groups(
-        pick_firsts, batch_format="pyarrow"
-    )
-
-
-def first_by_pandas(ds, key: str, order_col: str,
-                    tiebreak: str | None = None):
-    """Per-group reference form of :func:`first_by` (one pandas call per
-    key) — equivalence baseline only, never on a driver path."""
-    sort_cols = [order_col] + ([tiebreak] if tiebreak else [])
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(sort_cols, kind="stable").head(1)
-
-    return ds.groupby(key).map_groups(pick, batch_format="pandas")
+    return key_runs(ds, key, [order_col, tiebreak],
+                    lambda t, starts: t.take(starts))
 
 
 def drop_seen(ds, seen_keys, key: str = "url"):
@@ -363,7 +311,7 @@ def minhash_lsh_duplicates(
     The dup-bucket map (only buckets with ≥2 members — the same
     cardinality class as the pair output itself) is broadcast when it
     fits ``dup_bucket_broadcast_cap``; above the cap the stage falls
-    back to a fully keyed coarse-partition groupby (no broadcast, no
+    back to the fully keyed key-run reduce over buckets (no broadcast, no
     driver state) — the 10^12-doc path."""
     from .fusion import map_stage
 
@@ -383,7 +331,7 @@ def banded_lsh_pairs(banded, bands: int, id_col: str,
     fixed_size_list<int64, bands>) dataset — used by both the minhash and
     simhash paths. One hash aggregate finds duplicate buckets; pair
     emission is an in-row broadcast lookup under the cap, a keyed
-    coarse-partition groupby above it (see minhash_lsh_duplicates)."""
+    key-run reduce over buckets above it (see minhash_lsh_duplicates)."""
     import ray
     from ray.data.aggregate import Count, Min
 
@@ -490,29 +438,19 @@ def banded_lsh_pairs(banded, bands: int, id_col: str,
 
         return map_stage(banded, EmitPairs)
 
-    # 10^12-doc fallback: coarse-partition keyed groupby (complete buckets
-    # co-locate under bk, only ~4×cores groups pay the per-group Python
-    # call), then a keyed min-rep aggregate — zero broadcast/driver state.
-    n_parts = 512
+    # 10^12-doc fallback: complete buckets co-locate as bk runs of the
+    # shared key-run reduce (rep = each run's first, i.e. min, id), then
+    # a keyed min-rep aggregate — zero broadcast/driver state.
+    from .partitioning import key_runs, run_ids
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = np.asarray(t["bk"].to_pylist(), dtype=np.int64).view(np.uint64)
-        return t.append_column(
-            "part", pa.array((part % np.uint64(n_parts)).astype(np.int64))
-        )
+    def run_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ids = t[id_col]
+        rep = ids.take(pa.array(starts[run_ids(starts, t.num_rows)]))
+        mask = pa.compute.not_equal(ids, rep)
+        return pa.table({id_col: ids.filter(mask),
+                         "rep_id": rep.filter(mask)})
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rep = g.groupby("bk")[id_col].transform("min")
-        cand = g[g[id_col] != rep]
-        return pd.DataFrame(
-            {id_col: cand[id_col].values, "rep_id": rep[cand.index].values}
-        )
-
-    pairs = (
-        exploded.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-    )
+    pairs = key_runs(exploded, "bk", [id_col], run_pairs)
     return pairs.groupby(id_col).aggregate(Min("rep_id", alias_name="rep_id"))
 
 
@@ -527,6 +465,8 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str,
     output itself. Membership rows are candidate-bounded to duplicate
     buckets first (broadcast is_in under the cap, Bloom above)."""
     from ray.data.aggregate import Count
+
+    from .partitioning import key_runs, run_starts
 
     a_col, b_col = f"{id_col}_a", f"{id_col}_b"
 
@@ -551,14 +491,26 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str,
     members = semi_join_on_ids(exploded, dup_bks, "bk", "bk",
                                dup_bucket_broadcast_cap)
 
-    def pairs_of(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(g[id_col].to_numpy())
-        if len(ids) < 2:
-            return pd.DataFrame({a_col: ids[:0], b_col: ids[:0]})
-        ia, ib = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({a_col: ids[ia], b_col: ids[ib]})
+    def pairs_of(t: pa.Table, _starts: np.ndarray) -> pa.Table:
+        # distinct (bk, id) rows only, then every id pair of each bk run:
+        # ONE triu_indices per distinct run length, broadcast over all
+        # runs of that length
+        t = t.take(pa.array(run_starts(t["bk"], t[id_col])))
+        ids = t[id_col]
+        starts = run_starts(t["bk"])
+        lens = np.diff(np.append(starts, len(ids)))
+        ia_all, ib_all = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for L in np.unique(lens[lens >= 2]):
+            ia, ib = np.triu_indices(int(L), k=1)
+            s0 = starts[lens == L][:, None]
+            ia_all.append((s0 + ia).ravel())
+            ib_all.append((s0 + ib).ravel())
+        return pa.table({
+            a_col: ids.take(pa.array(np.concatenate(ia_all))),
+            b_col: ids.take(pa.array(np.concatenate(ib_all))),
+        })
 
-    pairs = members.groupby("bk").map_groups(pairs_of, batch_format="pandas")
+    pairs = key_runs(members, "bk", [id_col], pairs_of)
     # a pair can collide in several bands/buckets — keyed distinct
     return pairs.groupby([a_col, b_col]).aggregate(
         Count(alias_name="_n")
@@ -1112,12 +1064,12 @@ def connected_components(pairs, id_col: str = "doc_id",
     when chains occur (a~b, b~c ⇒ {a,b,c}).
 
     Two paths, picked by edge count:
-    - |edges| ≤ ``driver_cap``: one distributed min-label groupby, then
+    - |edges| ≤ ``driver_cap``: one keyed min-label aggregate, then
       pointer-jumping on the driver (O(E) memory, O(E α) time) — fastest
       when the dup graph fits a driver heap.
     - |edges| > ``driver_cap``: fully distributed min-label propagation —
-      per round, each node's label flows to its neighbors via a keyed
-      hash join and a min-groupby; convergence is detected by the global
+      per round, each node's label flows to its neighbors through one
+      key-run reduce on node; convergence is detected by the global
       label sum going flat (labels are monotonically non-increasing).
       O(diameter) rounds; each round's exchange carries two int64
       columns, nothing driver-sized.
@@ -1139,12 +1091,19 @@ def connected_components(pairs, id_col: str = "doc_id",
     edges = pairs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     edges = edges.materialize()
 
-    def min_label(g: pd.DataFrame) -> pd.DataFrame:
-        node = int(g["node"].iloc[0])
-        lab = int(min(g["nbr"].min(), node))
-        return pd.DataFrame({"node": [node], "label": [lab]})
+    # initial label = min(node, min neighbor): a keyed Min aggregate plus
+    # a clip-to-node map (no per-node Python)
+    from ray.data.aggregate import Min
 
-    labels = edges.groupby("node").map_groups(min_label, batch_format="pandas")
+    labels = edges.groupby("node").aggregate(
+        Min("nbr", alias_name="label")
+    ).map_batches(
+        lambda t: pa.table({
+            "node": t["node"],
+            "label": pa.compute.min_element_wise(t["label"], t["node"]),
+        }),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
 
     if edges.count() <= driver_cap:
         labels = _cc_driver_rounds(labels, max_iters)
@@ -1186,8 +1145,9 @@ def _cc_distributed_rounds(edges, labels, max_iters: int):
     """Distributed min-label propagation, Pregel-on-groupby: the state is
     one keyed stream of (node, kind, value) rows — kind 0 = the node's
     current label, kind 1 = an outgoing edge (value = neighbor), kind 2
-    = an incoming label message. Each round is ONE hash groupby(node):
-    the group computes its new min label from kinds {0,2}, re-emits its
+    = an incoming label message. Each round is ONE key-run reduce on node
+    (``partitioning.key_runs``, segment-vectorized per shard): each node
+    run computes its new min label from kinds {0,2}, re-emits its
     label row and edge rows, and sends the new label to every neighbor
     as a kind-2 message. No joins (Ray 2.49's hash join misplans when
     its right side's lineage contains a hash aggregate), nothing
@@ -1227,17 +1187,29 @@ def _cc_distributed_rounds(edges, labels, max_iters: int):
         )
         return int(only.sum("value"))
 
-    def step(g: pd.DataFrame) -> pd.DataFrame:
-        node = int(g["node"].iloc[0])
-        labs = g.loc[g["kind"] != 1, "value"]
-        lab = int(labs.min()) if len(labs) else node
-        nbrs = [int(v) for v in g.loc[g["kind"] == 1, "value"]]
-        out_node = [node] + [node] * len(nbrs) + nbrs
-        out_kind = [0] + [1] * len(nbrs) + [2] * len(nbrs)
-        out_val = [lab] + nbrs + [lab] * len(nbrs)
-        return pd.DataFrame(
-            {"node": out_node, "kind": out_kind, "value": out_val}
-        ).astype("int64")
+    from .partitioning import key_runs, run_ids
+
+    big = np.iinfo(np.int64).max
+
+    def step(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # per node run: new label = min over kinds {0, 2} (the node itself
+        # when it has none); re-emit label + edge rows, and send the new
+        # label along every edge as a kind-2 message
+        node = t["node"].to_numpy()
+        kind = t["kind"].to_numpy()
+        value = t["value"].to_numpy()
+        lab = np.minimum.reduceat(np.where(kind != 1, value, big), starts)
+        lab = np.where(lab == big, node[starts], lab)
+        e = kind == 1
+        nbrs = value[e]
+        return pa.table({
+            "node": np.concatenate([node[starts], node[e], nbrs]),
+            "kind": np.concatenate([np.zeros(len(starts), np.int64),
+                                    np.ones(len(nbrs), np.int64),
+                                    np.full(len(nbrs), 2, np.int64)]),
+            "value": np.concatenate(
+                [lab, nbrs, lab[run_ids(starts, len(node))[e]]]),
+        })
 
     # stop after TWO consecutive flat rounds: round k's labels react to
     # messages sent in round k-1, so one flat round can just mean the
@@ -1246,9 +1218,7 @@ def _cc_distributed_rounds(edges, labels, max_iters: int):
     prev_sum = label_sum(state)
     flat = 0
     for _ in range(max_iters):
-        state = state.groupby("node").map_groups(
-            step, batch_format="pandas"
-        ).materialize()
+        state = key_runs(state, "node", [], step).materialize()
         cur_sum = label_sum(state)
         flat = flat + 1 if cur_sum == prev_sum else 0
         if flat >= 2:

@@ -111,6 +111,7 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
 
     from .extract_stage import extract_articles
     from .fusion import map_stage
+    from .partitioning import size_hash_shuffle
 
     extract_fn = extract_fn or (lambda ds: extract_articles(ds))
     small = len(seed_urls) <= broadcast_cap
@@ -165,6 +166,10 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
                 num_partitions=num_partitions,
                 on=("url",),
             )
+            # the join's aggregator actors must fit the session, else it
+            # waits forever for placement (the context is shared with
+            # pages_ds's lineage; the sizing only affects hash shuffles)
+            size_hash_shuffle(subset.context)
         articles = extract_fn(subset).materialize()
         rounds.append(articles)
         if small:

@@ -11,6 +11,12 @@ order at the scan — because a url-hash repartition of raw html before
 extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 26 s on 100k pages at 32 CPUs), while the exchange of extracted articles
 (~5x smaller) at the sink is the one the output layout needs.
+
+``key_runs`` is the one per-key reduce: every operator that works on
+"all rows of one key" (first-by, LSH buckets, connected-components
+rounds, the user-window family) hashes its key into ``SHARDS`` coarse
+shards and reduces each shard's sorted key runs with vectorized code,
+so Python calls scale with the shard count, never the key count.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pyarrow as pa
 
 
 def url_buckets(urls: list, num_buckets: int) -> np.ndarray:
@@ -91,19 +98,26 @@ def use_hash_shuffle() -> None:
     this before building a pipeline). The
     default sort-shuffle measured faster for this workload's bounded-key
     groupbys on the 32-cpu host (hash shuffle spawns per-partition
-    aggregator actors with a fixed ramp cost).
-
-    The aggregator pool is sized to the session: Ray's defaults
-    (parallelism 200 → up to 64 aggregator ACTORS) can never be placed
-    on a small-CPU session, and every shuffle then deadlocks inside the
-    300 s aggregator wait (observed: any groupby at 8 cpus hung).
-    Roughly half the CPUs go to aggregators, leaving the rest for the
-    upstream read/map tasks feeding them."""
-    import ray
+    aggregator actors with a fixed ramp cost). The aggregator pool is
+    sized to the session (``size_hash_shuffle``)."""
     from ray.data.context import DataContext, ShuffleStrategy
 
     ctx = DataContext.get_current()
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    size_hash_shuffle(ctx)
+
+
+def size_hash_shuffle(ctx) -> None:
+    """Size a DataContext's hash-shuffle aggregator pool (hash shuffles
+    and ``Dataset.join``) to the session. Ray's defaults (parallelism
+    200 → up to 64 aggregator ACTORS, ~0.9 GiB memory reserved each for
+    a 16-partition join) can never be placed on a small session, and the
+    shuffle then deadlocks inside the 300 s aggregator wait (observed:
+    any groupby at 8 cpus hung; a 16-partition join at 4 cpus hung).
+    Roughly half the CPUs go to aggregators, leaving the rest for the
+    upstream read/map tasks feeding them."""
+    import ray
+
     if ray.is_initialized():
         cpus = int(ray.cluster_resources().get("CPU", 0)) or None
         if cpus:
@@ -111,3 +125,72 @@ def use_hash_shuffle() -> None:
             ctx.default_hash_shuffle_parallelism = min(
                 200, max(8, cpus * 2)
             )
+
+
+SHARDS = 256
+
+
+def run_starts(*cols) -> np.ndarray:
+    """Row index of the first row of each run in SORTED arrow columns: a
+    run starts where any of ``cols`` changes value (non-null values) —
+    the run-boundary primitive of every key-run reduce."""
+    import pyarrow.compute as pc
+
+    n = len(cols[0])
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for col in cols:
+        new[1:] |= pc.not_equal(col.slice(1), col.slice(0, n - 1)).to_numpy(
+            zero_copy_only=False)
+    return np.flatnonzero(new)
+
+
+def run_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per-row index of the run it belongs to (runs given by
+    ``run_starts`` over ``n`` rows)."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
+def shard_of(col) -> np.ndarray:
+    """Coarse shard in [0, SHARDS) per key: integer keys by modulo
+    (negative keys included), string/binary keys by the first 8 md5
+    bytes of their text form — driver- and worker-independent."""
+    if pa.types.is_integer(col.type):
+        return col.to_numpy(zero_copy_only=False).astype(np.int64) % SHARDS
+    return (md5_prefix_array(col.to_pylist(), 8)
+            % np.uint64(SHARDS)).astype(np.int64)
+
+
+def shard_runs(table: pa.Table, key: str, sort_keys: list, fn):
+    """One shard's reduce: ONE arrow sort by ``[key, *sort_keys]``, then
+    ``fn(sorted_table, run_starts)``. ``sort_keys`` entries are column
+    names (ascending) or ``(column, "ascending"|"descending")`` pairs."""
+    order = [(key, "ascending")] + [
+        (c, "ascending") if isinstance(c, str) else tuple(c)
+        for c in sort_keys
+    ]
+    table = table.sort_by(order)
+    return fn(table, run_starts(table[key]))
+
+
+def key_runs(ds, key: str, sort_keys: list, fn):
+    """Per-key reduce over a Dataset without a Python call per key: hash
+    ``key`` into ``SHARDS`` coarse shards (:func:`shard_of`), ONE
+    ``groupby(shard).map_groups`` and, per shard, :func:`shard_runs`.
+    All rows of one key land in one shard, so ``fn`` sees whole key runs;
+    it returns a pyarrow table (empty shards reach it as empty tables).
+    A hot key costs nothing extra — it is one run inside one shard's
+    single sort."""
+
+    def add_shard(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "_shard", pa.array(shard_of(batch[key]), pa.int64()))
+
+    def per_shard(g: pa.Table) -> pa.Table:
+        return shard_runs(g.drop_columns(["_shard"]), key, sort_keys, fn)
+
+    return ds.map_batches(
+        add_shard, batch_format="pyarrow", zero_copy_batch=True
+    ).groupby("_shard").map_groups(per_shard, batch_format="pyarrow")

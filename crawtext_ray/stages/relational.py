@@ -16,6 +16,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from .dedup import first_by
+from .partitioning import key_runs, run_ids, run_starts
 
 
 def _docs(sf_dir: str, columns=None):
@@ -254,32 +255,27 @@ def date_buckets_events(sf_dir: str):
 
 def window_hourly_events(sf_dir: str):
     """Streaming-shaped tumbling window: per (user, hour) event counts.
-    Shape: ONE int-keyed groupby(user) + per-group pandas windowing —
+    Shape: ONE int-keyed key-run reduce on user_id, sorted by ts, so
+    each (user, hour) window is a run and its count a run length —
     measured 5x faster than a two-key (user, hour-string) sort-shuffle
     aggregate (3.0s vs 16.5s on 100k events at 32 cpus), because the
-    exchange keys are small ints and the window bucketing stays
-    vectorized inside the group."""
+    exchange keys are small ints and the bucketing stays vectorized."""
+    import pyarrow.compute as pc
 
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "window_start": pd.Series([], dtype="object"),
-                "n_events": pd.Series([], dtype="int64"),
-            })
-        ws = g["ts"].dt.floor("h").dt.strftime("%Y-%m-%d %H:00")
-        out = (
-            g.assign(window_start=ws)
-            .groupby(["user_id", "window_start"], as_index=False)
-            .size()
-            .rename(columns={"size": "n_events"})
-        )
-        return out[["user_id", "window_start", "n_events"]]
+    def per_shard(t: pa.Table, _starts: np.ndarray) -> pa.Table:
+        hour = pc.floor_temporal(t["ts"], unit="hour")
+        s = run_starts(t["user_id"], hour)
+        idx = pa.array(s)
+        return pa.table({
+            "user_id": t["user_id"].take(idx),
+            "window_start": pc.strftime(hour.take(idx),
+                                        format="%Y-%m-%d %H:00"),
+            "n_events": pa.array(np.diff(np.append(s, t.num_rows)),
+                                 pa.int64()),
+        })
 
-    # coarse user shards (Python calls = shards, not user cardinality);
-    # the per-shard bucket-count is one vectorized pandas groupby
-    ds = _add_user_shard(_events(sf_dir, ["user_id", "ts"]))
-    return ds.groupby("_shard").map_groups(per_shard, batch_format="pandas")
+    return key_runs(_events(sf_dir, ["user_id", "ts"]), "user_id", ["ts"],
+                    per_shard)
 
 
 def user_event_stats(sf_dir: str):
@@ -456,47 +452,19 @@ def parts_by_brand_nation(sf_dir: str):
 # SCALE SHAPE (VERDICT r03 wrong #3): a groupby(user_id).map_groups pays
 # one Python/pandas call per GROUP, and group count scales with user
 # cardinality (measured ~10 s per 150k groups on this host). These ops
-# instead group by a COARSE shard (user_id % num_shards — the same
-# two-modes-by-threshold house pattern as the LSH bucket ops), sort each
-# shard once by (user_id, ...) and compute every per-user window with
-# SEGMENT-VECTORIZED numpy (boundary masks + cumsum bases + composite-key
-# searchsorted): Python calls = num_shards, never user cardinality. The
-# partitioning assumption is unchanged — all rows of one user co-locate
-# (one shard instead of one group).
-
-_WINDOW_SHARDS = 256
-
-
-def _add_user_shard(ds, num_shards: int = _WINDOW_SHARDS,
-                    key: str = "user_id"):
-    def add(batch: pa.Table) -> pa.Table:
-        u = batch[key].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_shard", pa.array((u % num_shards).astype(np.int64), pa.int64())
-        )
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _segments(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a SORTED key column: (new-segment bool mask, per-row index of
-    its segment's first row) — the primitives every segment-vectorized
-    window op builds on."""
-    n = len(u)
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(u[1:], u[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    start_of_row = np.repeat(starts, np.diff(np.append(starts, n)))
-    return new, start_of_row
+# instead run on ``partitioning.key_runs``: coarse user shards, each
+# sorted once by (user_id, ...), every per-user window computed with
+# SEGMENT-VECTORIZED numpy over the user runs (run starts + cumsum bases
+# + composite-key searchsorted): Python calls = shards, never user
+# cardinality. The partitioning assumption is unchanged — all rows of
+# one user co-locate (one shard instead of one group).
 
 
 def _composite_key(uidx: np.ndarray, off: np.ndarray) -> np.ndarray | None:
     """Monotonic int64 composite of (segment index, in-segment offset),
     making ONE searchsorted serve every segment at once. None when the
     product would overflow int64 (callers fall back to a per-segment
-    loop — only reachable when users/shard x time-span exceeds ~2^62 µs,
-    i.e. raise num_shards)."""
+    loop — only reachable when users/shard x time-span exceeds ~2^62 µs)."""
     span = int(off.max()) + 2 if len(off) else 2
     n_seg = int(uidx.max()) + 1 if len(uidx) else 1
     if n_seg * span >= (1 << 62):
@@ -504,42 +472,40 @@ def _composite_key(uidx: np.ndarray, off: np.ndarray) -> np.ndarray | None:
     return uidx * np.int64(span) + off
 
 
-def _ts_us(g: pd.DataFrame, col: str = "ts") -> np.ndarray:
-    return g[col].to_numpy("datetime64[us]").astype(np.int64)
+def _ts_us(t: pa.Table, col: str = "ts") -> np.ndarray:
+    return t[col].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
 
 
-_ASOF_EMPTY = {
-    "event_id": "int64",
-    "click_event_id": "int64",
-}
+def _int64_table(**cols) -> pa.Table:
+    return pa.table({
+        k: v.cast(pa.int64()) if isinstance(v, pa.ChunkedArray)
+        else pa.array(v, pa.int64())
+        for k, v in cols.items()
+    })
 
 
-def _asof_merge_frame(g: pd.DataFrame,
-                      use_composite: bool = True) -> pd.DataFrame:
-    """One shard's as-of merge (module-level so both the composite-key
-    path and the per-segment fallback are directly unit-testable;
+def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
+                      use_composite: bool = True) -> pa.Table:
+    """One shard's as-of merge over user runs sorted by (user_id, ts,
+    event_id) (module-level so both the composite-key path and the
+    per-segment fallback are directly unit-testable;
     ``use_composite=False`` forces the fallback)."""
-    empty = pd.DataFrame({c: pd.Series([], dtype=t)
-                          for c, t in _ASOF_EMPTY.items()})
-    if not len(g):
-        return empty
-    g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-    u = g["user_id"].to_numpy()
-    ts = _ts_us(g)
-    eid = g["event_id"].to_numpy()
-    typ = g["event_type"].to_numpy()
-    new_user = _segments(u)[0]
-    uidx = np.cumsum(new_user) - 1
-    off = ts - ts.min()
-    C = _composite_key(uidx, off) if use_composite else None
-    is_c = typ == "click"
-    is_p = typ == "purchase"
+    import pyarrow.compute as pc
+
+    empty = _int64_table(event_id=[], click_event_id=[])
+    is_c = pc.equal(t["event_type"], "click").to_numpy(zero_copy_only=False)
+    is_p = pc.equal(t["event_type"], "purchase").to_numpy(
+        zero_copy_only=False)
     if not is_c.any() or not is_p.any():
         return empty
+    ts = _ts_us(t)
+    eid = t["event_id"].to_numpy()
+    uidx = run_ids(starts, len(ts))
+    off = ts - ts.min()
+    C = _composite_key(uidx, off) if use_composite else None
     if C is None:  # overflow fallback: per-user loop
         out_e, out_c = [], []
-        for s in np.flatnonzero(new_user):
-            e = s + np.searchsorted(u[s:], u[s], side="right")
+        for s, e in zip(starts, np.append(starts[1:], len(ts))):
             cts, cid = ts[s:e][is_c[s:e]], eid[s:e][is_c[s:e]]
             pts, pid = ts[s:e][is_p[s:e]], eid[s:e][is_p[s:e]]
             if not len(cts) or not len(pts):
@@ -548,50 +514,32 @@ def _asof_merge_frame(g: pd.DataFrame,
             ok = pos >= 0
             out_e.extend(pid[ok])
             out_c.extend(cid[pos[ok]])
-        return pd.DataFrame({
-            "event_id": pd.Series(out_e, dtype="int64"),
-            "click_event_id": pd.Series(out_c, dtype="int64"),
-        })
+        return _int64_table(event_id=out_e, click_event_id=out_c)
     Cc, cu, cid = C[is_c], uidx[is_c], eid[is_c]
     pos = np.searchsorted(Cc, C[is_p], side="right") - 1
     ok = pos >= 0
     ok[ok] &= cu[pos[ok]] == uidx[is_p][ok]  # same-user guard
-    if not ok.any():
-        return empty
-    return pd.DataFrame({
-        "event_id": eid[is_p][ok],
-        "click_event_id": cid[pos[ok]],
-    })
+    return _int64_table(event_id=eid[is_p][ok], click_event_id=cid[pos[ok]])
 
 
-def _window_funcs_frame(g: pd.DataFrame,
-                        use_composite: bool = True) -> pd.DataFrame:
-    """One shard's ROW_NUMBER + LAG + RANGE-count pass (module-level for
-    direct unit tests of both the composite path and the fallback)."""
+def _window_funcs_frame(t: pa.Table, starts: np.ndarray,
+                        use_composite: bool = True) -> pa.Table:
+    """One shard's ROW_NUMBER + LAG + RANGE-count pass over user runs
+    sorted by (user_id, ts, event_id) (module-level for direct unit
+    tests of both the composite path and the fallback)."""
     hour_us = 3_600_000_000
-    if not len(g):
-        return pd.DataFrame({
-            c: pd.Series([], dtype="int64")
-            for c in ("event_id", "event_seq", "prev_event_id",
-                      "n_last_hour")
-        })
-    g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-    u = g["user_id"].to_numpy()
-    ts = _ts_us(g)
-    eid = g["event_id"].to_numpy()
-    n = len(u)
-    new_user, start_of_row = _segments(u)
-    event_seq = np.arange(n) - start_of_row + 1
+    ts = _ts_us(t)
+    eid = t["event_id"].to_numpy()
+    n = len(ts)
+    uidx = run_ids(starts, n)
+    event_seq = np.arange(n) - starts[uidx] + 1
     prev = np.empty(n, dtype=np.int64)
-    prev[0] = -1
     prev[1:] = eid[:-1]
-    prev[new_user] = -1
-    uidx = np.cumsum(new_user) - 1
-    off = ts - ts.min()
+    prev[starts] = -1
+    off = ts - ts.min() if n else ts
     C = _composite_key(uidx, off) if use_composite else None
     if C is None:  # overflow fallback: per-segment searchsorted
         n_last = np.empty(n, dtype=np.int64)
-        starts = np.flatnonzero(new_user)
         for s, e in zip(starts, np.append(starts[1:], n)):
             seg = ts[s:e]
             lo = np.searchsorted(seg, seg - hour_us, side="left")
@@ -603,73 +551,49 @@ def _window_funcs_frame(g: pd.DataFrame,
         qlo = (C - off) + np.maximum(off - hour_us, 0)
         lo = np.searchsorted(C, qlo, side="left")
         hi = np.searchsorted(C, C, side="right")
-        n_last = (hi - lo).astype(np.int64)
-    return pd.DataFrame({
-        "event_id": eid,
-        "event_seq": event_seq.astype("int64"),
-        "prev_event_id": prev,
-        "n_last_hour": n_last,
-    })
+        n_last = hi - lo
+    return _int64_table(event_id=eid, event_seq=event_seq,
+                        prev_event_id=prev, n_last_hour=n_last)
+
+
+_BY_TIME = ["ts", "event_id"]
 
 
 def sessionize_events(sf_dir: str, gap_minutes: int = 30):
     """Gap-based sessionization (streaming-shaped windowed operator): per
     user, order events by (ts, event_id); a gap strictly greater than
     ``gap_minutes`` starts a new session. Output (event_id, session_seq)
-    with session_seq 1-based per user. One keyed exchange on the user
-    shard — the same partitioning key as every other per-user window op."""
+    with session_seq 1-based per user. One key-run reduce on user_id —
+    the same partitioning key as every other per-user window op."""
     gap_us = gap_minutes * 60_000_000
 
-    def sess(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "session_seq": pd.Series([], dtype="int64"),
-            })
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        u = g["user_id"].to_numpy()
-        ts = _ts_us(g)
-        new_user, start_of_row = _segments(u)
-        new_sess = np.empty(len(u), dtype=bool)
-        new_sess[0] = True
-        np.greater(ts[1:] - ts[:-1], gap_us, out=new_sess[1:])
-        new_sess |= new_user
+    def sess(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = _ts_us(t)
+        new_sess = np.zeros(len(ts), dtype=bool)
+        new_sess[1:] = ts[1:] - ts[:-1] > gap_us
+        new_sess[starts] = True
         s = np.cumsum(new_sess)
-        session_seq = s - s[start_of_row] + 1
-        return pd.DataFrame({
-            "event_id": g["event_id"].to_numpy(),
-            "session_seq": session_seq.astype("int64"),
-        })
+        first = starts[run_ids(starts, len(ts))]
+        return _int64_table(event_id=t["event_id"],
+                            session_seq=s - s[first] + 1)
 
-    ds = _add_user_shard(_events(sf_dir, ["event_id", "user_id", "ts"]))
-    return ds.groupby("_shard").map_groups(sess, batch_format="pandas")
+    return key_runs(_events(sf_dir, ["event_id", "user_id", "ts"]),
+                    "user_id", _BY_TIME, sess)
 
 
 def top_events_per_user(sf_dir: str, k: int = 3):
     """Grouped top-k: each user's k highest-value events (ties broken by
-    event_id asc), ranked 1..k — rank = row index minus segment start."""
+    event_id asc), ranked 1..k — rank = row index minus run start."""
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "event_id": pd.Series([], dtype="int64"),
-                "rank": pd.Series([], dtype="int64"),
-            })
-        g = g.sort_values(["user_id", "value", "event_id"],
-                          ascending=[True, False, True], kind="stable")
-        u = g["user_id"].to_numpy()
-        _, start_of_row = _segments(u)
-        rank = np.arange(len(u)) - start_of_row + 1
-        keep = rank <= k
-        return pd.DataFrame({
-            "user_id": u[keep],
-            "event_id": g["event_id"].to_numpy()[keep],
-            "rank": rank[keep].astype("int64"),
-        })
+    def topk(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        rank = np.arange(t.num_rows) - starts[run_ids(starts, t.num_rows)] + 1
+        keep = np.flatnonzero(rank <= k)
+        t = t.take(pa.array(keep))
+        return _int64_table(user_id=t["user_id"], event_id=t["event_id"],
+                            rank=rank[keep])
 
-    ds = _add_user_shard(_events(sf_dir, ["user_id", "event_id", "value"]))
-    return ds.groupby("_shard").map_groups(topk, batch_format="pandas")
+    return key_runs(_events(sf_dir, ["user_id", "event_id", "value"]),
+                    "user_id", [("value", "descending"), "event_id"], topk)
 
 
 def asof_click_before_purchase(sf_dir: str):
@@ -679,9 +603,9 @@ def asof_click_before_purchase(sf_dir: str):
     click are dropped.
 
     Ray Data lacks a native as-of join; this is the canonical
-    composition — co-partition both streams on the join key (one coarse
-    groupby) and merge with ONE composite-key searchsorted across all
-    users in the shard, relying ONLY on key co-location (the
+    composition — co-partition both streams on the join key (one
+    key-run reduce) and merge with ONE composite-key searchsorted across
+    all users in the shard, relying ONLY on key co-location (the
     partitioning assumption: all rows of one user fit one shard — the
     standard event-log contract)."""
 
@@ -693,9 +617,7 @@ def asof_click_before_purchase(sf_dir: str):
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    return _add_user_shard(keep).groupby("_shard").map_groups(
-        _asof_merge_frame, batch_format="pandas"
-    )
+    return key_runs(keep, "user_id", _BY_TIME, _asof_merge_frame)
 
 
 def sample_docs_deterministic(sf_dir: str, pct: int = 10,
@@ -766,70 +688,17 @@ def embedding_topk_exact(sf_dir: str, k: int = 10, n_queries: int = 3):
 # --- window functions (running / sliding / lag) ---------------------------
 
 
-def window_running_events(sf_dir: str):
-    """Running window: per-user event sequence number ordered by
-    (ts, event_id) — groupby(key).map_groups over the sorted group, the
-    Ray Data form of ROW_NUMBER() OVER (PARTITION BY ... ORDER BY ...)."""
-
-    def seq(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="stable").reset_index(drop=True)
-        g["event_seq"] = g.index.to_numpy() + 1
-        return g[["event_id", "event_seq"]]
-
-    ds = _events(sf_dir, ["user_id", "event_id", "ts"])
-    return ds.groupby("user_id").map_groups(seq, batch_format="pandas")
-
-
-def window_lag_events(sf_dir: str):
-    """LAG(): previous event id per user (ordered by ts, event_id);
-    first event per user gets null."""
-
-    def lag(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="stable")
-        g["prev_event_id"] = g["event_id"].shift(1)
-        out = g[["event_id", "prev_event_id"]].copy()
-        # -1 sentinel instead of NULL: keeps the column pure int64 on both
-        # engines (nullable ints come back as float64 from some drivers)
-        out["prev_event_id"] = out["prev_event_id"].fillna(-1).astype("int64")
-        return out
-
-    ds = _events(sf_dir, ["user_id", "event_id", "ts"])
-    return ds.groupby("user_id").map_groups(lag, batch_format="pandas")
-
-
-def window_sliding_events(sf_dir: str):
-    """Sliding event-time window: per event, how many events of the same
-    user fell in (ts - 1 hour, ts] — RANGE INTERVAL window as per-group
-    sorted two-pointer (vectorized searchsorted)."""
-
-    def last_hour(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="stable").reset_index(drop=True)
-        ts = g["ts"].to_numpy()
-        # inclusive lower bound to match SQL RANGE ... 1 HOUR PRECEDING
-        lo = np.searchsorted(ts, ts - np.timedelta64(3600, "s"), side="left")
-        hi = np.searchsorted(ts, ts, side="right")
-        g["n_last_hour"] = (hi - lo).astype("int64")
-        return g[["event_id", "n_last_hour"]]
-
-    ds = _events(sf_dir, ["user_id", "event_id", "ts"])
-    return ds.groupby("user_id").map_groups(last_hour, batch_format="pandas")
-
-
 def window_funcs_events(sf_dir: str):
-    """ROW_NUMBER + LAG + RANGE-sliding-count in ONE grouped pass — the
-    merged form of window_running/window_lag/window_sliding (they share
-    the partition key and sort order, so three shuffles collapse into
-    one; also one driver-gate query slot instead of three). Output
-    (event_id, event_seq, prev_event_id, n_last_hour).
+    """ROW_NUMBER + LAG + RANGE-sliding-count in ONE grouped pass (they
+    share the partition key and sort order, so one exchange serves all
+    three). Output (event_id, event_seq, prev_event_id, n_last_hour).
 
-    Segment-vectorized over coarse user shards: row numbers from segment
-    starts, lag from a shifted array with segment-start resets, and the
-    RANGE window from ONE composite-key searchsorted covering every user
-    in the shard (kernel: _window_funcs_frame) — no per-user Python."""
-    ds = _add_user_shard(_events(sf_dir, ["user_id", "event_id", "ts"]))
-    return ds.groupby("_shard").map_groups(
-        _window_funcs_frame, batch_format="pandas"
-    )
+    Segment-vectorized over the user runs of ``key_runs``: row numbers
+    from run starts, lag from a shifted array with run-start resets, and
+    the RANGE window from ONE composite-key searchsorted covering every
+    user in the shard (kernel: _window_funcs_frame) — no per-user Python."""
+    return key_runs(_events(sf_dir, ["user_id", "event_id", "ts"]),
+                    "user_id", _BY_TIME, _window_funcs_frame)
 
 
 # --- sort / top-k over a fact table ---------------------------------------

@@ -628,12 +628,12 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
 
     Scale shape: the threshold comes from a map-side HISTOGRAM of
     log-weights (``n_bins`` fixed bins over [−clip, clip], per-batch
-    int64 partials merged on the driver — O(bins) driver memory, no
-    sort, no shuffle), then selection is a vectorized per-batch filter
-    ``logw >= threshold``. Histogram granularity makes the kept
-    fraction approximate to one bin of probability mass (an exact
-    fraction would need a global sort); with 2048 bins over ±20 nats a
-    bin is ~0.02 nats wide. Two streaming passes over ``ds`` (weights
+    int64 partials merged by a keyed Sum — at most ``n_bins`` rows reach
+    the driver, no sort of the corpus), then selection is a vectorized
+    per-batch filter ``logw >= threshold``. Histogram granularity makes
+    the kept fraction approximate to one bin of probability mass (an
+    exact fraction would need a global sort); with 2048 bins over ±20
+    nats a bin is ~0.02 nats wide. Two streaming passes over ``ds`` (weights
     are recomputed on the filter pass), so pass a materialized /
     checkpointed dataset, the curate-chain convention. Deterministic
     given the corpus. Returns the input rows + ``dsir_logw``."""
@@ -652,13 +652,17 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
         w = np.clip(batch["dsir_logw"].to_numpy(zero_copy_only=False),
                     -clip, clip)
         counts, _ = np.histogram(w, bins=edges)
-        return pa.table({"bin": pa.array(np.arange(n_bins), pa.int64()),
-                         "n": pa.array(counts, pa.int64())})
+        nz = np.flatnonzero(counts)
+        return pa.table({"bin": pa.array(nz, pa.int64()),
+                         "n": pa.array(counts[nz], pa.int64())})
+
+    from ray.data.aggregate import Sum
 
     totals = np.zeros(n_bins, dtype=np.int64)
-    for r in weighted.map_batches(hist_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True).take_all():
-        totals[r["bin"]] += r["n"]
+    for r in weighted.map_batches(
+        hist_partial, batch_format="pyarrow", zero_copy_batch=True
+    ).groupby("bin").aggregate(Sum("n", alias_name="n")).take_all():
+        totals[r["bin"]] = r["n"]
     total = int(totals.sum())
     if total == 0:
         return weighted

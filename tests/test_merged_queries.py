@@ -4,14 +4,55 @@ operators they merged — merging slots must never change semantics."""
 SF = "/root/testdata/sf0.001"
 
 
+def _per_user(sf_dir: str, fn):
+    """Per-group reference shape: one pandas call per user over that
+    user's events sorted by (ts, event_id)."""
+    import ray.data as rd
+
+    def per_group(g):
+        return fn(g.sort_values(["ts", "event_id"], kind="stable")
+                  .reset_index(drop=True))
+
+    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
+                         columns=["user_id", "event_id", "ts"])
+    return ds.groupby("user_id").map_groups(per_group, batch_format="pandas")
+
+
+def window_running_events(sf_dir: str):
+    """ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts, event_id)."""
+    return _per_user(sf_dir, lambda g: g.assign(
+        event_seq=g.index.to_numpy() + 1)[["event_id", "event_seq"]])
+
+
+def window_lag_events(sf_dir: str):
+    """LAG(event_id) per user; -1 for a user's first event."""
+    return _per_user(sf_dir, lambda g: g.assign(
+        prev_event_id=g["event_id"].shift(1).fillna(-1).astype("int64")
+    )[["event_id", "prev_event_id"]])
+
+
+def window_sliding_events(sf_dir: str):
+    """Per event: the user's events in [ts - 1 hour, ts] (RANGE window)."""
+    import numpy as np
+
+    def last_hour(g):
+        ts = g["ts"].to_numpy()
+        lo = np.searchsorted(ts, ts - np.timedelta64(3600, "s"), side="left")
+        hi = np.searchsorted(ts, ts, side="right")
+        return g.assign(n_last_hour=(hi - lo).astype("int64"))[
+            ["event_id", "n_last_hour"]]
+
+    return _per_user(sf_dir, last_hour)
+
+
 def test_window_funcs_equals_three_window_ops(ray_session):
     from crawtext_ray.stages import relational as R
 
     merged = R.window_funcs_events(SF).to_pandas().sort_values(
         "event_id").reset_index(drop=True)
-    run = R.window_running_events(SF).to_pandas()
-    lag = R.window_lag_events(SF).to_pandas()
-    sli = R.window_sliding_events(SF).to_pandas()
+    run = window_running_events(SF).to_pandas()
+    lag = window_lag_events(SF).to_pandas()
+    sli = window_sliding_events(SF).to_pandas()
     joined = (
         run.merge(lag, on="event_id").merge(sli, on="event_id")
         .sort_values("event_id").reset_index(drop=True)
@@ -143,9 +184,12 @@ def test_window_composite_overflow_fallback():
     produce identical frames (the fallback fires when users x time-span
     would overflow int64). Kernel-level test: both paths run in-process
     on the same shard frame, no Ray."""
-    import numpy as np
-    import pandas as pd
+    from functools import partial
 
+    import numpy as np
+    import pyarrow as pa
+
+    from crawtext_ray.stages.partitioning import shard_runs
     from crawtext_ray.stages.relational import (
         _asof_merge_frame,
         _window_funcs_frame,
@@ -153,24 +197,27 @@ def test_window_composite_overflow_fallback():
 
     rng = np.random.default_rng(5)
     n = 4000
-    g = pd.DataFrame({
+    g = pa.table({
         "event_id": np.arange(n, dtype=np.int64),
         "user_id": rng.integers(0, 300, n),
-        "ts": pd.to_datetime(
+        "ts": pa.array(
             1_700_000_000_000_000 + rng.integers(0, 10_000_000_000, n),
-            unit="us"),
+            pa.timestamp("us")),
         "event_type": rng.choice(["click", "purchase", "view"], n),
     })
+    by_time = ["ts", "event_id"]
     for fn in (_asof_merge_frame, _window_funcs_frame):
-        a = fn(g, use_composite=True).sort_values("event_id").reset_index(
-            drop=True)
-        b = fn(g, use_composite=False).sort_values("event_id").reset_index(
-            drop=True)
+        a = shard_runs(g, "user_id", by_time, fn).to_pandas().sort_values(
+            "event_id").reset_index(drop=True)
+        b = shard_runs(g, "user_id", by_time,
+                       partial(fn, use_composite=False)).to_pandas() \
+            .sort_values("event_id").reset_index(drop=True)
         assert len(a) and a.equals(b), fn.__name__
     # degenerate shards hold too
-    empty = g.iloc[:0]
-    assert _asof_merge_frame(empty, use_composite=False).empty
-    assert _window_funcs_frame(empty, use_composite=False).empty
+    empty = g.slice(0, 0)
+    for fn in (_asof_merge_frame, _window_funcs_frame):
+        assert shard_runs(empty, "user_id", by_time,
+                          partial(fn, use_composite=False)).num_rows == 0
 
 
 def test_doc_reports_equals_quartet(ray_session):

@@ -63,8 +63,8 @@ def test_dedup_first_by_ts(ray_session, pages_small, truth_small):
 
     from crawtext_ray.stages.dedup import first_by
 
-    pages = rd.read_parquet(pages_small, columns=["url", "warc_ts"])
-    deduped = first_by(pages, "url", "warc_ts").to_pandas()
+    pages = rd.read_parquet(pages_small, columns=["url", "warc_ts", "html"])
+    deduped = first_by(pages, "url", "warc_ts", "html").to_pandas()
     n_dups = int(truth_small["is_duplicate"].sum())
     assert len(deduped) == len(truth_small) - n_dups
     assert deduped["url"].is_unique
@@ -383,14 +383,24 @@ def test_hash_shuffle_sized_to_session(ray_session):
          ctx.default_hash_shuffle_parallelism) = prev
 
 
+def first_by_pandas(ds, key: str, order_col: str, tiebreak: str):
+    """Per-group reference form of ``first_by``: one pandas call per key."""
+
+    def pick(g):
+        return g.sort_values([order_col, tiebreak], kind="stable").head(1)
+
+    return ds.groupby(key).map_groups(pick, batch_format="pandas")
+
+
 def test_first_by_sharded_equals_pandas_reference(ray_session):
     """The coarse-shard vectorized first_by (one arrow sort per shard)
     returns exactly the per-group pandas reference's rows, for integer
-    AND string keys, with a unique tiebreak pinning the pick."""
+    AND string keys, with a unique tiebreak pinning the pick; 900 keys
+    over the 256 shards put several keys in every shard."""
     import numpy as np
     import ray.data as rd
 
-    from crawtext_ray.stages.dedup import first_by, first_by_pandas
+    from crawtext_ray.stages.dedup import first_by
 
     rng = np.random.default_rng(7)
     n = 5000
@@ -407,7 +417,7 @@ def test_first_by_sharded_equals_pandas_reference(ray_session):
 
     for key in ["user_id", "skey"]:
         ds = rd.from_pandas(df)
-        got = (first_by(ds, key, "ts", "event_id", num_shards=16)
+        got = (first_by(ds, key, "ts", "event_id")
                .to_pandas().sort_values(key).reset_index(drop=True))
         exp = (first_by_pandas(rd.from_pandas(df), key, "ts", "event_id")
                .to_pandas().sort_values(key).reset_index(drop=True))

@@ -483,6 +483,35 @@ def test_connected_components_distributed_matches_driver(ray_session):
     assert dist[23] == dist[22] == dist[21] == dist[20] == 20
 
 
+def test_connected_components_distributed_random_forest(ray_session):
+    """The segment-vectorized Pregel rounds (driver_cap=0) label a random
+    forest — many components per key-run shard, negative and large ids —
+    with each component's min id, like a union-find does."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    ids = [int(x) for x in
+           rng.choice(np.arange(-500, 10**9, 7919), 600, replace=False)]
+    # random recursive trees of 2-4 nodes (diameter <= 3, so max_iters
+    # is never the limit); each member links to an earlier member
+    edges, want, i = [], {}, 0
+    while i < len(ids):
+        tree = ids[i:i + int(rng.integers(2, 5))]
+        i += len(tree)
+        for k in range(1, len(tree)):
+            edges.append({"doc_id": tree[k],
+                          "rep_id": tree[int(rng.integers(0, k))]})
+        if len(tree) > 1:
+            want.update({x: min(tree) for x in tree})
+
+    from crawtext_ray.stages.dedup import connected_components
+
+    got = {r["doc_id"]: r["cluster_id"]
+           for r in connected_components(rd.from_items(edges),
+                                         driver_cap=0).take_all()}
+    assert got == want
+
+
 def test_minhash_many_dups_no_driver_merge(ray_session):
     """A corpus where the candidate-pair set is a large fraction of rows
     (every doc in a clone family) completes and links every clone to the

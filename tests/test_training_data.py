@@ -716,3 +716,43 @@ def test_dsir_select_keep_all_keeps_weights_below_clip(ray_session):
     kept = dsir_select(corpus, target, keep_frac=1.0, clip=1.0).to_pandas()
     assert kept["dsir_logw"].min() < -1.0
     assert sorted(kept["doc_id"]) == [0, 1, 2]
+
+
+def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
+                                                    monkeypatch):
+    """The histogram partials merge by bin before the driver collect: on
+    a many-block corpus at most ``n_bins`` rows reach the driver (not
+    blocks x bins), and the selection equals the one-block selection."""
+    import numpy as np
+    import ray.data as rd
+    from ray.data import Dataset
+
+    from crawtext_ray.stages.textops import dsir_select
+
+    rng = np.random.default_rng(3)
+    vocab = [f"w{i}" for i in range(300)]
+    target = rd.from_items(
+        [{"text": " ".join(rng.choice(vocab[:60], 30))} for _ in range(40)]
+    ).materialize()
+    rows = [{"doc_id": i, "text": " ".join(rng.choice(vocab, 30))}
+            for i in range(400)]
+    n_bins = 64
+    collected = []
+    real_take_all = Dataset.take_all
+
+    def counting_take_all(self, *a, **kw):
+        out = real_take_all(self, *a, **kw)
+        collected.append(len(out))
+        return out
+
+    monkeypatch.setattr(Dataset, "take_all", counting_take_all)
+    many = rd.from_items(rows).repartition(8).materialize()
+    assert many.num_blocks() == 8
+    kept = dsir_select(many, target, keep_frac=0.3, vocab_size=200,
+                       n_bins=n_bins).to_pandas()
+    assert collected and max(collected) <= n_bins
+    one = rd.from_items(rows).repartition(1).materialize()
+    kept_one = dsir_select(one, target, keep_frac=0.3, vocab_size=200,
+                           n_bins=n_bins).to_pandas()
+    assert 0 < len(kept) < len(rows)
+    assert sorted(kept["doc_id"]) == sorted(kept_one["doc_id"])
