@@ -6,7 +6,9 @@ pages table (100k docs for the sf0.1 bench, 10k otherwise; cached under
 /tmp) plus the headline relational/dedup/similarity queries over
 ``GRAFT_SF_DIR`` (default /root/testdata/sf0.1), then prints ONE JSON
 line: {"metric", "value" (headline seconds), "unit", "queries", "sf",
-"num_cpus", "docs_per_sec", ...}.
+"num_cpus", "host", "docs_per_sec", ...}. ``num_cpus`` is the CPU count
+requested from Ray; ``host`` records what the machine actually offered
+(see ``host_facts``).
 
 ``--scaling``: runs the same extraction job in two fresh processes at 8
 and 32 CPUs on the same input (page cache warmed by an untimed read) and
@@ -26,6 +28,29 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 FIXTURE_ROOT = "/tmp/crawtext_ray_fixtures"
+
+
+def host_facts() -> dict:
+    """The machine a run measured, next to the requested ``num_cpus``:
+    CPUs this process may run on, total memory, the Ray version and the
+    git commit of this checkout (``None`` outside a git checkout).
+    Starts no Ray session."""
+    import ray
+
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            check=True, cwd=os.path.dirname(os.path.abspath(__file__)),
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "cpu_affinity": len(os.sched_getaffinity(0)),
+        "mem_total_bytes": os.sysconf("SC_PAGE_SIZE")
+        * os.sysconf("SC_PHYS_PAGES"),
+        "ray_version": ray.__version__,
+        "git_sha": sha,
+    }
 
 
 def _pages_name() -> str:
@@ -126,7 +151,7 @@ def run_bench() -> dict:
         out = {
             "metric": "scaling leg", "value": round(t_extract, 3),
             "unit": "sec", "queries": queries, "sf": SF_DIR,
-            "num_cpus": NUM_CPUS, "n_pages": n_pages,
+            "num_cpus": NUM_CPUS, "host": host_facts(), "n_pages": n_pages,
             "docs_per_sec": round(n_pages / t_extract, 1),
             "extract_runs_sec": [round(r, 3) for r in runs],
         }
@@ -217,6 +242,7 @@ def run_bench() -> dict:
         "queries": queries,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
+        "host": host_facts(),
         "n_pages": n_pages,
         "docs_per_sec": round(n_pages / t_extract, 1),
         "extract_runs_sec": [round(r, 3) for r in runs],
@@ -266,6 +292,7 @@ def run_scaling() -> dict:
         "(fresh ray sessions, same input; primary pair 4→16)",
         "unit": "docs/sec",
         "sf": SF_DIR,
+        "host": host_facts(),
         "n_pages": legs[16]["n_pages"],
         "docs_per_sec": {str(n): legs[n]["docs_per_sec"] for n in legs},
         "sec": {str(n): legs[n]["value"] for n in legs},

@@ -93,7 +93,8 @@ def run_extract_job(
         import glob as _glob
         import ray.data as rd
 
-        from ..state.bloom import bloom_anti_join, build_bloom
+        from ..stages.partitioning import member_filter
+        from ..state.bloom import build_bloom
 
         prev_files = sorted(
             _glob.glob(os.path.join(incremental_from, "**", "*.parquet"),
@@ -105,7 +106,7 @@ def run_extract_job(
             if n_prev:
                 bloom = build_bloom(prev, "url", capacity=n_prev,
                                     fp_rate=1e-6)
-                ds = bloom_anti_join(ds, bloom, key="url")
+                ds = member_filter(ds, "url", bloom, keep=False)
     if done:
         done_ids = np.array(sorted(done), np.int64)
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.dedup import first_by, minhash_lsh_duplicates
-from ..stages.partitioning import key_runs, run_starts
+from ..stages import partitioning
+from ..stages.dedup import first_by, minhash_lsh_duplicates, semi_join_on_ids
+from ..stages.partitioning import key_runs, member_filter, run_starts
 from .flagship import build_articles
 
 
@@ -100,16 +101,16 @@ def quality_gate(
     return articles.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
+def drop_exact_dups(articles):
     """Exact content dedup keyed on content_sha256: keep the earliest
     warc_ts (tie: lexicographic url).
 
     Key-only shuffle: only (content_sha256, url, warc_ts) rows cross the
     loser-picking groupby — never ``extracted_text`` — then the LOSER
     urls (the dup fraction, the genuinely small side) come back as a
-    broadcast anti-join over the streaming articles. Exact: no Bloom in
-    this path. When the loser set exceeds ``loser_broadcast_cap`` the
-    stage falls back to a full-row ``first_by`` (pays the wide shuffle,
+    broadcast anti-join over the streaming articles. Exact: no Bloom
+    decides a drop. When the loser set exceeds ``partitioning.BROADCAST_ROWS``
+    the stage falls back to a full-row ``first_by`` (pays the wide shuffle,
     needs zero driver memory) — the same
     two-modes-by-threshold shape as ``connected_components``.
 
@@ -150,11 +151,9 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
     # with mostly-unique content almost every group is a singleton — so
     # first find the hashes that actually duplicate with ONE hash
     # aggregate (fixed ~2.5 s cost), then run the loser-picking key-run
-    # reduce over only those rows (the dup fraction). Falls back to all
-    # rows when the dup-hash set exceeds the broadcast cap (same
-    # threshold shape as the anti-join).
-    import ray
-
+    # reduce over only those rows (the dup fraction) — an exact semi-join
+    # up to BROADCAST_ROWS dup hashes, a Bloom superset above (a
+    # singleton run a false positive lets through yields no loser).
     counts = keys.groupby("content_sha256").count()
     dup_hash_ds = counts.map_batches(
         lambda t: t.filter(
@@ -166,62 +165,22 @@ def drop_exact_dups(articles, loser_broadcast_cap: int = 5_000_000):
     n_dup_hashes = dup_hash_ds.count()
     if n_dup_hashes == 0:
         return articles
-    if n_dup_hashes <= loser_broadcast_cap:
-        hash_chunks = []
-        for b in dup_hash_ds.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                hash_chunks.append(b["content_sha256"].combine_chunks())
-        dup_hashes = pa.concat_arrays(hash_chunks)
-        href = ray.put(dup_hashes)
-
-        class OnlyDupGroups:
-            def __init__(self):
-                self.value_set = ray.get(href)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                return batch.filter(
-                    pc.is_in(batch["content_sha256"],
-                             value_set=self.value_set)
-                )
-
-        from ..stages.fusion import map_stage
-
-        dup_keys = map_stage(keys, OnlyDupGroups)
-    else:
-        dup_keys = keys  # cap exceeded: pay the full groupby
+    dup_keys = semi_join_on_ids(keys, dup_hash_ds, "content_sha256",
+                                "content_sha256")
     losers = key_runs(dup_keys, "content_sha256", by_age,
                       losers_of).materialize()
     n_losers = losers.count()
     if n_losers == 0:
         return articles
-    if n_losers <= loser_broadcast_cap:
-        import ray
-
+    if n_losers <= partitioning.BROADCAST_ROWS:
         # row identity is (url, warc_ts), NOT url alone: a recrawl of the
         # same url dedupes into the same hash group, so the loser's url
         # can equal the winner's url
-        chunks = []
-        for b in losers.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                chunks.append(row_key(b).combine_chunks())
-        value_set = (
-            pa.concat_arrays(chunks) if chunks else pa.array([], pa.string())
-        )
-        ref = ray.put(value_set)
-
-        class DropLosers:
-            def __init__(self):
-                self.value_set = ray.get(ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                comp = pc.fill_null(row_key(batch), "")
-                return batch.filter(
-                    pc.invert(pc.is_in(comp, value_set=self.value_set))
-                )
-
-        from ..stages.fusion import map_stage
-
-        return map_stage(articles, DropLosers)
+        loser_keys = pa.concat_arrays([
+            row_key(b).combine_chunks()
+            for b in losers.iter_batches(batch_format="pyarrow")
+            if b.num_rows])
+        return member_filter(articles, row_key, loser_keys, keep=False)
 
     # distributed fallback: exact, no driver memory, full-row exchange
     return first_by(articles, "content_sha256", *by_age)
@@ -243,7 +202,7 @@ def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,
     with the exact n-gram Jaccard (broadcast-free routed verifier) and
     only pairs at/above the threshold are dropped — the precision knob
     that keeps LSH band collisions from deleting non-duplicates."""
-    from ..state.bloom import bloom_anti_join, build_bloom
+    from ..state.bloom import build_bloom
 
     pairs = minhash_lsh_duplicates(
         articles.select_columns(["url", "extracted_text"]),
@@ -268,7 +227,7 @@ def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,
     if n_dups == 0:
         return articles
     bloom = build_bloom(pairs, "url", capacity=n_dups, fp_rate=fp_rate)
-    return bloom_anti_join(articles, bloom, key="url")
+    return member_filter(articles, "url", bloom, keep=False)
 
 
 def curate(

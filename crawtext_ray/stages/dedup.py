@@ -4,8 +4,6 @@ Crawl-side (SURVEY.md §2.8):
 - J2 exact page dedup by key: keep the first row per key (min order
   column, deterministic tie-break) — crawtext: database.py unique-url
   results index analog.
-- J1 frontier anti-join: drop urls already seen — crawtext: worker.py
-  queue de-dup analog.
 
 Training-data-side (scale ops beyond the reference):
 - exact content dedup (hash aggregate keeping the min id)
@@ -18,6 +16,13 @@ key-run reduce (``partitioning.key_runs``) wherever a whole key's rows
 are needed; per-batch sketching is vectorized and the groupby only ever
 sees (key, id) rows — never full text — so the exchange volume is
 O(rows), not O(bytes).
+
+Every small side (LSH duplicate buckets, verification participants, the
+connected-components edge list, the duplicated-paragraph winner map) is
+counted on the driver and broadcast only at or under
+``partitioning.BROADCAST_ROWS`` rows; above it the keyed, Bloom or
+key-run form runs. Membership filters go through
+``partitioning.member_filter``.
 """
 
 from __future__ import annotations
@@ -41,37 +46,6 @@ def first_by(ds, key: str, order_col: str, tiebreak: str):
 
     return key_runs(ds, key, [order_col, tiebreak],
                     lambda t, starts: t.take(starts))
-
-
-def drop_seen(ds, seen_keys, key: str = "url"):
-    """J1 anti-join: ``seen_keys`` is a broadcast small side (python set /
-    ray.ObjectRef of one). At cluster scale pass an ObjectRef so the set
-    ships once per worker, not per batch. The filter itself is a
-    vectorized ``pc.is_in`` against a value-set array built once per
-    worker."""
-    import ray
-
-    ref = seen_keys if isinstance(seen_keys, ray.ObjectRef) else ray.put(set(seen_keys))
-
-    class AntiJoin:
-        def __init__(self):
-            import pyarrow.compute as pc
-
-            self.pc = pc
-            self.value_set = pa.array(sorted(ray.get(ref)))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(self.value_set) == 0:
-                return batch
-            return batch.filter(
-                self.pc.invert(
-                    self.pc.is_in(batch[key], value_set=self.value_set)
-                )
-            )
-
-    from .fusion import map_stage
-
-    return map_stage(ds, AntiJoin)
 
 
 # ------------------------------------------------- exact content dedup ----
@@ -294,7 +268,6 @@ def minhash_lsh_duplicates(
     bands: int = 32,
     shingle_k: int = 5,
     concurrency="tasks",
-    dup_bucket_broadcast_cap: int = 5_000_000,
 ):
     """MinHash+LSH near-dup. Returns one (id, rep_id) row per candidate
     near-duplicate, rep_id = the min id sharing any LSH band bucket.
@@ -310,7 +283,7 @@ def minhash_lsh_duplicates(
 
     The dup-bucket map (only buckets with ≥2 members — the same
     cardinality class as the pair output itself) is broadcast when it
-    fits ``dup_bucket_broadcast_cap``; above the cap the stage falls
+    fits ``partitioning.BROADCAST_ROWS``; above that the stage falls
     back to the fully keyed key-run reduce over buckets (no broadcast, no
     driver state) — the 10^12-doc path."""
     from .fusion import map_stage
@@ -322,19 +295,20 @@ def minhash_lsh_duplicates(
                               id_col=id_col),
         concurrency=concurrency,
     ).materialize()  # (id, band_keys): both passes below consume it
-    return banded_lsh_pairs(banded, bands, id_col, dup_bucket_broadcast_cap)
+    return banded_lsh_pairs(banded, bands, id_col)
 
 
-def banded_lsh_pairs(banded, bands: int, id_col: str,
-                     dup_bucket_broadcast_cap: int = 5_000_000):
+def banded_lsh_pairs(banded, bands: int, id_col: str):
     """Shared LSH pair machinery over a materialized (id, band_keys
     fixed_size_list<int64, bands>) dataset — used by both the minhash and
     simhash paths. One hash aggregate finds duplicate buckets; pair
-    emission is an in-row broadcast lookup under the cap, a keyed
-    key-run reduce over buckets above it (see minhash_lsh_duplicates)."""
+    emission is an in-row broadcast lookup up to
+    ``partitioning.BROADCAST_ROWS`` duplicate buckets, a keyed key-run
+    reduce over buckets above it (see minhash_lsh_duplicates)."""
     import ray
     from ray.data.aggregate import Count, Min
 
+    from . import partitioning
     from .fusion import map_stage
 
     def explode(t: pa.Table) -> pa.Table:
@@ -358,10 +332,10 @@ def banded_lsh_pairs(banded, bands: int, id_col: str,
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
 
-    if dup_buckets.count() <= dup_bucket_broadcast_cap:
+    if dup_buckets.count() <= partitioning.BROADCAST_ROWS:
         # sorted-key arrays for vectorized searchsorted lookups; collect
-        # per BATCH (a per-row iter_rows loop at the 5M cap measured as
-        # the driver hot spot)
+        # per BATCH (a per-row iter_rows loop at a 5M-bucket map
+        # measured as the driver hot spot)
         bk_chunks, rep_chunks = [], []
         for b in dup_buckets.iter_batches(batch_format="pyarrow"):
             if b.num_rows:
@@ -454,8 +428,7 @@ def banded_lsh_pairs(banded, bands: int, id_col: str,
     return pairs.groupby(id_col).aggregate(Min("rep_id", alias_name="rep_id"))
 
 
-def banded_lsh_candidate_pairs(banded, bands: int, id_col: str,
-                               dup_bucket_broadcast_cap: int = 5_000_000):
+def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
     """ALL distinct candidate pairs (a < b) sharing at least one LSH band
     bucket, as (``{id}_a``, ``{id}_b``) rows. Complements
     ``banded_lsh_pairs`` (the min-rep LINKING form used by dedup drops):
@@ -463,7 +436,7 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str,
     candidate pair must be scored individually. O(bucket²) per duplicate
     bucket — post-LSH dup buckets are the same cardinality class as the
     output itself. Membership rows are candidate-bounded to duplicate
-    buckets first (broadcast is_in under the cap, Bloom above)."""
+    buckets first (``semi_join_on_ids``)."""
     from ray.data.aggregate import Count
 
     from .partitioning import key_runs, run_starts
@@ -488,8 +461,7 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str,
         ).select(["bk"]),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
-    members = semi_join_on_ids(exploded, dup_bks, "bk", "bk",
-                               dup_bucket_broadcast_cap)
+    members = semi_join_on_ids(exploded, dup_bks, "bk", "bk")
 
     def pairs_of(t: pa.Table, _starts: np.ndarray) -> pa.Table:
         # distinct (bk, id) rows only, then every id pair of each bk run:
@@ -719,12 +691,11 @@ def _simhash_banded(ds, text_col: str, id_col: str):
     ).materialize()
 
 
-def simhash_duplicates(ds, text_col: str = "text", id_col: str = "doc_id",
-                       dup_bucket_broadcast_cap: int = 5_000_000):
+def simhash_duplicates(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Near-dup candidates: docs sharing any of the four 16-bit simhash
     bands → (id, rep_id) pairs, via the shared banded-LSH machinery."""
     banded = _simhash_banded(ds, text_col, id_col)
-    return banded_lsh_pairs(banded, 4, id_col, dup_bucket_broadcast_cap)
+    return banded_lsh_pairs(banded, 4, id_col)
 
 
 def simhash_verified_duplicates(ds, text_col: str = "text",
@@ -763,9 +734,9 @@ def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
     (O(corpus shingles) driver memory) while the n² pair loop runs
     distributed over id partitions — deliberately a small-corpus
     diagnostic; at scale you run the LSH paths and verify candidates with
-    ``verify_pairs_jaccard``. Measured boundary: sub-second at 500 docs,
-    >15 min at 5,000 (both the Ray loop and the SQL cross join are
-    O(n²·|shingles|)) — keep it at oracle scale (sf0.01)."""
+    ``verify_pairs_jaccard_distributed``. Measured boundary: sub-second
+    at 500 docs, >15 min at 5,000 (both the Ray loop and the SQL cross
+    join are O(n²·|shingles|)) — keep it at oracle scale (sf0.01)."""
     import ray
     import ray.data as rd
 
@@ -830,113 +801,40 @@ def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
     return map_stage(positions, PairRows)
 
 
-def verify_pairs_jaccard(ds_pairs, docs_lookup, text_col: str = "text",
-                         id_col: str = "doc_id", k: int = 5,
-                         threshold: float = 0.8):
-    """Verify candidate (id, rep_id) pairs with exact n-gram Jaccard.
-    ``docs_lookup`` is a broadcast {id: text} dict (ray.put once) — the
-    small-side join pattern; at 100 TB you'd pass a sharded KV actor set
-    instead, but candidate sets after LSH are tiny relative to the corpus."""
-    import ray
-
-    ref = (
-        docs_lookup
-        if isinstance(docs_lookup, ray.ObjectRef)
-        else ray.put(docs_lookup)
-    )
-
-    class Verify:
-        def __init__(self):
-            self.docs = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].to_pylist()
-            reps = batch["rep_id"].to_pylist()
-            sims = [
-                ngram_jaccard(self.docs.get(i, ""), self.docs.get(r, ""), k)
-                for i, r in zip(ids, reps)
-            ]
-            out = batch.append_column("jaccard", pa.array(sims, pa.float64()))
-            return out.filter(
-                pa.compute.greater_equal(out["jaccard"], pa.scalar(threshold))
-            )
-
-    from .fusion import map_stage
-
-    return map_stage(ds_pairs, Verify)
-
-
-def semi_join_on_ids(ds, ids_ds, ds_col: str, ids_col: str,
-                     broadcast_cap: int = 2_000_000):
+def semi_join_on_ids(ds, ids_ds, ds_col: str, ids_col: str):
     """Keep rows of ``ds`` whose ``ds_col`` value appears in
     ``ids_ds[ids_col]`` — the candidate-bounding semi-join. Two modes by
-    |ids|: a broadcast value-set + ``pc.is_in`` under ``broadcast_cap``
-    (exact), a distributed-built Bloom above it (no false negatives, so
-    every needed row survives; a false positive keeps an extra row —
-    a SUPERSET semi-join, which is the safe direction for bounding a
-    verification corpus)."""
+    |ids|: an exact value set up to ``partitioning.BROADCAST_ROWS``, a
+    distributed-built Bloom above it (no false negatives, so every needed
+    row survives; a false positive keeps an extra row — a SUPERSET
+    semi-join, which is the safe direction for bounding a verification
+    corpus). Either way the filter is ``partitioning.member_filter``."""
     import pyarrow.compute as pc
 
-    from .fusion import map_stage
+    from . import partitioning
 
     n_ids = ids_ds.count()
     if n_ids == 0:
         return ds.map_batches(lambda t: t.slice(0, 0),
                               batch_format="pyarrow", zero_copy_batch=True)
-    if n_ids <= broadcast_cap:
-        import ray
+    if n_ids <= partitioning.BROADCAST_ROWS:
+        members = pc.unique(pa.concat_arrays([
+            b[ids_col].combine_chunks()
+            for b in ids_ds.iter_batches(batch_format="pyarrow")
+            if b.num_rows]))
+    else:  # 10^12-row path: Bloom over the ids' text form
+        from ..state.bloom import build_bloom
 
-        chunks = []
-        for b in ids_ds.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                chunks.append(b[ids_col].combine_chunks())
-        value_set = pc.unique(pa.concat_arrays(chunks))
-        ref = ray.put(value_set)
-
-        class Keep:
-            def __init__(self):
-                self.value_set = ray.get(ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                return t.filter(
-                    pc.is_in(t[ds_col], value_set=self.value_set)
-                )
-
-        return map_stage(ds, Keep)
-
-    # 10^12-row path: Bloom over stringified ids, built distributed
-    import ray
-
-    from ..state.bloom import build_bloom
-
-    strs = ids_ds.map_batches(
-        lambda t: pa.table({"k": pc.cast(t[ids_col], pa.string())}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    bloom = build_bloom(strs, "k", capacity=n_ids, fp_rate=1e-4)
-    ref = ray.put(bloom)
-
-    class KeepBloom:
-        def __init__(self):
-            self.bloom = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keys = pc.cast(t[ds_col], pa.string()).to_pylist()
-            return t.filter(
-                pa.array(self.bloom.contains_batch(keys), pa.bool_())
-            )
-
-    return map_stage(ds, KeepBloom)
+        members = build_bloom(ids_ds, ids_col, capacity=n_ids, fp_rate=1e-4)
+    return partitioning.member_filter(ds, ds_col, members, keep=True)
 
 
 def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
                                      id_col: str = "doc_id", k: int = 5,
-                                     threshold: float = 0.8,
-                                     participant_broadcast_cap: int = 2_000_000):
-    """Broadcast-free candidate verification — the 100 TB form of
-    ``verify_pairs_jaccard``: texts are ROUTED to their pairs through two
-    keyed exchanges instead of shipping an {id: text} dict to every
-    worker.
+                                     threshold: float = 0.8):
+    """Broadcast-free candidate verification: texts are ROUTED to their
+    pairs through two keyed exchanges instead of shipping an {id: text}
+    dict to every worker.
 
     The corpus is candidate-bounded FIRST: only pair participants are
     ever scored, so ``ds_docs`` is semi-joined down to the left-id set
@@ -949,10 +847,8 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
     leaves its first groupby); exchange 2 does the same on rep_id and
     computes the exact n-gram Jaccard in-group. Hash-partitioned, nothing
     driver- or worker-resident beyond the participant value-set/Bloom."""
-    docs_left = semi_join_on_ids(ds_docs, ds_pairs, id_col, id_col,
-                                 participant_broadcast_cap)
-    docs_right = semi_join_on_ids(ds_docs, ds_pairs, id_col, "rep_id",
-                                  participant_broadcast_cap)
+    docs_left = semi_join_on_ids(ds_docs, ds_pairs, id_col, id_col)
+    docs_right = semi_join_on_ids(ds_docs, ds_pairs, id_col, "rep_id")
 
     def doc_rows(t: pa.Table) -> pa.Table:
         sh = [_shingle_array(x or "", k) for x in t[text_col].to_pylist()]
@@ -1057,17 +953,16 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
 
 
 def connected_components(pairs, id_col: str = "doc_id",
-                         rep_col: str = "rep_id", max_iters: int = 10,
-                         driver_cap: int = 2_000_000):
+                         rep_col: str = "rep_id", max_iters: int = 10):
     """Transitive dup clusters from candidate (id, rep) edges — the
     distributed union-find substitute the LSH bucket-rep output needs
     when chains occur (a~b, b~c ⇒ {a,b,c}).
 
     Two paths, picked by edge count:
-    - |edges| ≤ ``driver_cap``: one keyed min-label aggregate, then
-      pointer-jumping on the driver (O(E) memory, O(E α) time) — fastest
+    - |edges| ≤ ``partitioning.BROADCAST_ROWS``: one keyed min-label
+      aggregate, then pointer-jumping on the driver (O(E) memory, O(E α) time) — fastest
       when the dup graph fits a driver heap.
-    - |edges| > ``driver_cap``: fully distributed min-label propagation —
+    - more edges: fully distributed min-label propagation —
       per round, each node's label flows to its neighbors through one
       key-run reduce on node; convergence is detected by the global
       label sum going flat (labels are monotonically non-increasing).
@@ -1105,7 +1000,9 @@ def connected_components(pairs, id_col: str = "doc_id",
         batch_format="pyarrow", zero_copy_batch=True,
     )
 
-    if edges.count() <= driver_cap:
+    from . import partitioning
+
+    if edges.count() <= partitioning.BROADCAST_ROWS:
         labels = _cc_driver_rounds(labels, max_iters)
     else:
         labels = _cc_distributed_rounds(edges, labels, max_iters)
@@ -1288,8 +1185,8 @@ def _packing_ids(ids) -> "np.ndarray":
 
 
 def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
-                     min_chars: int = 1, broadcast_cap: int = 20_000_000,
-                     fp_rate: float = 1e-6, output: str = "ids"):
+                     min_chars: int = 1, fp_rate: float = 1e-6,
+                     output: str = "ids"):
     """Corpus-wide PARAGRAPH-level exact dedup (the C4/Dolma-style line
     dedup generalized to paragraphs): every paragraph keeps exactly its
     FIRST occurrence — ordered by (doc id, paragraph index) — and every
@@ -1304,15 +1201,19 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     prefilters to duplicated hashes (Count >= 2) and picks each winner
     (Min of packed = lexicographic-first occurrence), and map pass B
     rebuilds documents streaming. Two modes by threshold (the house
-    pattern): at or under ``broadcast_cap`` duplicated paragraphs the
-    exact winner map broadcasts via ray.put; ABOVE it, two distributed
-    Bloom filters replace the map (the Dolma-style tradeoff) — one over
-    duplicated hashes, one over (hash, winner) pairs — so driver/worker
-    memory stays O(filter bits) at any corpus size. Bloom mode keeps
+    pattern): at or under ``partitioning.BROADCAST_ROWS`` (1M)
+    duplicated paragraphs the exact winner map broadcasts via ray.put;
+    ABOVE it, two distributed Bloom filters replace the map (the
+    Dolma-style tradeoff) — one over duplicated hashes, one over (hash,
+    winner) pairs — so driver/worker memory stays O(filter bits) at any
+    corpus size. Bloom mode keeps
     every true winner (winner-filter false positives keep a loser; dup-
     filter false positives can drop a UNIQUE paragraph at ~``fp_rate``
-    — pick it per corpus; exactness below the cap is unchanged). An
-    equivalence test forces the cap to 0 and checks bloom == broadcast.
+    — pick it per corpus; exactness below the threshold is unchanged).
+    The approximate Bloom mode starts above 1M duplicated paragraphs
+    (it started above 20M before the threshold became the shared
+    constant). An equivalence test forces the threshold to 0 and checks
+    bloom == broadcast.
 
     Packing: winner order = packing_id * 2^20 + idx — integer ids must
     be < 2^43, string ids are hashed (see ``_packing_ids``), and docs
@@ -1325,6 +1226,7 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     from ray.data.aggregate import Count, Min
 
     from ..state.bloom import build_bloom
+    from . import partitioning
 
     def emit_pairs(batch: pa.Table) -> pa.Table:
         dids = _packing_ids(batch[id_col].to_pylist())
@@ -1355,12 +1257,12 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
     n_dup = dup_winners.count()
-    if n_dup > broadcast_cap:
+    if n_dup > partitioning.BROADCAST_ROWS:
         # Bloom mode: two distributed filters instead of the exact map,
         # keyed on the RAW int64s (splitmix64 pair hashing) — the filter
-        # build is O(duplicated paragraphs), exactly the regime the cap
-        # targets, so no per-row stringification anywhere: the dup
-        # filter ingests the ph column as-is and the winner filter a
+        # build is O(duplicated paragraphs), exactly the regime the
+        # threshold targets, so no per-row stringification anywhere: the
+        # dup filter ingests the ph column as-is and the winner filter a
         # vectorized (ph, winner) pair mix.
         win_keys = dup_winners.map_batches(
             lambda t: pa.table({"k": pa.array(_pair_mix(

@@ -7,26 +7,32 @@ the pages Dataset by the current frontier's url set, one Dataset round per
 depth (no global sort — depth ordering is the driver loop).
 
 J1 (seen-url anti-join) has two forms:
-- ``anti_join_broadcast``: broadcast the seen set (ray.put once) and mask
-  inside map_batches — right when |seen| fits a worker heap.
+- ``anti_join_broadcast``: ship the seen set once per worker and filter
+  each batch (``partitioning.member_filter``) — right when |seen| fits a
+  worker heap.
 - ``anti_join_grouped``: union + groupby("url") keeping groups with no
   seen flag — the shuffle form for when neither side is small
   (Ray 2.49 has no native anti-join; hash-partition groupby is the
   idiomatic equivalent).
+
+``bfs_crawl`` picks between a broadcast frontier and a Dataset frontier
+against ``partitioning.BROADCAST_ROWS``.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-import ray
 
 
 def anti_join_broadcast(ds, seen_keys, key: str = "url"):
-    """Broadcast-side J1: vectorized ``pc.is_in`` against a value-set
-    array built once per worker from the broadcast seen set."""
-    from .dedup import drop_seen
+    """Broadcast-side J1: drop the rows whose ``key`` is in the python
+    collection ``seen_keys`` (an empty one passes every row)."""
+    from .partitioning import member_filter
 
-    return drop_seen(ds, seen_keys, key=key)
+    if not seen_keys:
+        return ds
+    return member_filter(ds, key, pa.array(sorted(set(seen_keys))),
+                         keep=False)
 
 
 def anti_join_grouped(new_ds, seen_ds, key: str = "url"):
@@ -86,8 +92,7 @@ def outlinks_frontier(articles, depth: int):
 
 
 def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
-              extract_fn=None, broadcast_cap: int = 1_000_000,
-              num_partitions: int = 16):
+              extract_fn=None, num_partitions: int = 16):
     """T2: strict depth-by-depth BFS inside a pre-crawled corpus.
 
     ``extract_fn(pages_subset) -> articles`` defaults to the flagship
@@ -95,26 +100,25 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
     seen_urls: set).
 
     Frontier handling is two-mode BY ROUND, picked against
-    ``broadcast_cap``:
-    - frontier ≤ cap (the common case): broadcast the url set once
-      (``ray.put``) and mask inside the fused read→filter→extract chain
-      — zero shuffles.
-    - frontier > cap: the frontier stays a Dataset; the page subset is a
+    ``partitioning.BROADCAST_ROWS``:
+    - frontier ≤ that (the common case): broadcast the url set once
+      (``partitioning.member_filter``) inside the fused
+      read→filter→extract chain — zero shuffles.
+    - a larger frontier: the frontier stays a Dataset; the page subset is a
       native hash semi-join on url (pages carry only scalar/binary
       columns, which Acero joins accept) and the next frontier is the
       keyed ``anti_join_grouped`` against the accumulated seen Dataset —
       nothing frontier-sized ever lands on the driver.
     The seen set tracks both modes as a Dataset; the returned set is
-    materialized only when its final size fits the cap (else the
-    Dataset itself is returned in its place)."""
+    materialized only when its final size fits ``BROADCAST_ROWS`` (else
+    the Dataset itself is returned in its place)."""
     import ray.data as rd
 
+    from . import partitioning
     from .extract_stage import extract_articles
-    from .fusion import map_stage
-    from .partitioning import size_hash_shuffle
 
     extract_fn = extract_fn or (lambda ds: extract_articles(ds))
-    small = len(seed_urls) <= broadcast_cap
+    small = len(seed_urls) <= partitioning.BROADCAST_ROWS
     seen_set: set[str] = set()
     frontier_urls = list(dict.fromkeys(seed_urls))
     seen_ds = None
@@ -130,21 +134,8 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
             frontier_urls = [u for u in frontier_urls if u not in seen_set]
             if not frontier_urls:
                 break
-            fset = ray.put(frozenset(frontier_urls))
-
-            class InFrontier:
-                def __init__(self):
-                    import pyarrow.compute as pc
-
-                    self.pc = pc
-                    self.value_set = pa.array(sorted(ray.get(fset)))
-
-                def __call__(self, batch: pa.Table) -> pa.Table:
-                    return batch.filter(
-                        self.pc.is_in(batch["url"], value_set=self.value_set)
-                    )
-
-            subset = map_stage(pages_ds, InFrontier)
+            subset = partitioning.member_filter(
+                pages_ds, "url", pa.array(sorted(frontier_urls)), keep=True)
         else:
             # arrow-normalize + coalesce: anti_join_grouped ends in a
             # hash AGGREGATE, and a join whose right side's lineage
@@ -169,7 +160,7 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
             # the join's aggregator actors must fit the session, else it
             # waits forever for placement (the context is shared with
             # pages_ds's lineage; the sizing only affects hash shuffles)
-            size_hash_shuffle(subset.context)
+            partitioning.size_hash_shuffle(subset.context)
         articles = extract_fn(subset).materialize()
         rounds.append(articles)
         if small:
@@ -179,7 +170,8 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
         if depth == max_depth:
             break
         links = outlinks_frontier(articles, depth + 1).select_columns(["url"])
-        if small and links.count() + len(seen_set) > broadcast_cap:
+        if small and (links.count() + len(seen_set)
+                      > partitioning.BROADCAST_ROWS):
             # permanent switch to Dataset mode mid-crawl
             small = False
             seen_ds = rd.from_items(
@@ -195,9 +187,9 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
     if small:
         return rounds, seen_set
     # match the documented contract: hand back a plain set whenever the
-    # FINAL seen size fits the broadcast cap, even if the crawl switched
+    # FINAL seen size fits BROADCAST_ROWS, even if the crawl switched
     # to Dataset mode mid-flight (callers then never touch a Dataset)
-    if seen_ds.count() <= broadcast_cap:
+    if seen_ds.count() <= partitioning.BROADCAST_ROWS:
         seen = set()
         for b in seen_ds.iter_batches(batch_format="pyarrow"):
             seen.update(b["url"].to_pylist())

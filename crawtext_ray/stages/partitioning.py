@@ -17,6 +17,12 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 rounds, the user-window family) hashes its key into ``SHARDS`` coarse
 shards and reduces each shard's sorted key runs with vectorized code,
 so Python calls scale with the shard count, never the key count.
+
+``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
+with a small-side and a scale form counts its small side on the driver
+and broadcasts it (``ray.put`` once) only at or under this many rows;
+above it the keyed, Bloom or key-run form runs. ``member_filter`` is the
+one row filter both forms of a membership test share.
 """
 
 from __future__ import annotations
@@ -128,6 +134,45 @@ def size_hash_shuffle(ctx) -> None:
 
 
 SHARDS = 256
+
+# Largest small side any operator ships to every worker. Read at call
+# time (``partitioning.BROADCAST_ROWS``), so setting it to 0 forces every
+# scale form.
+BROADCAST_ROWS = 1_000_000
+
+
+def member_filter(ds, key, members, keep: bool):
+    """Keep (``keep=True``) or drop (``keep=False``) the rows of ``ds``
+    whose key is in ``members`` — one vectorized probe per batch.
+
+    ``key`` is a column name or a ``batch -> array`` function.
+    ``members`` is an Arrow array (exact ``pc.is_in``) or a
+    ``state.bloom.BloomFilter`` (approximate: probed with the keys' text
+    form, ``bloom.key_texts``; a false positive counts as a member). It
+    ships once per worker. A null key is never a member."""
+    import pyarrow.compute as pc
+    import ray
+
+    from ..state.bloom import BloomFilter, key_texts
+    from .fusion import map_stage
+
+    ref = ray.put(members)
+
+    def probe_members():
+        probe = ray.get(ref)
+
+        def member_rows(batch: pa.Table) -> pa.Table:
+            col = batch[key] if isinstance(key, str) else key(batch)
+            if isinstance(probe, BloomFilter):
+                hit = pc.and_(pa.array(probe.contains_batch(key_texts(col))),
+                              pc.is_valid(col))
+            else:
+                hit = pc.is_in(col, value_set=probe, skip_nulls=True)
+            return batch.filter(hit if keep else pc.invert(hit))
+
+        return member_rows
+
+    return map_stage(ds, probe_members)
 
 
 def run_starts(*cols) -> np.ndarray:

@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import member_filter
+
 
 def _to_matrix(col, dtype=np.float32) -> np.ndarray:
     """(n, dim) matrix from a list<float> / fixed_size_list<float> column
@@ -188,25 +190,12 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
                for b in qbuckets]
     wanted = {b for ps in qprobes for b in ps}
 
-    wanted_arr = pa.array(sorted(wanted), pa.int64())
-    filtered = bucketed.map_batches(
-        lambda t: t.filter(
-            pa.compute.is_in(t["lsh_bucket"], value_set=wanted_arr)
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    # pad the per-query probe lists to one (nq, P) matrix with an
-    # impossible bucket id (-1) so the worker-side mask is one vectorized
-    # any-equality; multiprobe=0 degenerates to the classic single probe
-    max_p = max(len(p) for p in qprobes)
-    probe_mat = np.full((len(qprobes), max_p), -1, dtype=np.int64)
-    for i, ps in enumerate(qprobes):
-        probe_mat[i, :len(ps)] = ps
+    filtered = member_filter(bucketed, "lsh_bucket",
+                             pa.array(sorted(wanted), pa.int64()), keep=True)
     q_by_bucket = {
         "query_id": queries["query_id"],
         "matrix": queries["matrix"],
-        "probes": probe_mat,
+        "probes": [np.asarray(ps, dtype=np.int64) for ps in qprobes],
     }
     import ray
 
@@ -215,8 +204,7 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
     class BucketTopK(_BruteTopK):
         def __init__(self):
             super().__init__(ref, k, id_col, vec_col)
-            q = ray.get(ref)
-            self.qprobes = np.asarray(q["probes"], dtype=np.int64)
+            self.qprobes = ray.get(ref)["probes"]
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
@@ -225,8 +213,9 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
             m = _normalize(_to_matrix(batch[vec_col]))
             vb = np.asarray(batch["lsh_bucket"].to_numpy(), dtype=np.int64)
             sims = self.qm @ m.T
-            # mask out vectors from buckets no probe of the query hits
-            mask = (self.qprobes[:, :, None] == vb[None, None, :]).any(axis=1)
+            # mask out vectors from buckets no probe of the query hits,
+            # one query row at a time: (nq, nb), never (nq, probes, nb)
+            mask = np.stack([np.isin(vb, ps) for ps in self.qprobes])
             sims = np.where(mask, sims, -2.0)
             kk = min(k, sims.shape[1])
             out_q, out_id, out_sim = [], [], []
@@ -406,14 +395,8 @@ def ivf_topk(ds, queries: dict, centroids: np.ndarray, k: int = 10,
     wanted = {int(c) for row in qprobes for c in row}
 
     clustered = add_ivf_cluster(ds, cents, id_col, vec_col)
-    wanted_arr = pa.array(sorted(wanted), pa.int64())
-    filtered = clustered.map_batches(
-        lambda t: t.filter(
-            pa.compute.is_in(t["ivf_cluster"], value_set=wanted_arr)
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    filtered = member_filter(clustered, "ivf_cluster",
+                             pa.array(sorted(wanted), pa.int64()), keep=True)
 
     qref = ray.put({
         "query_id": queries["query_id"],

@@ -2,10 +2,11 @@
 longer fits a broadcast python set).
 
 numpy bit-array, double-hashing (Kirsch–Mitzenmacher) over two stable
-64-bit hashes of the key; serializable (the packed array ships once per
-worker via ray.put). False positives drop a not-actually-seen url — for
-frontier dedup that is the safe direction (we may skip a page, never
-re-crawl one); pick ``fp_rate`` accordingly.
+64-bit hashes of the key; serializable (``partitioning.member_filter``
+ships the packed array once per worker and probes it per batch). False
+positives drop a not-actually-seen url — for frontier dedup that is the
+safe direction (we may skip a page, never re-crawl one); pick
+``fp_rate`` accordingly.
 """
 
 from __future__ import annotations
@@ -50,9 +51,12 @@ class BloomFilter:
     def _h2_batch(keys) -> tuple[np.ndarray, np.ndarray]:
         """(h1, h2) uint64 arrays for a whole batch: one md5 per key into
         a single buffer, decoded with one frombuffer — the md5 itself is
-        the only per-key Python left."""
+        the only per-key Python left. ``bytes`` keys hash as they are (a
+        str key hashes as its utf-8 bytes)."""
         buf = b"".join(
-            hashlib.md5((k or "").encode("utf-8")).digest() for k in keys
+            hashlib.md5(k if isinstance(k, bytes)
+                        else (k or "").encode("utf-8")).digest()
+            for k in keys
         )
         d = np.frombuffer(buf, dtype=">u8").reshape(-1, 2)
         return d[:, 0].astype(np.uint64), d[:, 1].astype(np.uint64)
@@ -154,6 +158,19 @@ class BloomFilter:
         return ((got & want) == want).all(axis=1)
 
 
+def key_texts(col) -> list:
+    """The keys a string-keyed filter hashes: string and binary columns
+    as they are, any other type cast to its string form."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if not (pa.types.is_string(col.type) or pa.types.is_binary(col.type)
+            or pa.types.is_large_string(col.type)
+            or pa.types.is_large_binary(col.type)):
+        col = pc.cast(col, pa.string())
+    return col.to_pylist()
+
+
 def build_bloom(ds, key: str, capacity: int, fp_rate: float = 0.001,
                 int_keys: bool = False) -> BloomFilter:
     """Distributed Bloom build: each block folds its keys into a partial
@@ -172,7 +189,7 @@ def build_bloom(ds, key: str, capacity: int, fp_rate: float = 0.001,
         if int_keys:
             bf.update_ints(batch[key].to_numpy(zero_copy_only=False))
         else:
-            bf.update(batch[key].to_pylist())
+            bf.update(key_texts(batch[key]))
         return pa.table({"bits": pa.array([bf.bits.tobytes()], pa.large_binary())})
 
     parts = ds.select_columns([key]).map_batches(
@@ -181,25 +198,3 @@ def build_bloom(ds, key: str, capacity: int, fp_rate: float = 0.001,
     for row in parts.iter_rows():
         proto.bits |= np.frombuffer(row["bits"], dtype=np.uint64)
     return proto
-
-
-def bloom_anti_join(ds, bloom: "BloomFilter | object", key: str = "url"):
-    """Keep rows whose key is NOT (probably) in the filter. ``bloom`` may
-    be a BloomFilter or a ray.ObjectRef of one (put once, read per
-    actor)."""
-    import pyarrow as pa
-    import ray
-
-    ref = bloom if isinstance(bloom, ray.ObjectRef) else ray.put(bloom)
-
-    class Drop:
-        def __init__(self):
-            self.bloom = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            seen = self.bloom.contains_batch(batch[key].to_pylist())
-            return batch.filter(pa.array(~seen, pa.bool_()))
-
-    from ..stages.fusion import map_stage
-
-    return map_stage(ds, Drop)

@@ -26,6 +26,39 @@ def docs_with_dups(ray_session):
     return rd.from_items(rows)
 
 
+def verify_pairs_jaccard(ds_pairs, docs_lookup, text_col: str = "text",
+                         id_col: str = "doc_id", k: int = 5,
+                         threshold: float = 0.8):
+    """Reference for ``verify_pairs_jaccard_distributed``: verify
+    candidate (id, rep_id) pairs with exact n-gram Jaccard against a
+    broadcast {id: text} dict (ray.put once)."""
+    import pyarrow as pa
+    import ray
+
+    from crawtext_ray.stages.dedup import ngram_jaccard
+    from crawtext_ray.stages.fusion import map_stage
+
+    ref = ray.put(docs_lookup)
+
+    class Verify:
+        def __init__(self):
+            self.docs = ray.get(ref)
+
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            ids = batch[id_col].to_pylist()
+            reps = batch["rep_id"].to_pylist()
+            sims = [
+                ngram_jaccard(self.docs.get(i, ""), self.docs.get(r, ""), k)
+                for i, r in zip(ids, reps)
+            ]
+            out = batch.append_column("jaccard", pa.array(sims, pa.float64()))
+            return out.filter(
+                pa.compute.greater_equal(out["jaccard"], pa.scalar(threshold))
+            )
+
+    return map_stage(ds_pairs, Verify)
+
+
 def test_exact_dedup(docs_with_dups):
     from crawtext_ray.stages.dedup import exact_dedup
 
@@ -45,11 +78,7 @@ def test_minhash_lsh_finds_planted_pair(docs_with_dups):
 
 
 def test_jaccard_verify(ray_session, docs_with_dups):
-    from crawtext_ray.stages.dedup import (
-        minhash_lsh_duplicates,
-        ngram_jaccard,
-        verify_pairs_jaccard,
-    )
+    from crawtext_ray.stages.dedup import minhash_lsh_duplicates, ngram_jaccard
 
     assert ngram_jaccard("a b c d e f", "a b c d e f", 3) == 1.0
     docs = {r["doc_id"]: r["text"] for r in docs_with_dups.take_all()}
@@ -59,12 +88,13 @@ def test_jaccard_verify(ray_session, docs_with_dups):
     assert 102 in vids and 101 in vids
 
 
-def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dups):
+def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dups,
+                                                     monkeypatch):
     """The broadcast-free routed verifier must agree with the broadcast
     dict verifier on pairs, reps, and jaccard values."""
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import (
         minhash_lsh_duplicates,
-        verify_pairs_jaccard,
         verify_pairs_jaccard_distributed,
     )
 
@@ -79,22 +109,24 @@ def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dup
     fb = {(int(r["doc_id"]), int(r["rep_id"]), round(r["jaccard"], 12))
           for _, r in b.iterrows()}
     assert fa == fb and len(fa) >= 2
-    # ... and under a forced Bloom participant filter (cap=0)
+    # ... and under a forced Bloom participant filter
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     c = verify_pairs_jaccard_distributed(
         pairs, docs_with_dups, k=3, threshold=0.8,
-        participant_broadcast_cap=0,
     ).to_pandas()
     fc = {(int(r["doc_id"]), int(r["rep_id"]), round(r["jaccard"], 12))
           for _, r in c.iterrows()}
     assert fa == fc
 
 
-def test_verifier_is_candidate_bounded(ray_session, docs_with_dups):
+def test_verifier_is_candidate_bounded(ray_session, docs_with_dups,
+                                       monkeypatch):
     """r2 verdict #3: the routed verifier must shingle only pair
     PARTICIPANTS — doc rows entering the exchanges ≈ |participants|,
     not |corpus| — in both semi-join modes (broadcast and Bloom)."""
     import ray.data as rd
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import (
         minhash_lsh_duplicates,
         semi_join_on_ids,
@@ -105,11 +137,11 @@ def test_verifier_is_candidate_bounded(ray_session, docs_with_dups):
     participants_right = {r["rep_id"] for r in pairs.take_all()}
     corpus_n = docs_with_dups.count()
 
-    for cap in (2_000_000, 0):  # broadcast mode, then forced Bloom mode
-        left = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "doc_id",
-                                broadcast_cap=cap)
-        right = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "rep_id",
-                                 broadcast_cap=cap)
+    # broadcast mode, then forced Bloom mode
+    for rows in (partitioning.BROADCAST_ROWS, 0):
+        monkeypatch.setattr(partitioning, "BROADCAST_ROWS", rows)
+        left = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "doc_id")
+        right = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "rep_id")
         left_ids = {r["doc_id"] for r in left.take_all()}
         right_ids = {r["doc_id"] for r in right.take_all()}
         # exact in broadcast mode; Bloom may keep a few extra (superset)
@@ -394,18 +426,21 @@ def test_bfs_crawl_rounds(ray_session, pages_small):
     assert set(seeds).issubset(seen)
 
 
-def test_bfs_crawl_distributed_matches_broadcast(ray_session, pages_small):
-    """broadcast_cap=0 forces the Dataset-frontier mode (hash semi-join
+def test_bfs_crawl_distributed_matches_broadcast(ray_session, pages_small,
+                                                 monkeypatch):
+    """BROADCAST_ROWS=0 forces the Dataset-frontier mode (hash semi-join
     subset + keyed anti-join); per-depth article urls must match the
     driver-frontier mode."""
     import ray.data as rd
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.frontier import bfs_crawl
 
     pages = rd.read_parquet(pages_small)
     seeds = [r["url"] for r in pages.take(3)]
     r_small, seen_small = bfs_crawl(pages, seeds, max_depth=1)
-    r_big, seen_big = bfs_crawl(pages, seeds, max_depth=1, broadcast_cap=0)
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
+    r_big, seen_big = bfs_crawl(pages, seeds, max_depth=1)
     assert len(r_small) == len(r_big)
     for a, b in zip(r_small, r_big):
         assert sorted(x["url"] for x in a.select_columns(["url"]).take_all()) == \
@@ -438,6 +473,48 @@ def test_anti_join_grouped(ray_session):
     assert sorted(r["url"] for r in out.take_all()) == [f"u{i}" for i in range(1, 10, 2)]
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("keep", [True, False])
+def test_member_filter(ray_session, exact, keep):
+    """The one membership filter: exact (Arrow value set) and Bloom
+    members, kept or dropped, over string, int, null and computed keys,
+    and an empty member set."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from crawtext_ray.stages.partitioning import member_filter
+    from crawtext_ray.state.bloom import BloomFilter
+
+    table = pa.table({
+        "s": pa.array(["a", None, "b", "c", "d"], pa.string()),
+        "i": pa.array([1, 2, None, 4, 5], pa.int64()),
+    })
+    ds = rd.from_arrow(table)
+
+    def members(values, typ):
+        if exact:
+            return pa.array(values, typ)
+        bf = BloomFilter(capacity=max(1, len(values)), fp_rate=1e-9)
+        bf.update([str(v) for v in values])
+        return bf
+
+    def check(key, values, typ, key_of):
+        out = member_filter(ds, key, members(values, typ), keep=keep)
+        got = sorted(out.take_all(), key=lambda r: r["s"] or "")
+        want = [r for r in table.to_pylist()
+                if (key_of(r) is not None and key_of(r) in values) == keep]
+        assert got == sorted(want, key=lambda r: r["s"] or "")
+
+    check("s", ["a", "c", "zz"], pa.string(), lambda r: r["s"])
+    check("i", [1, 5, 99], pa.int64(), lambda r: r["i"])
+    check(lambda t: pc.utf8_upper(t["s"]), ["A", "B"], pa.string(),
+          lambda r: r["s"] and r["s"].upper())
+    # empty member set: keep -> no rows, drop -> every row (nulls too)
+    out = member_filter(ds, "s", members([], pa.string()), keep=keep)
+    assert out.count() == (0 if keep else 5)
+
+
 def test_connected_components_transitive(ray_session):
     import ray.data as rd
 
@@ -456,12 +533,14 @@ def test_connected_components_transitive(ray_session):
     assert out[10] == 9 and out[9] == 9
 
 
-def test_connected_components_distributed_matches_driver(ray_session):
-    """driver_cap=0 forces the keyed label-propagation path; labels must
-    equal the driver pointer-jumping path on a chain + a separate pair
-    + a star."""
+def test_connected_components_distributed_matches_driver(ray_session,
+                                                         monkeypatch):
+    """BROADCAST_ROWS=0 forces the keyed label-propagation path; labels
+    must equal the driver pointer-jumping path on a chain + a separate
+    pair + a star."""
     import ray.data as rd
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import connected_components
 
     edges = [
@@ -475,16 +554,17 @@ def test_connected_components_distributed_matches_driver(ray_session):
     pairs = rd.from_items(edges)
     drv = {r["doc_id"]: r["cluster_id"]
            for r in connected_components(pairs).take_all()}
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     dist = {r["doc_id"]: r["cluster_id"]
-            for r in connected_components(
-                rd.from_items(edges), driver_cap=0).take_all()}
+            for r in connected_components(rd.from_items(edges)).take_all()}
     assert drv == dist
     assert dist[5] == dist[3] == dist[1] == 1
     assert dist[23] == dist[22] == dist[21] == dist[20] == 20
 
 
-def test_connected_components_distributed_random_forest(ray_session):
-    """The segment-vectorized Pregel rounds (driver_cap=0) label a random
+def test_connected_components_distributed_random_forest(ray_session,
+                                                        monkeypatch):
+    """The segment-vectorized Pregel rounds (BROADCAST_ROWS=0) label a random
     forest — many components per key-run shard, negative and large ids —
     with each component's min id, like a union-find does."""
     import ray.data as rd
@@ -504,11 +584,12 @@ def test_connected_components_distributed_random_forest(ray_session):
         if len(tree) > 1:
             want.update({x: min(tree) for x in tree})
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import connected_components
 
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     got = {r["doc_id"]: r["cluster_id"]
-           for r in connected_components(rd.from_items(edges),
-                                         driver_cap=0).take_all()}
+           for r in connected_components(rd.from_items(edges)).take_all()}
     assert got == want
 
 
@@ -534,15 +615,16 @@ def test_minhash_many_dups_no_driver_merge(ray_session):
         assert int(r["rep_id"]) == (int(r["doc_id"]) // 100) * 100
 
 
-def test_minhash_fallback_matches_broadcast(ray_session, docs_with_dups):
-    """dup_bucket_broadcast_cap=0 forces the keyed coarse-partition path;
-    pairs must equal the broadcast path."""
+def test_minhash_fallback_matches_broadcast(ray_session, docs_with_dups,
+                                            monkeypatch):
+    """BROADCAST_ROWS=0 forces the keyed coarse-partition path; pairs
+    must equal the broadcast path."""
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import minhash_lsh_duplicates
 
     a = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).to_pandas()
-    b = minhash_lsh_duplicates(
-        docs_with_dups, shingle_k=3, dup_bucket_broadcast_cap=0
-    ).to_pandas()
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
+    b = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).to_pandas()
     pa_ = {(int(r["doc_id"]), int(r["rep_id"])) for _, r in a.iterrows()}
     pb_ = {(int(r["doc_id"]), int(r["rep_id"])) for _, r in b.iterrows()}
     assert pa_ == pb_ and len(a) == len(b)
@@ -566,11 +648,12 @@ def test_sampling_native_and_deterministic(ray_session):
     assert 0 < len(a) < 500
 
 
-def test_minhash_string_ids_both_modes(ray_session):
+def test_minhash_string_ids_both_modes(ray_session, monkeypatch):
     """url-keyed minhash (the curation shape) must find planted dups in
     both the broadcast and the keyed fallback mode."""
     import ray.data as rd
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import minhash_lsh_duplicates
 
     base = "the quick brown fox jumps over the lazy dog near the mat " * 4
@@ -581,9 +664,9 @@ def test_minhash_string_ids_both_modes(ray_session):
              {"url": "http://x/dupB", "text": base}]
     a = minhash_lsh_duplicates(rd.from_items(rows), text_col="text",
                                id_col="url", shingle_k=3).to_pandas()
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     b = minhash_lsh_duplicates(rd.from_items(rows), text_col="text",
-                               id_col="url", shingle_k=3,
-                               dup_bucket_broadcast_cap=0).to_pandas()
+                               id_col="url", shingle_k=3).to_pandas()
     pa_ = sorted(map(tuple, a[["url", "rep_id"]].values.tolist()))
     pb_ = sorted(map(tuple, b[["url", "rep_id"]].values.tolist()))
     assert pa_ == pb_ == [("http://x/dupB", "http://x/dupA")]
@@ -624,13 +707,14 @@ def test_bloom_incremental_recrawl(ray_session, pages_small):
     already-extracted urls via a Bloom anti-join."""
     import ray.data as rd
 
-    from crawtext_ray.state.bloom import BloomFilter, bloom_anti_join
+    from crawtext_ray.stages.partitioning import member_filter
+    from crawtext_ray.state.bloom import BloomFilter
 
     pages = rd.read_parquet(pages_small, columns=["url", "warc_ts"])
     first_half = {r["url"] for r in pages.take(500)}
     bf = BloomFilter(capacity=len(first_half))
     bf.update(first_half)
-    remaining = bloom_anti_join(pages, bf).to_pandas()
+    remaining = member_filter(pages, "url", bf, keep=False).to_pandas()
     assert len(remaining) <= 1000 - len(first_half) + 500 * 0.01
     assert not (set(remaining["url"]) & first_half)
 
@@ -855,12 +939,14 @@ def test_dedup_paragraphs_vs_duckdb(ray_session):
     assert n_footer == 1 and n_promo == 5
 
 
-def test_dedup_paragraphs_bloom_mode_equals_broadcast(ray_session):
-    """Forcing broadcast_cap=0 switches to the two-Bloom above-cap mode;
-    with adequately sized filters the output equals the exact broadcast
-    mode on a corpus with heavy planted duplication."""
+def test_dedup_paragraphs_bloom_mode_equals_broadcast(ray_session,
+                                                      monkeypatch):
+    """Forcing BROADCAST_ROWS=0 switches to the two-Bloom above-threshold
+    mode; with adequately sized filters the output equals the exact
+    broadcast mode on a corpus with heavy planted duplication."""
     import ray.data as rd
 
+    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import dedup_paragraphs
 
     footer = "shared footer paragraph with several words"
@@ -874,11 +960,53 @@ def test_dedup_paragraphs_bloom_mode_equals_broadcast(ray_session):
     ds = rd.from_items(rows)
     exact = {r["doc_id"]: r["clean_text"]
              for r in dedup_paragraphs(ds, min_chars=2).take_all()}
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     bloom = {r["doc_id"]: r["clean_text"]
-             for r in dedup_paragraphs(ds, min_chars=2, broadcast_cap=0,
+             for r in dedup_paragraphs(ds, min_chars=2,
                                        fp_rate=1e-9).take_all()}
     assert bloom == exact
     assert sum(footer in v for v in exact.values()) == 1
+
+
+def test_lsh_multiprobe_topk_matches_reference(ray_session):
+    """The top-k rows at multiprobe 0, 1 and 2 equal a numpy reference:
+    exact cosine over only the vectors whose bucket one of the query's
+    probed buckets hits, (cosine desc, vec_id asc), over several blocks
+    and queries."""
+    import ray.data as rd
+
+    from crawtext_ray.stages.similarity import (
+        _LshBucket,
+        _normalize,
+        _probe_buckets,
+        lsh_bucket_topk,
+    )
+
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((30, 16)).astype(np.float32)
+    vecs = np.repeat(centers, 8, axis=0) + 0.2 * rng.standard_normal(
+        (240, 16)).astype(np.float32)
+    ds = rd.from_items(
+        [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(240)],
+        override_num_blocks=4,
+    )
+    qids = [3, 50, 111, 200, 239]
+    queries = {"query_id": qids, "matrix": vecs[qids]}
+    hasher = _LshBucket(16, 8, 11, "vec_id", "embedding")
+    vb = hasher.bucket_of(vecs)
+    qm = _normalize(vecs[qids].astype(np.float64))
+    sims = qm @ _normalize(vecs).T
+    qb = hasher.bucket_of(_normalize(vecs[qids]))
+    for mp in (0, 1, 2):
+        got = lsh_bucket_topk(ds, queries, dim=16, k=5,
+                              multiprobe=mp).to_pandas()
+        for qi, qid in enumerate(qids):
+            cand = np.flatnonzero(
+                np.isin(vb, _probe_buckets(int(qb[qi]), 8, mp)))
+            order = sorted(cand, key=lambda j: (-sims[qi, j], j))[:5]
+            g = got[got["query_id"] == qid].sort_values("rank")
+            assert g["vec_id"].tolist() == [int(j) for j in order]
+            assert np.allclose(g["cosine"], sims[qi, order], atol=1e-6)
 
 
 def test_lsh_multiprobe_improves_recall(ray_session):

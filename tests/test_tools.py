@@ -42,3 +42,36 @@ def test_ref_diff_green_when_reference_carries_contract(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "ok"
     assert out["patterns"]["missing_in_reference"] == []
+
+
+def test_bench_host_facts_without_ray(tmp_path, monkeypatch):
+    """bench.py's host block: real CPU affinity, total memory, Ray
+    version and git sha — gathered without starting a Ray session; the
+    sha is null when the bench runs outside a git checkout."""
+    import importlib.util
+    import os
+    import re
+    import shutil
+
+    import ray
+
+    import bench
+
+    def no_session(*a, **k):
+        raise AssertionError("host_facts must not start Ray")
+
+    monkeypatch.setattr(ray, "init", no_session)
+    facts = bench.host_facts()
+    assert facts["cpu_affinity"] == len(os.sched_getaffinity(0)) >= 1
+    assert facts["mem_total_bytes"] > 0
+    assert facts["ray_version"] == ray.__version__
+    assert facts["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}",
+                                                    facts["git_sha"])
+
+    shutil.copy(bench.__file__, tmp_path / "bench_copy.py")
+    spec = importlib.util.spec_from_file_location(
+        "bench_copy", tmp_path / "bench_copy.py")
+    outside = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outside)
+    assert outside.host_facts()["git_sha"] is None
+    json.dumps(facts)  # the block is plain JSON

@@ -91,16 +91,20 @@ def test_quality_gate_mask_matches_scalar_definition():
     assert True in got and False in got  # both branches exercised
 
 
-def test_drop_exact_dups_fallback_matches_broadcast(ray_session, pages_small):
-    """loser_broadcast_cap=0 forces the distributed full-row groupby;
-    surviving urls must equal the broadcast loser-set path."""
+def test_drop_exact_dups_fallback_matches_broadcast(ray_session, pages_small,
+                                                   monkeypatch):
+    """BROADCAST_ROWS=0 forces the Bloom dup-hash semi-join and the
+    distributed full-row groupby; surviving urls must equal the
+    broadcast loser-set path."""
     from crawtext_ray.pipelines.flagship import build_articles
     from crawtext_ray.pipelines.training_data import drop_exact_dups
+    from crawtext_ray.stages import partitioning
 
     arts = build_articles(pages_small, num_partitions=4,
                           concurrency=2).materialize()
     a = set(drop_exact_dups(arts).to_pandas()["url"])
-    b = set(drop_exact_dups(arts, loser_broadcast_cap=0).to_pandas()["url"])
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
+    b = set(drop_exact_dups(arts).to_pandas()["url"])
     assert a == b and len(a) > 0
 
 
