@@ -6,6 +6,9 @@ Partitioning model: ONE key — ``url_hash = sha1(url) % P`` — serves as
 (a) the output partition id and (b) the checkpoint/resume unit; the sink
 (state/lineage.write_partitioned) assigns it and runs the one keyed
 all-to-all, over extracted articles (~5x smaller than the raw html).
+The sink materializes the tagged articles before that exchange, so the
+extract runs as the only CPU consumer, on every CPU (why: the sink's
+docstring).
 Host-level skew at the extract stage is broken the streaming way — the
 scan reads files in shuffled order and tasks pick up batches dynamically
 (see stages/partitioning.py for why not a pre-extract exchange). A rerun
@@ -46,10 +49,11 @@ def build_articles(
     """pages → articles Dataset (lazy; no sink).
 
     The scan reads files in shuffled order (host-clustered dumps land on
-    different workers) and stays fused with the extract stage in one
-    operator. ``num_partitions`` is unused: the articles are not
-    partitioned until a sink partitions them. ``concurrency``: see
-    ``extract_articles``."""
+    different workers). The read and the extract are two operators: Ray
+    does not fuse a read into a downstream map that sets ``batch_size``
+    (the read may change its row count). ``num_partitions`` is unused:
+    the articles are not partitioned until a sink partitions them.
+    ``concurrency``: see ``extract_articles``."""
     ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS,
                     shuffle="files")
     return extract_articles(

@@ -62,15 +62,24 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+# Row order of a part file: a total order over the article identity, so a
+# rerun writes the same bytes whatever order the exchange delivered rows in.
+ROW_ORDER = ("url", "warc_ts", "content_sha256")
+
+
 def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
                     schema: pa.Schema | None = None) -> dict:
-    """Write one partition's data + lineage sidecar atomically. ``wall_s``
-    and ``rows_per_sec`` time the parquet write plus the checksum."""
+    """Write one partition's data + lineage sidecar atomically, rows sorted
+    by the ``ROW_ORDER`` columns the partition has. ``wall_s`` and
+    ``rows_per_sec`` time the parquet write plus the checksum; a partition
+    with a ``status`` column also records its ``status_counts``."""
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, f"part-{pid:05d}.parquet")
     tmp_path = data_path + ".tmp"
     table = pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+    table = table.sort_by([(c, "ascending") for c in ROW_ORDER
+                           if c in table.column_names])
     # low-cardinality columns dictionary-encode at rest (SURVEY.md §1.2)
     dict_cols = [c for c in ("lang", "status") if c in table.column_names]
     pq.write_table(table, tmp_path, use_dictionary=dict_cols or False)
@@ -88,6 +97,9 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
         "rows_per_sec": round(len(df) / wall_s, 2) if wall_s > 0 else 0.0,
         "status": "ok",
     }
+    if "status" in df.columns:
+        record["status_counts"] = {
+            str(k): int(v) for k, v in df["status"].value_counts().items()}
     _atomic_write_bytes(
         os.path.join(out_dir, f"lineage-{pid:05d}.json"),
         json.dumps(record, sort_keys=True).encode(),
@@ -120,6 +132,15 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
     url-hash keyed exchange, over extracted articles — and write each
     partition + lineage atomically inside the grouped task.
 
+    The tagged articles are materialized (this call runs the upstream
+    plan) before the exchange. In one streaming plan, the exchange and the
+    grouped write cannot start until every article exists, yet Ray Data's
+    resource allocator still reserves CPU budget for them; at 4 CPUs that
+    left the extract one task at a time in one worker process.
+    Materializing first runs the extract as the plan's only CPU consumer.
+    It holds no more than before: the sort exchange already holds every
+    input block before it emits any.
+
     Returns the small lineage summary as a Dataset (one row/partition)."""
     from ..stages.partitioning import url_buckets
 
@@ -133,6 +154,8 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
                               schema=schema)
         return pd.DataFrame([rec])
 
-    return articles.map_batches(
+    tagged = articles.map_batches(
         add_partition_id, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("partition_id").map_groups(write_group, batch_format="pandas")
+    ).materialize()
+    return tagged.groupby("partition_id").map_groups(write_group,
+                                                     batch_format="pandas")

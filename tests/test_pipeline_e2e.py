@@ -280,6 +280,93 @@ def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
     assert "write_group" in stats
 
 
+def test_sink_runs_upstream_map_on_several_workers(ray_session, tmp_path):
+    """The sink materializes its input before the keyed exchange, so a
+    slow upstream map spreads over worker processes instead of running
+    one task at a time while the exchange and the grouped write hold CPU
+    budget they cannot use yet."""
+    import os
+    import time
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from crawtext_ray.state.lineage import write_partitioned
+
+    def slow_tag(t: pa.Table) -> pa.Table:
+        time.sleep(0.3)
+        urls = [f"http://h{i}.example/{i}" for i in t["id"].to_pylist()]
+        return pa.table({"url": urls,
+                         "pid": pa.array([os.getpid()] * t.num_rows)})
+
+    ds = rd.range(400, override_num_blocks=8).map_batches(
+        slow_tag, batch_format="pyarrow", batch_size=None)
+    out = str(tmp_path / "out")
+    recs = write_partitioned(ds, out, 4).take_all()
+    assert sum(r["row_count"] for r in recs) == 400
+    pids = set()
+    for r in recs:
+        part = pq.read_table(f"{out}/part-{r['partition_id']:05d}.parquet")
+        pids.update(part["pid"].to_pylist())
+    assert len(pids) >= 2
+
+
+def test_extract_job_reruns_byte_identical(ray_session, pages_small, tmp_path):
+    """Part files are byte-identical across reruns: rows are written in
+    (url, warc_ts, content_sha256) order, not in the order the shuffled
+    scan and the exchange deliver them. The pages are split over 8 files
+    so the scan's shuffled file order varies between runs."""
+    import hashlib
+    import os
+    import pathlib
+
+    import pyarrow.parquet as pq
+
+    from crawtext_ray.pipelines.flagship import run_extract_job
+
+    pages = str(tmp_path / "pages")
+    os.makedirs(pages)
+    table = pq.read_table(pages_small)
+    for i in range(8):
+        pq.write_table(table.slice(i * 125, 125), f"{pages}/p{i}.parquet")
+
+    def digests(out, concurrency):
+        run_extract_job(pages, out, num_partitions=4,
+                        concurrency=concurrency)
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in pathlib.Path(out).glob("part-*.parquet")}
+
+    a = digests(str(tmp_path / "a"), 2)
+    b = digests(str(tmp_path / "b"), "tasks")
+    assert len(a) == 4
+    assert a == b
+
+
+def test_lineage_status_counts(ray_session, pages_small, tmp_path):
+    """Each sidecar counts its partition's statuses: the counts sum to
+    ``row_count`` and equal the part file's ``status`` values; the
+    audit still passes."""
+    import pyarrow.parquet as pq
+
+    from crawtext_ray.audit import audit
+    from crawtext_ray.pipelines.flagship import run_extract_job
+    from crawtext_ray.state.lineage import read_lineage
+
+    out = str(tmp_path / "out")
+    run_extract_job(pages_small, out, num_partitions=4)
+    recs = read_lineage(out)
+    assert len(recs) == 4
+    for r in recs:
+        counts = r["status_counts"]
+        assert sum(counts.values()) == r["row_count"]
+        part = pq.read_table(f"{out}/part-{r['partition_id']:05d}.parquet")
+        assert counts == dict(collections.Counter(
+            str(s) for s in part["status"].to_pylist()))
+    assert set().union(*(r["status_counts"] for r in recs)) >= {"ok", "blocked"}
+    assert all(r["status"] == "ok" for r in audit(out))
+
+
 def test_extract_wirings_share_worker_state(monkeypatch):
     """Wirings with equal construction args share one ``ExtractArticles``
     per worker cache (a warm-up wiring carries into the job); different
