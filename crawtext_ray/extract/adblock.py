@@ -269,23 +269,6 @@ class AdblockRules:
         self._verdicts[url] = v
         return v
 
-    def hide_elements(self, root: Node) -> int:
-        """F3: remove DOM elements matched by element-hiding rules (minus
-        exceptions). Returns number of removed elements."""
-        if not self.hide_rules:
-            return 0
-        removed = 0
-        for n in root.walk():
-            if n.parent is None or n.tag.startswith("#"):
-                continue
-            cands = self.hide_candidates(n)
-            if cands and any(h.matches(n) for h in cands) and not any(
-                h.matches(n) for h in self.hide_exceptions
-            ):
-                n.parent.remove(n)
-                removed += 1
-        return removed
-
 
 def default_rules() -> AdblockRules:
     ref = _ilr.files("crawtext_ray") / "resources" / "rules.txt"

@@ -104,8 +104,9 @@ def extract_article(
     # M6 outlinks from the raw tree (before boilerplate removal)
     result["outlinks"] = _extract_outlinks(root, url, rules)
 
-    # M8 language
-    use_lang = resolve_language(lang, meta_lang, root.text_content())
+    # M8 language; the raw tree's text is built only for the stopword
+    # fallback (the lang column or the meta lang decides most pages)
+    use_lang = resolve_language(lang, meta_lang, root.text_content)
     result["lang"] = use_lang
 
     # C1 + C2 + F3 + C3 + C4 fused into one removal walk (byte-identical

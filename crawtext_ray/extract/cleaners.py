@@ -2,7 +2,9 @@
 C1–C6; reference goose: goose/cleaners.py::DocumentCleaner).
 
 All operations mutate the parsed tree in place, in the fixed order
-C1 → C2 → (F3 element-hide, applied by the caller) → C3 → C4 → C5 → C6.
+C1 → C2 → F3 (element-hide) → C3 → C4 → C5 → C6; the first five run as one
+removal walk (``remove_unwanted``; the sequential one-pass-per-step forms
+are the test reference, tests/reference_cleaners.py).
 Every regex list lives in version-controlled resources (SURVEY.md §2.7
 item 2) and is compiled once per process.
 """
@@ -41,44 +43,6 @@ _TARGETED_RES = [
 ]
 
 _DROP_CAP_RE = re.compile(r"drop_?cap(ital)?", re.IGNORECASE)
-
-
-def remove_comments(root: Node) -> None:
-    """C1 (goose: remove_comments)."""
-    for n in root.walk():
-        if n.tag == COMMENT and n.parent is not None:
-            n.parent.remove(n)
-
-
-def remove_scripts_styles(root: Node) -> None:
-    """C2 (goose: remove_scripts_styles): drop script/style/noscript with
-    their text content."""
-    for n in root.walk():
-        if n.tag in ("script", "style", "noscript") and n.parent is not None:
-            n.parent.remove(n)
-
-
-def remove_naughty_nodes(root: Node) -> None:
-    """C3 (goose: clean_bad_tags): remove elements whose id/class/name
-    matches the boilerplate alternation. html/body are never removed."""
-    rx = _naughty_re()
-    for n in root.walk():
-        if n.parent is None or n.tag in ("html", "body", "#document"):
-            continue
-        ident = n.id_class_name()
-        if ident and rx.search(ident) and n.parent is not None:
-            n.parent.remove(n)
-
-
-def remove_targeted_nodes(root: Node) -> None:
-    """C4: targeted regex removals on class/id."""
-    for n in root.walk():
-        if n.parent is None or n.tag in ("html", "body", "#document"):
-            continue
-        ident = n.id_class_name()
-        if ident and any(rx.search(ident) for rx in _TARGETED_RES):
-            if n.parent is not None:
-                n.parent.remove(n)
 
 
 def clean_em_tags(root: Node) -> None:
@@ -195,16 +159,3 @@ def remove_unwanted(root: Node, rules=None) -> None:
         if ident and (rx.search(ident) or any(r.search(ident) for r in _TARGETED_RES)):
             if n.parent is not None:
                 n.parent.remove(n)
-
-
-def clean_document(root: Node) -> None:
-    """Full C1–C6 ordering (F3 element hiding is applied by the caller
-    between C2 and C3 when adblock rules are configured)."""
-    remove_comments(root)
-    remove_scripts_styles(root)
-    remove_naughty_nodes(root)
-    remove_targeted_nodes(root)
-    clean_em_tags(root)
-    remove_drop_caps(root)
-    clean_para_spans(root)
-    div_to_para(root)

@@ -8,10 +8,10 @@ unicode punctuation (categories P*) -> lowercase -> split on whitespace.
 
 from __future__ import annotations
 
-import sys
 import unicodedata
 from functools import lru_cache
 from importlib import resources as _ilr
+from typing import Callable
 
 DEFAULT_LANGUAGE = "en"
 # extraction contract languages (frozen — goldens depend on this set)
@@ -20,12 +20,21 @@ KNOWN_LANGUAGES = ("en", "fr", "de", "es")
 # a training-data op, not part of the byte-identity contract)
 LANGID_LANGUAGES = ("en", "fr", "de", "es", "it", "pt", "nl")
 
-# translation table dropping every unicode punctuation codepoint; built once.
-_PUNCT_TABLE = {
-    cp: None
-    for cp in range(sys.maxunicode + 1)
-    if unicodedata.category(chr(cp)).startswith("P")
-}
+
+def _punct_table() -> dict[int, None]:
+    """Translation table dropping every unicode punctuation code point,
+    from the frozen P* ranges (tools/freeze_punct.py) instead of a scan
+    of all 1.1M code points in every process."""
+    ref = _ilr.files("crawtext_ray") / "resources" / "punctuation_ranges.txt"
+    table: dict[int, None] = {}
+    for line in ref.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            lo, _, hi = line.partition("-")
+            table.update(dict.fromkeys(range(int(lo, 16), int(hi or lo, 16) + 1)))
+    return table
+
+
+_PUNCT_TABLE = _punct_table()
 
 
 def tokenize(text: str) -> list[str]:
@@ -76,16 +85,18 @@ def stopword_count_cached(text: str, lang: str) -> int:
     return stopword_count(text, lang)
 
 
-def resolve_language(input_lang: str | None, meta_lang: str | None, text: str) -> str:
+def resolve_language(input_lang: str | None, meta_lang: str | None,
+                     text: str | Callable[[], str]) -> str:
     """M8 language resolver: input ``lang`` column, else meta lang, else
     argmax stopword hits across known languages (ties -> KNOWN_LANGUAGES
-    order, strict > argmax)."""
+    order, strict > argmax). ``text`` may be a function returning the
+    text: it is then called only when the stopword fallback runs."""
     for cand in (input_lang, meta_lang):
         if cand:
             c = cand.lower()[:2]
             if c in KNOWN_LANGUAGES:
                 return c
-    toks = tokenize(text)
+    toks = tokenize(text() if callable(text) else text)
     best_lang, best_hits = DEFAULT_LANGUAGE, -1
     for lang in KNOWN_LANGUAGES:
         sw = stopword_set(lang)

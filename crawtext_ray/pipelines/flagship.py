@@ -49,11 +49,13 @@ def build_articles(
     """pages → articles Dataset (lazy; no sink).
 
     The scan reads files in shuffled order (host-clustered dumps land on
-    different workers). The read and the extract are two operators: Ray
-    does not fuse a read into a downstream map that sets ``batch_size``
-    (the read may change its row count). ``num_partitions`` is unused:
-    the articles are not partitioned until a sink partitions them.
-    ``concurrency``: see ``extract_articles``."""
+    different workers). The scan and the extract run as one operator on
+    ``read_pages``' small blocks: the extract slices each block into
+    ``batch_size``-row kernel calls itself, because Ray does not fuse a
+    read into a map that sets a ``batch_size`` (see
+    ``extract_articles``). ``num_partitions`` is unused: the articles
+    are not partitioned until a sink partitions them. ``concurrency``:
+    see ``extract_articles``."""
     ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS,
                     shuffle="files")
     return extract_articles(

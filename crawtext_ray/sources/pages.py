@@ -12,6 +12,15 @@ import ray.data
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
+# Target block size of a page scan and of every stage derived from it.
+# Until an operator emits its first block, Ray Data budgets each new task
+# 2 x target_max_block_size of pending output (128 MiB by default), so a
+# small object store admits one task of the fused scan+extract operator
+# until that task ends; a real extract task emits under 1 MB. Measured at
+# 4 CPUs with a 512 MiB object store: 8 and 16 MiB ran the extract job
+# ~1.3x faster than the default, 32 and 64 MiB at most ~1.1x.
+PAGE_BLOCK_BYTES = 8 * 1024 * 1024
+
 
 def read_pages(
     path: str | list[str],
@@ -23,14 +32,17 @@ def read_pages(
     """Scan the pages table. ``columns`` prunes at the parquet reader
     (row-group level) — e.g. reports read only ["url", "lang"].
     ``shuffle="files"`` randomizes file order (cheap host-skew break for
-    host-clustered crawl dumps)."""
-    return ray.data.read_parquet(
+    host-clustered crawl dumps). Blocks target ``PAGE_BLOCK_BYTES``, set
+    on this Dataset's own context (a copy; the session's is untouched)."""
+    ds = ray.data.read_parquet(
         path,
         columns=columns,
         include_paths=include_paths,
         override_num_blocks=override_num_blocks,
         shuffle=shuffle,
     )
+    ds.context.target_max_block_size = PAGE_BLOCK_BYTES
+    return ds
 
 
 def read_seed_file(path: str) -> "ray.data.Dataset":

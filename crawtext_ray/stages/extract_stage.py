@@ -152,21 +152,27 @@ def extract_articles(
     concurrency="tasks",
 ):
     """Wire the extraction stage onto a pages Dataset as a task-fused
-    stage (stages/fusion.py): Ray Data fuses it with the parquet read
-    into one operator, and each worker process builds ``ExtractArticles``
-    once per (rules, query) and reuses it across tasks and wirings — so
-    a warm-up wiring carries into a later job with the same rules.
-    ``concurrency``: "tasks"/None = uncapped tasks, an int caps them.
+    stage (stages/fusion.py). Ray fuses it with the parquet scan and the
+    maps between them into one operator, and each worker process builds
+    ``ExtractArticles`` once per (rules, query) and reuses it across tasks
+    and wirings — so a warm-up wiring carries into a later job with the
+    same rules. ``concurrency``: "tasks"/None = uncapped tasks, an int
+    caps them.
 
-    ``batch_size`` defaults small (64) because html rows can be 100 KiB+
-    (SURVEY.md §7.4: keep a batch of html bytes ~32–64 MiB)."""
+    ``batch_size`` is the rows per kernel call. It defaults small (64)
+    because html rows can be 100 KiB+ (SURVEY.md §7.4: keep a batch of
+    html bytes ~32–64 MiB). The stage cuts each block into slices of
+    that many rows itself instead of handing Ray a ``batch_size``: Ray
+    does not fuse a read into a map that sets one, and a separate read
+    operator keeps CPU reserved until its last task ends, which leaves
+    the extract fewer CPUs than the session has."""
     from .fusion import map_stage
 
-    # the factory's name names the Ray operator ("MapBatches(extract_fn)")
+    # the factory's name names the Ray operator ("...MapBatches(extract_fn)")
     def extract_fn():
         return ExtractArticles(rule_lines, query_expression)
 
     key = (tuple(rule_lines) if rule_lines is not None else None,
            query_expression)
-    return map_stage(pages, extract_fn, key=key, batch_size=batch_size,
+    return map_stage(pages, extract_fn, key=key, slice_rows=batch_size,
                      concurrency=concurrency)

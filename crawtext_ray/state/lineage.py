@@ -82,7 +82,10 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
                            if c in table.column_names])
     # low-cardinality columns dictionary-encode at rest (SURVEY.md §1.2)
     dict_cols = [c for c in ("lang", "status") if c in table.column_names]
-    pq.write_table(table, tmp_path, use_dictionary=dict_cols or False)
+    with open(tmp_path, "wb") as f:
+        pq.write_table(table, f, use_dictionary=dict_cols or False)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp_path, data_path)
     checksum = _partition_checksum(df)
     wall_s = time.perf_counter() - t0

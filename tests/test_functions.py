@@ -34,6 +34,20 @@ def test_resolve_language_priority():
     assert resolve_language("zz", None, "der hund und die katze ist hier") == "de"
 
 
+def test_resolve_language_builds_text_only_on_fallback():
+    calls = []
+
+    def text():
+        calls.append(1)
+        return "der hund und die katze ist hier"
+
+    assert resolve_language("fr", None, text) == "fr"
+    assert resolve_language(None, "es-ES", text) == "es"
+    assert not calls
+    assert resolve_language(None, None, text) == "de"
+    assert calls == [1]
+
+
 def test_title_rules():
     assert clean_title("Short | A Much Longer Fragment Here") == "A Much Longer Fragment Here"
     assert clean_title("Main Story - site") == "Main Story"
@@ -81,3 +95,17 @@ def test_rolling_fingerprint_deterministic():
     assert rolling_fingerprint("abc") != rolling_fingerprint("abd")
     # short texts hash the whole string
     assert rolling_fingerprint("abc") == rolling_fingerprint("abc")
+
+
+def test_frozen_punctuation_table_equals_unicodedata_scan():
+    """The tokenizer's punctuation table, read from the frozen range
+    resource, equals a full scan of this interpreter's unicodedata
+    (regenerate with ``python -m tools.freeze_punct``)."""
+    import sys
+    import unicodedata
+
+    from crawtext_ray.extract.stopwords import _PUNCT_TABLE
+
+    scan = {cp: None for cp in range(sys.maxunicode + 1)
+            if unicodedata.category(chr(cp)).startswith("P")}
+    assert _PUNCT_TABLE == scan

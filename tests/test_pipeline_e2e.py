@@ -259,10 +259,8 @@ def test_hash_shuffle_extract_job_same_checksums(ray_session, pages_small,
     assert hashed == checksums(str(tmp_path / "sort"))
 
 
-def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
-                                    monkeypatch):
-    """The job's sink Dataset names its extract and write operators in
-    ``stats()`` — per-layer tooling finds the operators by these names."""
+def _job_stats(pages_dir, out_dir, monkeypatch) -> str:
+    """``stats()`` of the sink Dataset of one ``run_extract_job``."""
     import crawtext_ray.state.lineage as lineage
     from crawtext_ray.pipelines.flagship import run_extract_job
 
@@ -274,10 +272,124 @@ def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
         return held[-1]
 
     monkeypatch.setattr(lineage, "write_partitioned", holding)
-    run_extract_job(pages_small, str(tmp_path / "out"), num_partitions=4)
-    stats = held[0].stats()
+    run_extract_job(pages_dir, out_dir, num_partitions=4)
+    return held[0].stats()
+
+
+def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
+                                    monkeypatch):
+    """The job's sink Dataset names its extract and write operators in
+    ``stats()`` — per-layer tooling finds the operators by these names."""
+    stats = _job_stats(pages_small, str(tmp_path / "out"), monkeypatch)
     assert "extract_fn" in stats
     assert "write_group" in stats
+
+
+def test_extract_job_is_one_scan_extract_sink_operator(ray_session, pages_small,
+                                                      tmp_path, monkeypatch):
+    """The job fuses the page scan, the extract and the sink's partition
+    tagging into one operator (a separate read operator holds CPU budget
+    until its last task ends), and leaves the session's block size alone.
+    The pages span several files: Ray splits the blocks of a read with
+    fewer files than read tasks, and a splitting read does not fuse."""
+    import re
+
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    pages = pq.read_table(pages_small)
+    (tmp_path / "pages").mkdir()
+    for i in range(8):
+        pq.write_table(pages.slice(i * 125, 125),
+                       tmp_path / "pages" / f"part-{i}.parquet")
+    session_block = DataContext.get_current().target_max_block_size
+    stats = _job_stats(str(tmp_path / "pages"), str(tmp_path / "out"),
+                       monkeypatch)
+    ops = re.findall(r"^Operator \d+ (\S+):", stats, re.M)
+    fused = [o for o in ops if "extract_fn" in o]
+    assert len(fused) == 1, ops
+    assert fused[0].startswith("ReadParquet->")
+    assert "add_partition_id" in fused[0]
+    assert DataContext.get_current().target_max_block_size == session_block
+
+
+def test_read_pages_targets_small_blocks(ray_session, pages_small):
+    from ray.data import DataContext
+
+    from crawtext_ray.sources.pages import PAGE_BLOCK_BYTES, read_pages
+
+    assert PAGE_BLOCK_BYTES < DataContext.get_current().target_max_block_size
+    assert read_pages(pages_small).context.target_max_block_size == PAGE_BLOCK_BYTES
+
+
+def test_extract_slices_blocks_to_batch_size(monkeypatch):
+    """``batch_size`` is rows per kernel call: the stage hands Ray no
+    batch size (so the scan fuses into it) and slices each block itself,
+    with the same rows out at any slice size. No Ray."""
+    import pyarrow as pa
+
+    from crawtext_ray.stages import extract_stage, fusion
+    from fixtures.gen_pages import build_page
+
+    calls = []
+    ray_kwargs = []
+    call = extract_stage.ExtractArticles.__call__
+
+    def recording(self, batch):
+        calls.append(batch.num_rows)
+        return call(self, batch)
+
+    class Pages:  # stands in for a Dataset: hands back the batch function
+        def map_batches(self, fn, **kwargs):
+            ray_kwargs.append(kwargs)
+            return fn
+
+    monkeypatch.setattr(extract_stage.ExtractArticles, "__call__", recording)
+    monkeypatch.setattr(fusion, "_WORKER_CACHE", {})
+    rows = [build_page(i) for i in range(50)]
+    block = pa.table({
+        "url": [r["url"] for r in rows],
+        "warc_ts": pa.array([r["warc_ts"] for r in rows], pa.timestamp("us")),
+        "html": pa.array([r["html"] for r in rows], pa.binary()),
+        "lang": [r["lang"] for r in rows],
+    })
+    small = extract_stage.extract_articles(Pages(), batch_size=7)(block)
+    assert calls and max(calls) <= 7 and sum(calls) == 50
+    calls.clear()
+    large = extract_stage.extract_articles(Pages(), batch_size=64)(block)
+    assert calls == [50]
+    assert all(k.get("batch_size") is None for k in ray_kwargs)
+    assert small.schema == large.schema == extract_stage.ARTICLES_SCHEMA
+    assert small.to_pylist() == large.to_pylist()
+
+
+def test_write_partition_fsyncs_data_before_commit(tmp_path, monkeypatch):
+    """The part file is fsynced before its rename and before the lineage
+    sidecar (the commit record) is written."""
+    import os
+
+    import pandas as pd
+
+    from crawtext_ray.state import lineage
+
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))))
+        return fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.path.basename(src)))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    df = pd.DataFrame({"url": ["http://a.example/1", "http://a.example/2"]})
+    lineage.write_partition(df, str(tmp_path), 3)
+    data_tmp, side_tmp = "part-00003.parquet.tmp", "lineage-00003.json.tmp"
+    assert events == [("fsync", data_tmp), ("replace", data_tmp),
+                      ("fsync", side_tmp), ("replace", side_tmp)]
 
 
 def test_sink_runs_upstream_map_on_several_workers(ray_session, tmp_path):
