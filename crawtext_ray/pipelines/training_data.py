@@ -303,21 +303,24 @@ def curate(
 
         gate = decontaminate(gate, benchmark, n=benchmark_ngram,
                              text_col="extracted_text")
-    ckpt_dir = para_ckpt_dir = None
-    if out_dir:
+    ckpt_dirs = []
+
+    def checkpoint(ds, suffix: str):
+        if not out_dir:
+            return ds.materialize()
         import shutil
 
         import ray.data as rd
 
-        ckpt_dir = out_dir.rstrip("/") + "_gated.ckpt"
+        ckpt_dirs.append(out_dir.rstrip("/") + suffix)
         # a crashed prior run leaves parquet here; re-reading it alongside
         # the fresh write would duplicate rows (and hard-fail
         # drop_exact_dups' row-identity check) — start clean
-        shutil.rmtree(ckpt_dir, ignore_errors=True)
-        gate.write_parquet(ckpt_dir)
-        gated = rd.read_parquet(ckpt_dir, file_extensions=["parquet"])
-    else:
-        gated = gate.materialize()
+        shutil.rmtree(ckpt_dirs[-1], ignore_errors=True)
+        ds.write_parquet(ckpt_dirs[-1])
+        return rd.read_parquet(ckpt_dirs[-1], file_extensions=["parquet"])
+
+    gated = checkpoint(gate, "_gated.ckpt")
     if dedup_paras:
         import hashlib as _hl
 
@@ -360,20 +363,8 @@ def curate(
         # re-checkpoint the rewritten corpus: the rebuild probes + the
         # stat refresh hash every paragraph, and the downstream dedup
         # stages scan `gated` twice — against a second parquet
-        # checkpoint those scans are plain reads (object-store
-        # materialize for the interactive no-out_dir path)
-        if out_dir:
-            import shutil as _sh
-
-            import ray.data as rd
-
-            para_ckpt_dir = out_dir.rstrip("/") + "_paras.ckpt"
-            _sh.rmtree(para_ckpt_dir, ignore_errors=True)
-            gated.write_parquet(para_ckpt_dir)
-            gated = rd.read_parquet(para_ckpt_dir,
-                                    file_extensions=["parquet"])
-        else:
-            gated = gated.materialize()
+        # checkpoint those scans are plain reads
+        gated = checkpoint(gated, "_paras.ckpt")
     if max_nll is not None:
         from ..stages.textops import lm_gate
 
@@ -425,8 +416,7 @@ def curate(
         # sink is complete; the returned Dataset re-reads the SINK
         # (stable), so they can go (at 100 TB you might keep them for
         # debugging — plain parquet dirs next to the output)
-        shutil.rmtree(ckpt_dir, ignore_errors=True)
-        if para_ckpt_dir:
-            shutil.rmtree(para_ckpt_dir, ignore_errors=True)
+        for d in ckpt_dirs:
+            shutil.rmtree(d, ignore_errors=True)
         return rd.read_parquet(out_dir, file_extensions=["parquet"])
     return curated

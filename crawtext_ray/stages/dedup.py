@@ -17,11 +17,12 @@ are needed; per-batch sketching is vectorized and the groupby only ever
 sees (key, id) rows — never full text — so the exchange volume is
 O(rows), not O(bytes).
 
-Every small side (LSH duplicate buckets, verification participants, the
-connected-components edge list, the duplicated-paragraph winner map) is
-counted on the driver and broadcast only at or under
-``partitioning.BROADCAST_ROWS`` rows; above it the keyed, Bloom or
-key-run form runs. Membership filters go through
+LSH buckets have one form: one key-run reduce over the (id, bucket)
+rows, with no driver state. Every other small side (verification
+participants, the connected-components edge list, the
+duplicated-paragraph winner map) is counted on the driver and broadcast
+only at or under ``partitioning.BROADCAST_ROWS`` rows; above it the
+keyed, Bloom or key-run form runs. Membership filters go through
 ``partitioning.member_filter``.
 """
 
@@ -136,31 +137,6 @@ def _shingles(text: str, k: int) -> set[int]:
     return set(int(x) for x in _shingle_array(text, k))
 
 
-class MinHasher:
-    """Stateful per-actor minhash signatures: the permutation parameters
-    are drawn once per actor from a fixed seed (deterministic across the
-    fleet)."""
-
-    MERSENNE = (1 << 61) - 1
-
-    def __init__(self, num_perm: int = 128, shingle_k: int = 5, seed: int = 7):
-        rng = np.random.default_rng(seed)
-        self.a = rng.integers(1, self.MERSENNE, size=num_perm, dtype=np.uint64)
-        self.b = rng.integers(0, self.MERSENNE, size=num_perm, dtype=np.uint64)
-        self.num_perm = num_perm
-        self.k = shingle_k
-
-    def signature(self, text: str) -> np.ndarray:
-        vals = _shingle_array(text, self.k)
-        if vals.size == 0:
-            return np.full(self.num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-        # (a*x + b) with uint64 wraparound — a universal-enough permutation
-        # family, fully vectorized (shingles × permutations)
-        with np.errstate(over="ignore"):
-            prod = vals[None, :] * self.a[:, None] + self.b[:, None]
-        return prod.min(axis=1)
-
-
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer: avalanches a uint64 array in place of a
     cryptographic digest (the band key only needs collision resistance
@@ -182,10 +158,18 @@ class _MinHashBands:
     # permutations; docs beyond the cap are processed alone
     CHUNK_SHINGLES = 1 << 16
 
+    MERSENNE = (1 << 61) - 1
+
     def __init__(self, num_perm: int, bands: int, shingle_k: int,
                  text_col: str, id_col: str):
         assert num_perm % bands == 0
-        self.mh = MinHasher(num_perm, shingle_k)
+        # (a*x + b) with uint64 wraparound: a universal-enough permutation
+        # family, drawn from a fixed seed (deterministic across the fleet)
+        rng = np.random.default_rng(7)
+        self.a = rng.integers(1, self.MERSENNE, size=num_perm, dtype=np.uint64)
+        self.b = rng.integers(0, self.MERSENNE, size=num_perm, dtype=np.uint64)
+        self.num_perm = num_perm
+        self.k = shingle_k
         self.bands = bands
         self.rows_per_band = num_perm // bands
         self.text_col = text_col
@@ -193,9 +177,9 @@ class _MinHashBands:
 
     def _signatures(self, texts: list) -> np.ndarray:
         n = len(texts)
-        sigs = np.full((n, self.mh.num_perm), np.iinfo(np.uint64).max,
+        sigs = np.full((n, self.num_perm), np.iinfo(np.uint64).max,
                        dtype=np.uint64)
-        arrs = [_shingle_array(t or "", self.mh.k) for t in texts]
+        arrs = [_shingle_array(t or "", self.k) for t in texts]
         i = 0
         while i < n:
             j, tot = i, 0
@@ -213,10 +197,10 @@ class _MinHashBands:
                 # temporaries (~34 MB each at the chunk cap) per chunk —
                 # measured 5x slower and pure memory-bandwidth waste,
                 # which is the binding resource at full-node concurrency
-                prod = np.empty((self.mh.num_perm, vals.size), np.uint64)
+                prod = np.empty((self.num_perm, vals.size), np.uint64)
                 with np.errstate(over="ignore"):
-                    np.multiply(vals[None, :], self.mh.a[:, None], out=prod)
-                    np.add(prod, self.mh.b[:, None], out=prod)
+                    np.multiply(vals[None, :], self.a[:, None], out=prod)
+                    np.add(prod, self.b[:, None], out=prod)
                 sigs[idx] = np.minimum.reduceat(prod, offs, axis=1).T
             i = j
         return sigs
@@ -267,25 +251,15 @@ def minhash_lsh_duplicates(
     num_perm: int = 128,
     bands: int = 32,
     shingle_k: int = 5,
-    concurrency="tasks",
 ):
     """MinHash+LSH near-dup. Returns one (id, rep_id) row per candidate
     near-duplicate, rep_id = the min id sharing any LSH band bucket.
 
     Shape: one vectorized signature pass emits (id, band_keys
-    list<int64>) — one row per DOC — which is materialized and consumed
-    twice: (a) a lazy explode feeds ONE hash aggregate (Min(id), Count)
-    per bucket to find duplicate buckets (the only keyed exchange, and
-    it carries two int64 columns); (b) a per-doc pair-emission map looks
-    its buckets up in the dup-bucket map and takes the min rep across
-    bands IN-ROW — exact with no per-id re-aggregation, because the list
-    layout keeps all of a doc's buckets in one row.
-
-    The dup-bucket map (only buckets with ≥2 members — the same
-    cardinality class as the pair output itself) is broadcast when it
-    fits ``partitioning.BROADCAST_ROWS``; above that the stage falls
-    back to the fully keyed key-run reduce over buckets (no broadcast, no
-    driver state) — the 10^12-doc path."""
+    list<int64>) — one row per DOC — and ``banded_lsh_pairs`` links each
+    doc to its buckets' min id through one key-run reduce over buckets
+    and one keyed Min aggregate: no broadcast, no driver state, and the
+    plan runs nothing until it is consumed."""
     from .fusion import map_stage
 
     banded = map_stage(
@@ -293,23 +267,17 @@ def minhash_lsh_duplicates(
         lambda: _MinHashBands(num_perm=num_perm, bands=bands,
                               shingle_k=shingle_k, text_col=text_col,
                               id_col=id_col),
-        concurrency=concurrency,
-    ).materialize()  # (id, band_keys): both passes below consume it
+    )
     return banded_lsh_pairs(banded, bands, id_col)
 
 
-def banded_lsh_pairs(banded, bands: int, id_col: str):
-    """Shared LSH pair machinery over a materialized (id, band_keys
-    fixed_size_list<int64, bands>) dataset — used by both the minhash and
-    simhash paths. One hash aggregate finds duplicate buckets; pair
-    emission is an in-row broadcast lookup up to
-    ``partitioning.BROADCAST_ROWS`` duplicate buckets, a keyed key-run
-    reduce over buckets above it (see minhash_lsh_duplicates)."""
-    import ray
-    from ray.data.aggregate import Count, Min
-
-    from . import partitioning
-    from .fusion import map_stage
+def _bucket_runs(banded, bands: int, id_col: str, fn):
+    """Explode (id, band_keys fixed_size_list<int64, bands>) rows to one
+    (id, bk) row per doc and band, then reduce per bucket with
+    ``partitioning.key_runs``: ``fn(table, starts)`` sees each bucket as
+    one run of rows sorted by id. The one bucket pass of both LSH
+    forms."""
+    from .partitioning import key_runs
 
     def explode(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -322,100 +290,18 @@ def banded_lsh_pairs(banded, bands: int, id_col: str):
     exploded = banded.map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True
     )
-    agg = exploded.groupby("bk").aggregate(
-        Min(id_col, alias_name="rep_id"), Count(alias_name="n")
-    )
-    dup_buckets = agg.map_batches(
-        lambda t: t.filter(
-            pa.compute.greater_equal(t["n"], pa.scalar(2))
-        ).select(["bk", "rep_id"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
+    return key_runs(exploded, "bk", [id_col], fn)
 
-    if dup_buckets.count() <= partitioning.BROADCAST_ROWS:
-        # sorted-key arrays for vectorized searchsorted lookups; collect
-        # per BATCH (a per-row iter_rows loop at a 5M-bucket map
-        # measured as the driver hot spot)
-        bk_chunks, rep_chunks = [], []
-        for b in dup_buckets.iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                bk_chunks.append(
-                    b["bk"].to_numpy(zero_copy_only=False).astype(np.int64)
-                )
-                rep_col = b["rep_id"]
-                rep_chunks.append(
-                    rep_col.to_numpy(zero_copy_only=False)
-                    if pa.types.is_integer(rep_col.type)
-                    else np.asarray(rep_col.to_pylist(), dtype=object)
-                )
-        bks = (
-            np.concatenate(bk_chunks) if bk_chunks else np.empty(0, np.int64)
-        )
-        reps = (
-            np.concatenate(rep_chunks)
-            if rep_chunks
-            else np.empty(0, dtype=object)
-        )
-        order = np.argsort(bks, kind="stable")
-        ref = ray.put((bks[order], reps[order]))
 
-        class EmitPairs:
-            def __init__(self):
-                self.bks, self.reps = ray.get(ref)
-                self.int_ids = all(
-                    isinstance(r, (int, np.integer)) for r in self.reps[:64]
-                )
+def banded_lsh_pairs(banded, bands: int, id_col: str):
+    """The LSH LINKING form over (id, band_keys fixed_size_list<int64,
+    bands>) rows — shared by the minhash and simhash paths. Per bucket
+    run (sorted by id, so its first id is its min), every other member
+    emits (id, run min); a keyed Min aggregate then takes each id's min
+    rep across bands. Returns (id, rep_id) rows."""
+    from ray.data.aggregate import Min
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                id_type = t.schema.field(id_col).type
-                empty = pa.table({
-                    id_col: pa.array([], id_type),
-                    "rep_id": pa.array([], id_type),
-                })
-                n = t.num_rows
-                if n == 0 or self.bks.size == 0:
-                    return empty
-                keys = np.asarray(
-                    t["band_keys"].combine_chunks().flatten(), dtype=np.int64
-                ).reshape(n, bands)
-                pos = np.searchsorted(self.bks, keys)
-                pos[pos >= self.bks.size] = 0
-                hit = self.bks[pos] == keys
-                ids = t[id_col].to_pylist()
-                if self.int_ids:
-                    big = np.iinfo(np.int64).max
-                    rep_mat = np.where(
-                        hit, self.reps[pos].astype(np.int64), big
-                    )
-                    rep = rep_mat.min(axis=1)  # min rep across bands, in-row
-                    idv = np.asarray(ids, dtype=np.int64)
-                    mask = rep < idv  # rep == id means "I am the bucket min"
-                    if not mask.any():
-                        return empty
-                    return pa.table({
-                        id_col: pa.array(idv[mask], id_type),
-                        "rep_id": pa.array(rep[mask], id_type),
-                    })
-                # string ids (e.g. urls): only rows with a hit do any work
-                out_id, out_rep = [], []
-                for i in np.nonzero(hit.any(axis=1))[0]:
-                    rep = min(self.reps[pos[i][hit[i]]])
-                    if rep < ids[i]:
-                        out_id.append(ids[i])
-                        out_rep.append(rep)
-                if not out_id:
-                    return empty
-                return pa.table({
-                    id_col: pa.array(out_id, id_type),
-                    "rep_id": pa.array(out_rep, id_type),
-                })
-
-        return map_stage(banded, EmitPairs)
-
-    # 10^12-doc fallback: complete buckets co-locate as bk runs of the
-    # shared key-run reduce (rep = each run's first, i.e. min, id), then
-    # a keyed min-rep aggregate — zero broadcast/driver state.
-    from .partitioning import key_runs, run_ids
+    from .partitioning import run_ids
 
     def run_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ids = t[id_col]
@@ -424,7 +310,7 @@ def banded_lsh_pairs(banded, bands: int, id_col: str):
         return pa.table({id_col: ids.filter(mask),
                          "rep_id": rep.filter(mask)})
 
-    pairs = key_runs(exploded, "bk", [id_col], run_pairs)
+    pairs = _bucket_runs(banded, bands, id_col, run_pairs)
     return pairs.groupby(id_col).aggregate(Min("rep_id", alias_name="rep_id"))
 
 
@@ -433,35 +319,15 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
     bucket, as (``{id}_a``, ``{id}_b``) rows. Complements
     ``banded_lsh_pairs`` (the min-rep LINKING form used by dedup drops):
     pair enumeration is what exact verification consumes, where every
-    candidate pair must be scored individually. O(bucket²) per duplicate
-    bucket — post-LSH dup buckets are the same cardinality class as the
-    output itself. Membership rows are candidate-bounded to duplicate
-    buckets first (``semi_join_on_ids``)."""
+    candidate pair must be scored individually. Runs on the same bucket
+    pass; O(bucket²) per duplicate bucket, and single-member buckets
+    emit nothing — post-LSH dup buckets are the same cardinality class
+    as the output itself."""
     from ray.data.aggregate import Count
 
-    from .partitioning import key_runs, run_starts
+    from .partitioning import run_starts
 
     a_col, b_col = f"{id_col}_a", f"{id_col}_b"
-
-    def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        flat = t["band_keys"].combine_chunks().flatten()
-        ids = t[id_col].combine_chunks().take(
-            pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
-        )
-        return pa.table({id_col: ids, "bk": flat})
-
-    exploded = banded.map_batches(
-        explode, batch_format="pyarrow", zero_copy_batch=True
-    )
-    agg = exploded.groupby("bk").aggregate(Count(alias_name="n"))
-    dup_bks = agg.map_batches(
-        lambda t: t.filter(
-            pa.compute.greater_equal(t["n"], pa.scalar(2))
-        ).select(["bk"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-    members = semi_join_on_ids(exploded, dup_bks, "bk", "bk")
 
     def pairs_of(t: pa.Table, _starts: np.ndarray) -> pa.Table:
         # distinct (bk, id) rows only, then every id pair of each bk run:
@@ -482,7 +348,7 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
             b_col: ids.take(pa.array(np.concatenate(ib_all))),
         })
 
-    pairs = key_runs(members, "bk", [id_col], pairs_of)
+    pairs = _bucket_runs(banded, bands, id_col, pairs_of)
     # a pair can collide in several bands/buckets — keyed distinct
     return pairs.groupby([a_col, b_col]).aggregate(
         Count(alias_name="_n")
@@ -506,8 +372,8 @@ def minhash_verified_duplicates(
     SQL-oracle-checkable against the brute cross join whenever LSH
     recall is total (pairs far above the threshold, the planted-dup
     regime; band count picks the recall). The scale shape: vectorized
-    signatures → one hash aggregate → candidate-bounded pair
-    enumeration → routed exact verification (no broadcast of texts)."""
+    signatures → one key-run bucket pass enumerating pairs → routed
+    exact verification (no broadcast of texts)."""
     from .fusion import map_stage
 
     banded = map_stage(
@@ -515,7 +381,7 @@ def minhash_verified_duplicates(
         lambda: _MinHashBands(num_perm=num_perm, bands=bands,
                               shingle_k=shingle_k, text_col=text_col,
                               id_col=id_col),
-    ).materialize()
+    )
     cands = banded_lsh_candidate_pairs(banded, bands, id_col)
     return _verify_candidates(cands, ds, text_col, id_col, shingle_k,
                               threshold)
@@ -688,7 +554,7 @@ def _simhash_banded(ds, text_col: str, id_col: str):
 
     return sigs.map_batches(
         to_band_keys, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    )
 
 
 def simhash_duplicates(ds, text_col: str = "text", id_col: str = "doc_id"):

@@ -21,8 +21,9 @@ so Python calls scale with the shard count, never the key count.
 ``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
 with a small-side and a scale form counts its small side on the driver
 and broadcasts it (``ray.put`` once) only at or under this many rows;
-above it the keyed, Bloom or key-run form runs. ``member_filter`` is the
-one row filter both forms of a membership test share.
+above it the keyed, Bloom or key-run form runs. LSH buckets have no
+small side: both LSH forms run only on ``key_runs``. ``member_filter``
+is the one row filter both forms of a membership test share.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ datasets (the training-data operator set)."""
 
 import numpy as np
 import pytest
+import reference_lsh
 
 
 @pytest.fixture()
@@ -615,20 +616,140 @@ def test_minhash_many_dups_no_driver_merge(ray_session):
         assert int(r["rep_id"]) == (int(r["doc_id"]) // 100) * 100
 
 
-def test_minhash_fallback_matches_broadcast(ray_session, docs_with_dups,
-                                            monkeypatch):
-    """BROADCAST_ROWS=0 forces the keyed coarse-partition path; pairs
-    must equal the broadcast path."""
-    from crawtext_ray.stages import partitioning
+def _cross_band_family(id_col, ids):
+    """Three near-copies with ids z < y < x where x shares an earlier
+    minhash band with y than with z, so x's min rep (z) comes from a
+    later band than its first hit (y) at num_perm=128, bands=32,
+    shingle_k=3."""
+    base = [f"b{j}" for j in range(40)]
+    rng = np.random.default_rng(4)
+    y, z = list(base), list(base)
+    for j in rng.choice(40, 6, replace=False):
+        y[j] = f"y{j}"
+    for j in rng.choice(40, 6, replace=False):
+        z[j] = f"z{j}"
+    return [{id_col: i, "text": " ".join(t)}
+            for i, t in zip(ids, (z, y, base))]
+
+
+def _lsh_matches_reference(ds, id_col):
+    """Linking (minhash, simhash) and pair enumeration (both band
+    shapes) equal the plain-Python reference over the same band keys;
+    returns (ids, minhash band keys, minhash links)."""
+    from crawtext_ray.stages.dedup import (
+        _MinHashBands,
+        _simhash_banded,
+        banded_lsh_candidate_pairs,
+        minhash_lsh_duplicates,
+        simhash_duplicates,
+    )
+
+    rows = ds.take_all()
+    ids = [r[id_col] for r in rows]
+    texts = [r["text"] for r in rows]
+    mh_keys = reference_lsh.minhash_band_keys(texts, shingle_k=3)
+    sh_keys = reference_lsh.simhash_band_keys(texts)
+
+    def links(out):
+        got = [(r[id_col], r["rep_id"]) for r in out.take_all()]
+        assert len(got) == len(dict(got))  # one row per linked id
+        return dict(got)
+
+    def pairs(out):
+        got = [(r[f"{id_col}_a"], r[f"{id_col}_b"]) for r in out.take_all()]
+        assert len(got) == len(set(got))  # each pair once
+        return set(got)
+
+    mh = links(minhash_lsh_duplicates(ds, id_col=id_col, shingle_k=3))
+    assert mh == reference_lsh.link(ids, mh_keys)
+    assert (links(simhash_duplicates(ds, id_col=id_col))
+            == reference_lsh.link(ids, sh_keys))
+    mh_banded = ds.map_batches(
+        _MinHashBands(num_perm=128, bands=32, shingle_k=3, text_col="text",
+                      id_col=id_col),
+        batch_format="pyarrow")
+    assert (pairs(banded_lsh_candidate_pairs(mh_banded, 32, id_col))
+            == reference_lsh.candidate_pairs(ids, mh_keys))
+    assert (pairs(banded_lsh_candidate_pairs(
+        _simhash_banded(ds, "text", id_col), 4, id_col))
+        == reference_lsh.candidate_pairs(ids, sh_keys))
+    return ids, mh_keys, mh
+
+
+def test_lsh_int_ids_match_reference(ray_session, docs_with_dups):
+    """The LSH forms equal the reference on integer ids, including a doc
+    whose min rep comes from a later band than its first hit."""
+    import ray.data as rd
+
+    family = _cross_band_family("doc_id", [200, 201, 202])
+    ds = rd.from_items(docs_with_dups.take_all() + family)
+    ids, keys, mh = _lsh_matches_reference(ds, "doc_id")
+    assert (102, 100) in mh.items()
+    z, y, x = (r["doc_id"] for r in family)
+    assert reference_lsh.first_hit_rep(ids, keys, x) == y
+    assert mh[x] == z
+
+
+def test_lsh_url_ids_match_reference(ray_session):
+    """url-keyed LSH (the curation shape) finds the planted dups and
+    equals the reference, cross-band family included."""
+    import ray.data as rd
+
     from crawtext_ray.stages.dedup import minhash_lsh_duplicates
 
-    a = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).to_pandas()
-    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    b = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).to_pandas()
-    pa_ = {(int(r["doc_id"]), int(r["rep_id"])) for _, r in a.iterrows()}
-    pb_ = {(int(r["doc_id"]), int(r["rep_id"])) for _, r in b.iterrows()}
-    assert pa_ == pb_ and len(a) == len(b)
-    assert (102, 100) in pa_
+    base = "the quick brown fox jumps over the lazy dog near the mat " * 4
+    rows = [{"url": f"http://x/{i}",
+             "text": f"doc {i} " + " ".join(f"t{i}x{j}" for j in range(50))}
+            for i in range(30)]
+    rows += [{"url": "http://x/dupA", "text": base},
+             {"url": "http://x/dupB", "text": base}]
+    a = minhash_lsh_duplicates(rd.from_items(rows), text_col="text",
+                               id_col="url", shingle_k=3).to_pandas()
+    pa_ = sorted(map(tuple, a[["url", "rep_id"]].values.tolist()))
+    assert pa_ == [("http://x/dupB", "http://x/dupA")]
+
+    family = _cross_band_family("url", [f"http://x/fam{i}" for i in range(3)])
+    ids, keys, mh = _lsh_matches_reference(rd.from_items(rows + family),
+                                           "url")
+    assert mh["http://x/dupB"] == "http://x/dupA"
+    z, y, x = (r["url"] for r in family)
+    assert reference_lsh.first_hit_rep(ids, keys, x) == y
+    assert mh[x] == z
+
+
+def test_lsh_plans_run_nothing_on_driver(ray_session, docs_with_dups,
+                                         monkeypatch):
+    """Building an LSH plan materializes, counts, iterates and ray.puts
+    nothing: the bucket pass is one lazy key-run reduce, and the planted
+    pair appears once the plans run."""
+    import ray
+    from ray.data import Dataset
+
+    from crawtext_ray.stages.dedup import (
+        _simhash_banded,
+        banded_lsh_candidate_pairs,
+        minhash_lsh_duplicates,
+        simhash_duplicates,
+    )
+
+    def refuse(*_a, **_k):
+        raise AssertionError("LSH plan building ran work on the driver")
+
+    with monkeypatch.context() as m:
+        for name in ("materialize", "count", "iter_batches"):
+            m.setattr(Dataset, name, refuse)
+        m.setattr(ray, "put", refuse)
+        plans = [
+            minhash_lsh_duplicates(docs_with_dups, shingle_k=3),
+            simhash_duplicates(docs_with_dups),
+            banded_lsh_candidate_pairs(
+                _simhash_banded(docs_with_dups, "text", "doc_id"), 4,
+                "doc_id"),
+        ]
+    mh, sh, cands = (p.take_all() for p in plans)
+    assert {"doc_id": 102, "rep_id": 100} in mh
+    assert {"doc_id": 102, "rep_id": 100} in sh
+    assert {"doc_id_a": 100, "doc_id_b": 102} in cands
 
 
 def test_sampling_native_and_deterministic(ray_session):
@@ -646,30 +767,6 @@ def test_sampling_native_and_deterministic(ray_session):
     b = sample_docs_deterministic("/root/testdata/sf0.001").to_pandas()
     assert sorted(a["doc_id"]) == sorted(b["doc_id"])
     assert 0 < len(a) < 500
-
-
-def test_minhash_string_ids_both_modes(ray_session, monkeypatch):
-    """url-keyed minhash (the curation shape) must find planted dups in
-    both the broadcast and the keyed fallback mode."""
-    import ray.data as rd
-
-    from crawtext_ray.stages import partitioning
-    from crawtext_ray.stages.dedup import minhash_lsh_duplicates
-
-    base = "the quick brown fox jumps over the lazy dog near the mat " * 4
-    rows = [{"url": f"http://x/{i}",
-             "text": f"doc {i} " + " ".join(f"t{i}x{j}" for j in range(50))}
-            for i in range(30)]
-    rows += [{"url": "http://x/dupA", "text": base},
-             {"url": "http://x/dupB", "text": base}]
-    a = minhash_lsh_duplicates(rd.from_items(rows), text_col="text",
-                               id_col="url", shingle_k=3).to_pandas()
-    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    b = minhash_lsh_duplicates(rd.from_items(rows), text_col="text",
-                               id_col="url", shingle_k=3).to_pandas()
-    pa_ = sorted(map(tuple, a[["url", "rep_id"]].values.tolist()))
-    pb_ = sorted(map(tuple, b[["url", "rep_id"]].values.tolist()))
-    assert pa_ == pb_ == [("http://x/dupB", "http://x/dupA")]
 
 
 def test_build_bloom_distributed(ray_session):
