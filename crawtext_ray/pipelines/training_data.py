@@ -3,12 +3,13 @@ corpus build runs on top of the extraction engine.
 
     pages ─ extract (flagship stages) ─ keep ok/relevant
           ─ quality filter (vectorized length/stopword/word-len gates)
-          ─ exact dedup (key-only shuffle + loser anti-join)
+          ─ exact dedup (one key-run reduce over key rows + loser
+            anti-join)
           ─ minhash-LSH near-dup drop (distributed Bloom;
             optional exact-Jaccard verification)
           ─ lineage-partitioned auditable articles parquet
 
-Each stage is a streaming map or a keyed groupby over KEYS (hashes,
+Each stage is a streaming map or a keyed reduce over KEYS (hashes,
 urls, band keys) — article text crosses an exchange only in the
 explicitly-capped fallbacks. The gated corpus is checkpointed once
 (materialize here; a parquet write at 100 TB) because both dedup stages
@@ -21,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages import partitioning
-from ..stages.dedup import first_by, minhash_lsh_duplicates, semi_join_on_ids
+from ..stages.dedup import first_by, minhash_lsh_duplicates
 from ..stages.partitioning import key_runs, member_filter, run_starts
 from .flagship import build_articles
 
@@ -105,14 +106,15 @@ def drop_exact_dups(articles):
     """Exact content dedup keyed on content_sha256: keep the earliest
     warc_ts (tie: lexicographic url).
 
-    Key-only shuffle: only (content_sha256, url, warc_ts) rows cross the
-    loser-picking groupby — never ``extracted_text`` — then the LOSER
-    urls (the dup fraction, the genuinely small side) come back as a
-    broadcast anti-join over the streaming articles. Exact: no Bloom
-    decides a drop. When the loser set exceeds ``partitioning.BROADCAST_ROWS``
-    the stage falls back to a full-row ``first_by`` (pays the wide shuffle,
-    needs zero driver memory) — the same
-    two-modes-by-threshold shape as ``connected_components``.
+    Key-only shuffle: ONE key-run reduce (``partitioning.key_runs``) over
+    the (content_sha256, url, warc_ts) rows — never ``extracted_text`` —
+    emits every run's non-first rows, the LOSERS (the dup fraction, the
+    genuinely small side), which come back as a broadcast anti-join over
+    the streaming articles. Exact: no Bloom decides a drop. When the
+    loser set exceeds ``partitioning.BROADCAST_ROWS`` the stage falls back
+    to a full-row ``first_by`` (pays the wide shuffle, needs zero driver
+    memory) — the same two-modes-by-threshold shape as
+    ``connected_components``.
 
     (A native hash semi-join on winners was tried and rejected: Acero
     joins reject struct/list payload columns, which the articles schema
@@ -148,26 +150,7 @@ def drop_exact_dups(articles):
         keep[starts] = False  # all but each run's winner
         return t.filter(pa.array(keep)).select(["url", "warc_ts"])
 
-    # with mostly-unique content almost every group is a singleton — so
-    # first find the hashes that actually duplicate with ONE hash
-    # aggregate (fixed ~2.5 s cost), then run the loser-picking key-run
-    # reduce over only those rows (the dup fraction) — an exact semi-join
-    # up to BROADCAST_ROWS dup hashes, a Bloom superset above (a
-    # singleton run a false positive lets through yields no loser).
-    counts = keys.groupby("content_sha256").count()
-    dup_hash_ds = counts.map_batches(
-        lambda t: t.filter(
-            pc.greater(t["count()"], 1)
-        ).select(["content_sha256"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-    n_dup_hashes = dup_hash_ds.count()
-    if n_dup_hashes == 0:
-        return articles
-    dup_keys = semi_join_on_ids(keys, dup_hash_ds, "content_sha256",
-                                "content_sha256")
-    losers = key_runs(dup_keys, "content_sha256", by_age,
+    losers = key_runs(keys, "content_sha256", by_age,
                       losers_of).materialize()
     n_losers = losers.count()
     if n_losers == 0:

@@ -65,11 +65,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="--curate corpus-wide paragraph-level exact "
                          "dedup (C4/Dolma boilerplate removal: every "
                          ">=30-char paragraph keeps one occurrence)")
-    ap.add_argument("--hash-shuffle", action="store_true",
-                    help="run the keyed exchanges (the sink's url-hash "
-                         "groupby, dedup aggregates) as HASH_SHUFFLE; the "
-                         "default sort-shuffle measured faster on this "
-                         "workload")
     ap.add_argument("--export-shards", type=int, default=None,
                     metavar="N",
                     help="after the job, deterministically shuffle-shard "
@@ -157,11 +152,6 @@ def main(argv: list[str] | None = None) -> int:
             logging_level="ERROR",
         )
     try:
-        if args.hash_shuffle:
-            from crawtext_ray.stages.partitioning import use_hash_shuffle
-
-            use_hash_shuffle()
-
         from crawtext_ray.pipelines.flagship import run_extract_job
 
         rule_lines = None

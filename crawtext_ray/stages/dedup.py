@@ -6,16 +6,19 @@ Crawl-side (SURVEY.md §2.8):
   results index analog.
 
 Training-data-side (scale ops beyond the reference):
-- exact content dedup (hash aggregate keeping the min id)
+- exact content dedup (key-run reduce keeping the min id)
 - MinHash + LSH near-dup (shingle → minhash → band → bucket groupby)
 - SimHash near-dup (64-bit, hamming-banded)
 - n-gram Jaccard verification of candidate pairs
 
-All shuffles are keyed groupbys — hash aggregates, or the shared
-key-run reduce (``partitioning.key_runs``) wherever a whole key's rows
-are needed; per-batch sketching is vectorized and the groupby only ever
-sees (key, id) rows — never full text — so the exchange volume is
-O(rows), not O(bytes).
+Per-batch sketching is vectorized and every shuffle only ever sees
+(key, id) rows — never full text — so the exchange volume is O(rows),
+not O(bytes). The per-document and per-paragraph reduces (exact
+content dedup, paragraph dedup, LSH buckets, component rounds) are the
+shared key-run reduce (``partitioning.key_runs``); the candidate
+verifier groups per participant id (candidate-bounded), and Ray hash
+aggregates remain in three places: the LSH per-id min, the
+candidate-pair distinct and the components' initial labels.
 
 LSH buckets have one form: one key-run reduce over the (id, bucket)
 rows, with no driver state. Every other small side (verification
@@ -62,26 +65,15 @@ def _sha_column(batch: pa.Table, text_col: str) -> pa.Table:
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Exact content dedup: content-hash per batch (vectorized pass), then
-    hash-partition groupby keeping the smallest id per hash. Only
-    (hash, id) crosses the shuffle."""
+    ``first_by`` on the hash keeps the smallest id per hash — one key-run
+    reduce, so Python calls scale with the shard count, not the (mostly
+    unique) hash count. Only (hash, id) crosses the shuffle."""
     hashed = ds.map_batches(
         _sha_column, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"text_col": text_col},
     ).select_columns(["content_hash", id_col])
-
-    # keep-the-smallest-id is a Min AGGREGATE, not a per-group Python
-    # pass: groupby().map_groups pays a Python call per GROUP (~10 s per
-    # 150k groups measured) and with mostly-unique content the group
-    # count ≈ the corpus size; the hash aggregate is a fixed ~2.5 s at
-    # the same scale. Output identical: min(id) == stable-sort head(1).
-    from ray.data.aggregate import Min
-
-    agg = hashed.groupby("content_hash").aggregate(Min(id_col))
-    return agg.map_batches(
-        lambda t: t.select([f"min({id_col})"]).rename_columns([id_col]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return first_by(hashed, "content_hash", id_col,
+                    id_col).select_columns([id_col])
 
 
 # ----------------------------------------------------- minhash + LSH ----
@@ -1007,8 +999,8 @@ def _para_hashes(text: str, min_chars: int) -> tuple[list[str], np.ndarray]:
     Paragraphs = text.split("\\n\\n") verbatim (no stripping — the
     reassembled text must be a pure subsequence join); a paragraph is
     dedup-eligible iff len >= min_chars. Hashes are the md5-top-8-bytes
-    reinterpreted as SIGNED int64 (values above 2^63 would make Ray's
-    aggregate output fall back to pickled-object columns)."""
+    reinterpreted as SIGNED int64: the int64 ``ph`` column the reduce and
+    both Bloom filters key on."""
     paras = (text or "").split("\n\n")
     h = np.zeros(len(paras), dtype=np.int64)
     for i, p in enumerate(paras):
@@ -1063,10 +1055,11 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     (docs may come back empty — dropping them is the length gate's job).
 
     Scale shape (the exact-dedup house pattern): texts never shuffle —
-    map pass A emits only (hash, packed) pairs, ONE hash aggregate
-    prefilters to duplicated hashes (Count >= 2) and picks each winner
-    (Min of packed = lexicographic-first occurrence), and map pass B
-    rebuilds documents streaming. Two modes by threshold (the house
+    map pass A emits only (hash, packed) pairs, ONE key-run reduce
+    (``partitioning.key_runs`` sorted by (hash, packed)) keeps the hashes
+    whose run has >= 2 rows and picks each winner (the run's first
+    packed = lexicographic-first occurrence), and map pass B rebuilds
+    documents streaming. Two modes by threshold (the house
     pattern): at or under ``partitioning.BROADCAST_ROWS`` (1M)
     duplicated paragraphs the exact winner map broadcasts via ray.put;
     ABOVE it, two distributed Bloom filters replace the map (the
@@ -1089,7 +1082,6 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     INPUT rows with ``text_col`` replaced in place (all other columns
     preserved) — the curation-chain form."""
     import ray
-    from ray.data.aggregate import Count, Min
 
     from ..state.bloom import build_bloom
     from . import partitioning
@@ -1112,16 +1104,19 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     pairs = ds.select_columns([id_col, text_col]).map_batches(
         emit_pairs, batch_format="pyarrow", zero_copy_batch=True
     )
+
+    def winners_of(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a run of length >= 2 is a duplicated paragraph; its first row
+        # holds the min packed position, the winner
+        lens = np.diff(np.append(starts, t.num_rows))
+        first = t.take(starts[lens > 1])
+        return pa.table({"ph": first["ph"], "w": first["packed"]})
+
     # materialize BEFORE counting: the dataset is lazy, and count() +
     # iter_batches would otherwise run the corpus-wide md5 pass and the
-    # hash aggregate twice; the materialized set is O(duplicated
-    # paragraphs), already post-filter
-    dup_winners = pairs.groupby("ph").aggregate(
-        Count(alias_name="n"), Min("packed", alias_name="w")
-    ).map_batches(
-        lambda t: t.filter(pa.compute.greater(t["n"], pa.scalar(1))),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
+    # reduce twice; the materialized set is O(duplicated paragraphs)
+    dup_winners = partitioning.key_runs(pairs, "ph", ["packed"],
+                                        winners_of).materialize()
     n_dup = dup_winners.count()
     if n_dup > partitioning.BROADCAST_ROWS:
         # Bloom mode: two distributed filters instead of the exact map,

@@ -13,10 +13,11 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 (~5x smaller) at the sink is the one the output layout needs.
 
 ``key_runs`` is the one per-key reduce: every operator that works on
-"all rows of one key" (first-by, LSH buckets, connected-components
-rounds, the user-window family) hashes its key into ``SHARDS`` coarse
-shards and reduces each shard's sorted key runs with vectorized code,
-so Python calls scale with the shard count, never the key count.
+"all rows of one key" (first-by, exact content and paragraph dedup,
+LSH buckets, connected-components rounds, the user-window family)
+hashes its key into ``SHARDS`` coarse shards and reduces each shard's
+sorted key runs with vectorized code, so Python calls scale with the
+shard count, never the key count.
 
 ``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
 with a small-side and a scale form counts its small side on the driver
@@ -95,23 +96,6 @@ def require_integer_ids(arr: np.ndarray, what: str) -> np.ndarray:
             "for string ids"
         )
     return arr
-
-
-def use_hash_shuffle() -> None:
-    """Opt the session into HASH_SHUFFLE: the keyed exchanges (the lineage
-    sink's partition_id groupby, dedup aggregates) then hash-partition
-    instead of sort-partitioning. OPT-IN, not the default: session owners
-    reach it via ``python -m crawtext_ray.run --hash-shuffle`` (or call
-    this before building a pipeline). The
-    default sort-shuffle measured faster for this workload's bounded-key
-    groupbys on the 32-cpu host (hash shuffle spawns per-partition
-    aggregator actors with a fixed ramp cost). The aggregator pool is
-    sized to the session (``size_hash_shuffle``)."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    size_hash_shuffle(ctx)
 
 
 def size_hash_shuffle(ctx) -> None:

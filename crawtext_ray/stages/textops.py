@@ -4,6 +4,8 @@ counting, fingerprinting, relevance filtering (M7 as a Dataset op)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pyarrow as pa
 
 from ..extract.query import Query
@@ -348,6 +350,15 @@ def decontaminate(docs, benchmark, n: int = 8, text_col: str = "text"):
     return map_stage(docs, factory)
 
 
+def _line_repetition(text):
+    """(non-empty lines, their Counter, dup_line_frac) of one text —
+    dup_line_frac = 1 - distinct/total, 0.0 when there are no lines. The
+    one definition ``repetition_stats`` and ``repetition_gate`` share."""
+    lines = [ln for ln in (text or "").split("\n") if ln]
+    counts = Counter(lines)
+    return lines, counts, (1.0 - len(counts) / len(lines) if lines else 0.0)
+
+
 def repetition_stats(docs, text_col: str = "text", id_col: str = "doc_id"):
     """Within-document repetition measures (the Gopher/C4-style quality
     gates): per doc, over non-empty lines —
@@ -361,25 +372,17 @@ def repetition_stats(docs, text_col: str = "text", id_col: str = "doc_id"):
     differential test pins the definition (tests/test_training_data.py).
     High values flag boilerplate / template / scraped-navigation docs a
     pretraining corpus should drop."""
-    from collections import Counter
 
     def stage(batch: pa.Table) -> pa.Table:
         n_lines_c, dup_line_c, dup_char_c = [], [], []
         for t in batch[text_col].to_pylist():
-            lines = [ln for ln in (t or "").split("\n") if ln]
-            total = len(lines)
-            if not total:
-                n_lines_c.append(0)
-                dup_line_c.append(0.0)
-                dup_char_c.append(0.0)
-                continue
-            counts = Counter(lines)
+            lines, counts, dup_line = _line_repetition(t)
             chars = sum(len(ln) for ln in lines)
             dup_chars = sum(
                 len(ln) * c for ln, c in counts.items() if c > 1
             )
-            n_lines_c.append(total)
-            dup_line_c.append(1.0 - len(counts) / total)
+            n_lines_c.append(len(lines))
+            dup_line_c.append(dup_line)
             dup_char_c.append(dup_chars / chars if chars else 0.0)
         return pa.table(
             {
@@ -405,12 +408,9 @@ def repetition_gate(ds, text_col: str = "text",
     def stage(batch: pa.Table) -> pa.Table:
         keep = []
         for t in batch[text_col].to_pylist():
-            lines = [ln for ln in (t or "").split("\n") if ln]
-            if not lines:
-                keep.append(True)  # emptiness is the length gate's job
-                continue
-            keep.append(1.0 - len(set(lines)) / len(lines)
-                        <= max_dup_line_frac)
+            lines, _, dup_line = _line_repetition(t)
+            # emptiness is the length gate's job
+            keep.append(not lines or dup_line <= max_dup_line_frac)
         return batch.filter(pa.array(keep, pa.bool_()))
 
     return ds.map_batches(stage, batch_format="pyarrow",

@@ -232,33 +232,6 @@ def test_extract_survives_null_rows(ray_session, tmp_path):
     assert "real paragraph with the usual" in ok["extracted_text"].iloc[0]
 
 
-def test_hash_shuffle_extract_job_same_checksums(ray_session, pages_small,
-                                                tmp_path):
-    """Under HASH_SHUFFLE (the --hash-shuffle CLI path) the extract job's
-    url-hash exchange writes the same per-partition checksums as the
-    default sort shuffle; the shuffle strategy is restored afterwards."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    from crawtext_ray.pipelines.flagship import run_extract_job
-    from crawtext_ray.stages.partitioning import use_hash_shuffle
-    from crawtext_ray.state.lineage import read_lineage
-
-    def checksums(out):
-        run_extract_job(pages_small, out, num_partitions=4)
-        return {r["partition_id"]: r["checksum"] for r in read_lineage(out)}
-
-    ctx = DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    try:
-        use_hash_shuffle()
-        assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
-        hashed = checksums(str(tmp_path / "hash"))
-    finally:
-        ctx.shuffle_strategy = prev
-    assert len(hashed) == 4
-    assert hashed == checksums(str(tmp_path / "sort"))
-
-
 def _job_stats(pages_dir, out_dir, monkeypatch) -> str:
     """``stats()`` of the sink Dataset of one ``run_extract_job``."""
     import crawtext_ray.state.lineage as lineage
@@ -546,23 +519,25 @@ def test_write_partition_times_the_write(tmp_path, monkeypatch):
 
 
 def test_hash_shuffle_sized_to_session(ray_session):
-    """use_hash_shuffle must size the aggregator pool to the session's
+    """size_hash_shuffle must size the aggregator pool to the session's
     CPUs: with Ray's defaults (parallelism 200 → 64 aggregator actors)
     any groupby whose partition count is not pinned deadlocks on a
     small-CPU session inside the 300 s aggregator wait (regression:
-    the --hash-shuffle extract job hung at 8 cpus)."""
+    a HASH_SHUFFLE extract job hung at 8 cpus; bfs_crawl's join relies
+    on the same sizing)."""
     import pyarrow as pa
     import ray
     import ray.data as rd
     from ray.data.context import DataContext, ShuffleStrategy
 
-    from crawtext_ray.stages.partitioning import use_hash_shuffle
+    from crawtext_ray.stages.partitioning import size_hash_shuffle
 
     ctx = DataContext.get_current()
     prev = (ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators,
             ctx.default_hash_shuffle_parallelism)
     try:
-        use_hash_shuffle()
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        size_hash_shuffle(ctx)
         cpus = int(ray.cluster_resources()["CPU"])
         assert ctx.max_hash_shuffle_aggregators <= max(1, cpus // 2)
         ds = rd.range(2000).map_batches(

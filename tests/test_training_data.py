@@ -1,5 +1,10 @@
 """Training-data curation pipeline (quality gate + dedup chain)."""
 
+import datetime as dt
+
+import numpy as np
+import pytest
+
 
 def test_curate_chain(ray_session, pages_small, tmp_path):
     from crawtext_ray.pipelines.training_data import curate
@@ -93,9 +98,8 @@ def test_quality_gate_mask_matches_scalar_definition():
 
 def test_drop_exact_dups_fallback_matches_broadcast(ray_session, pages_small,
                                                    monkeypatch):
-    """BROADCAST_ROWS=0 forces the Bloom dup-hash semi-join and the
-    distributed full-row groupby; surviving urls must equal the
-    broadcast loser-set path."""
+    """BROADCAST_ROWS=0 forces the distributed full-row ``first_by``
+    fallback; surviving urls must equal the broadcast loser-set path."""
     from crawtext_ray.pipelines.flagship import build_articles
     from crawtext_ray.pipelines.training_data import drop_exact_dups
     from crawtext_ray.stages import partitioning
@@ -106,6 +110,129 @@ def test_drop_exact_dups_fallback_matches_broadcast(ray_session, pages_small,
     monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     b = set(drop_exact_dups(arts).to_pandas()["url"])
     assert a == b and len(a) > 0
+
+
+def _planted_articles():
+    """Article key rows (plus text) with planted exact-dup groups, and
+    the plain-Python reference survivors: per content_sha256 the
+    (url, warc_ts) of the row with the minimal (warc_ts, url)."""
+    import pyarrow as pa
+
+    rows = [
+        ("A", "http://a.example/only", 4),         # group of 1
+        ("B", "http://b.example/1", 5),            # group of 2
+        ("B", "http://b.example/2", 3),
+        ("C", "http://c.example/1", 1),            # group of 3
+        ("C", "http://c.example/2", 2),
+        ("C", "http://c.example/3", 0),
+        ("D", "http://d.example/page", 20),        # same-url recrawl
+        ("D", "http://d.example/page", 10),
+        ("E", "http://e.example/b", 7),            # ts tie: url decides
+        ("E", "http://e.example/a", 7),
+    ]
+    rng = np.random.default_rng(3)
+    rows += [(f"R{int(rng.integers(0, 60))}", f"http://r.example/{i}",
+              int(rng.integers(0, 5))) for i in range(150)]
+    want = {}
+    for sha, url, sec in rows:
+        if sha not in want or (sec, url) < want[sha]:
+            want[sha] = (sec, url)
+    table = pa.table({
+        "url": [u for _, u, _ in rows],
+        "warc_ts": pa.array([_ts(s) for _, _, s in rows],
+                            pa.timestamp("us")),
+        "extracted_text": [f"text of {h}" for h, _, _ in rows],
+        "content_sha256": pa.array([h.encode() for h, _, _ in rows],
+                                   pa.binary()),
+    })
+    return table, {(u, _ts(s)) for s, u in want.values()}
+
+
+def _ts(sec):
+    return dt.datetime(2024, 1, 1) + dt.timedelta(seconds=sec)
+
+
+def _survivors(ds):
+    return {(r["url"], r["warc_ts"]) for r in ds.take_all()}
+
+
+@pytest.mark.parametrize("broadcast_rows", [None, 0])
+def test_drop_exact_dups_matches_reference(ray_session, monkeypatch,
+                                           broadcast_rows):
+    """Planted content groups of 1, 2 and 3 rows, a same-url recrawl and
+    a warc_ts tie the url breaks: the survivors equal the plain-Python
+    reference, in the broadcast loser-set form and (BROADCAST_ROWS=0)
+    the full-row ``first_by`` form."""
+    import ray.data as rd
+
+    from crawtext_ray.pipelines.training_data import drop_exact_dups
+    from crawtext_ray.stages import partitioning
+
+    if broadcast_rows is not None:
+        monkeypatch.setattr(partitioning, "BROADCAST_ROWS", broadcast_rows)
+    table, want = _planted_articles()
+    arts = rd.from_arrow([table.slice(0, 90), table.slice(90)])
+    got = drop_exact_dups(arts)
+    assert got.count() == len(want)
+    assert _survivors(got) == want
+    assert {("http://d.example/page", _ts(10)),
+            ("http://e.example/a", _ts(7))} <= want
+
+
+def test_drop_exact_dups_rejects_duplicate_row_identity(ray_session):
+    """Two rows sharing (url, warc_ts) inside one content group violate
+    the pages contract: the loser anti-join would drop the winner too,
+    so the stage raises instead of losing rows silently (the check runs
+    in the loser reduce, before either mode is chosen)."""
+    import ray.data as rd
+
+    from crawtext_ray.pipelines.training_data import drop_exact_dups
+
+    table, _ = _planted_articles()
+    twin = table.slice(0, 1)  # a second copy of ("A", a.example/only)
+    arts = rd.from_arrow([table, twin])
+    with pytest.raises(Exception, match=r"duplicate \(url, warc_ts\) row "
+                                        r"identity.*a\.example/only"):
+        drop_exact_dups(arts).materialize()
+
+
+def test_exact_dedups_run_no_ray_aggregate(ray_session, monkeypatch):
+    """drop_exact_dups, exact_dedup and dedup_paragraphs are built and
+    run with Ray's GroupedData.aggregate/count disabled: each reduces on
+    the key-run reduce alone, and the planted survivors come out."""
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from crawtext_ray.pipelines.training_data import drop_exact_dups
+    from crawtext_ray.stages.dedup import dedup_paragraphs, exact_dedup
+
+    def refuse(*_a, **_k):
+        raise AssertionError("hash aggregate called")
+
+    monkeypatch.setattr(GroupedData, "aggregate", refuse)
+    monkeypatch.setattr(GroupedData, "count", refuse)
+
+    table, want = _planted_articles()
+    assert _survivors(drop_exact_dups(rd.from_arrow(table))) == want
+
+    docs = rd.from_items([
+        {"doc_id": 7, "text": "same text"},
+        {"doc_id": 3, "text": "same text"},
+        {"doc_id": 5, "text": "other text"},
+        {"doc_id": 9, "text": "same text"},
+    ])
+    assert sorted(exact_dedup(docs).to_pandas()["doc_id"]) == [3, 5]
+
+    footer = "copyright example site all rights reserved"
+    paras = rd.from_items([
+        {"doc_id": 2, "text": f"{footer}\n\nbeta body"},
+        {"doc_id": 1, "text": f"alpha body\n\n{footer}"},
+        {"doc_id": 3, "text": "gamma\n\ngamma"},
+    ])
+    out = {r["doc_id"]: r["clean_text"]
+           for r in dedup_paragraphs(paras, min_chars=2).take_all()}
+    assert out == {1: f"alpha body\n\n{footer}", 2: "beta body",
+                   3: "gamma"}
 
 
 def test_seed_file_reader(ray_session, tmp_path):
