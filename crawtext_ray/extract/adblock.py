@@ -15,10 +15,18 @@ Supported EasyList subset (F1):
 - element hiding ``##selector`` / exception ``#@#selector`` with
   tag / .class / #id selectors (optionally ``tag.class``)
 
-Matching (F2): literal tokens (>= 3 chars) from each rule index into a
-token->rule map as a prefilter; candidates are confirmed with a compiled
-regex. This is the "trie" analog: O(tokens) candidate lookup per URL, one
-regex confirm per candidate, built once per actor.
+Matching (F2): each rule is indexed under its longest token — a run of
+3+ ``[a-z0-9]`` characters that the rule delimits on both sides (by a
+``||``/``|`` anchor, a ``^`` separator, or a literal character that is
+neither alphanumeric nor ``*``). Every url the rule's regex matches
+then holds that token as a whole ``[a-z0-9]`` run of its case-folded
+form, so a url's own tokens look up every rule that can match it; rules
+with no delimited token are candidates for every url. A candidate is
+rejected when its longest literal run is not a substring of the
+lowercased url (tested only when both are ASCII: ``re.IGNORECASE`` also
+folds ``ſ``, ``ı``, ``İ`` and the Kelvin sign onto ASCII letters), then
+confirmed with its compiled regex; the url's host is parsed only for
+rules with ``domain=`` options.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ from .dom import Node
 from .urlnorm import domain_of
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{3,}")
+_RULE_TOKEN_RE = re.compile(r"[A-Za-z0-9]{3,}")
+# the non-ASCII characters re.IGNORECASE matches against ASCII letters
+_ASCII_FOLD = {0x130: "i", 0x131: "i", 0x17F: "s", 0x212A: "k"}
 _SEP = r"[^A-Za-z0-9_\-.%]"
 
 
@@ -39,7 +50,8 @@ class UrlRule:
     raw: str
     regex: "re.Pattern[str]"
     is_exception: bool
-    tokens: list[str]
+    tokens: list[str]       # the tokens the rule delimits on both sides
+    literal: str | None     # longest ASCII literal run, lowercased
     domains_inc: frozenset[str]
     domains_exc: frozenset[str]
 
@@ -71,30 +83,58 @@ class HideRule:
         return True
 
 
+_START_ANCHORS = {"||": r"^[a-z][a-z0-9+.\-]*://(?:[^/?#]*\.)?", "|": "^", "": ""}
+
+
+def _split_anchors(body: str) -> tuple[str, str, bool]:
+    """``body`` -> (start anchor "||", "|" or "", the pattern between the
+    anchors, whether a "|" end anchor follows it)."""
+    start = "||" if body.startswith("||") else "|" if body.startswith("|") else ""
+    core = body[len(start):]
+    end = core.endswith("|")
+    return start, core[:-1] if end else core, end
+
+
 def _rule_to_regex(body: str) -> str:
     """EasyList filter body -> regex source (public adblockparser scheme)."""
-    if body.startswith("||"):
-        prefix = r"^[a-z][a-z0-9+.\-]*://(?:[^/?#]*\.)?"
-        body = body[2:]
-    elif body.startswith("|"):
-        prefix = "^"
-        body = body[1:]
-    else:
-        prefix = ""
-    suffix = ""
-    if body.endswith("|"):
-        suffix = "$"
-        body = body[:-1]
-    out: list[str] = [prefix]
-    for ch in body:
+    start, core, end = _split_anchors(body)
+    out: list[str] = [_START_ANCHORS[start]]
+    for ch in core:
         if ch == "*":
             out.append(".*")
         elif ch == "^":
             out.append(f"(?:{_SEP}|$)")
         else:
             out.append(re.escape(ch))
-    out.append(suffix)
+    out.append("$" if end else "")
     return "".join(out)
+
+
+def _delimited_tokens(body: str) -> list[str]:
+    """Lowercased tokens of ``body`` (a rule with its ``$`` options cut)
+    that every url matching the rule holds as whole ``[a-z0-9]`` runs."""
+    start, core, end = _split_anchors(body)
+
+    def delimits(ch: str) -> bool:
+        # "^" is the separator class; any other literal that is not
+        # alphanumeric (nor "*") matches no ASCII letter or digit, even
+        # under re.IGNORECASE (its folds onto ASCII are all letters)
+        return not ch.isalnum() and ch != "*"
+
+    out = []
+    for m in _RULE_TOKEN_RE.finditer(core):
+        i, j = m.span()
+        if ((bool(start) if i == 0 else delimits(core[i - 1]))
+                and (end if j == len(core) else delimits(core[j]))):
+            out.append(m.group().lower())
+    return out
+
+
+def _longest_literal(body: str) -> str | None:
+    """The longest ASCII run of ``body`` between anchors, ``*`` and ``^``,
+    lowercased: a substring of every url the rule matches."""
+    runs = [r for r in re.split(r"[*^]", _split_anchors(body)[1]) if r.isascii()]
+    return max(runs, key=len, default="").lower() or None
 
 
 def _parse_selector(sel: str) -> HideRule | None:
@@ -133,19 +173,19 @@ class AdblockRules:
         # only tag-only rules in the per-node scan list
         self._hide_by_cls: dict[str, list[HideRule]] = {}
         self._hide_by_id: dict[str, list[HideRule]] = {}
-        self._hide_plain: list[HideRule] = []
+        self.hide_plain: list[HideRule] = []
         for h in self.hide_rules:
             if h.cls:
                 self._hide_by_cls.setdefault(h.cls, []).append(h)
             elif h.elid:
                 self._hide_by_id.setdefault(h.elid, []).append(h)
             else:
-                self._hide_plain.append(h)
+                self.hide_plain.append(h)
 
     def hide_candidates(self, node: "Node") -> list[HideRule]:
         """Hide rules that could possibly match ``node`` (superset filter;
         callers only iterate the result — never mutate — so the shared
-        ``_hide_plain`` list is returned as-is when no class/id bucket
+        ``hide_plain`` list is returned as-is when no class/id bucket
         hits, avoiding a per-node allocation on the hot cleaner walks."""
         cands = None
         if self._hide_by_cls and node.attrs:
@@ -153,7 +193,7 @@ class AdblockRules:
                 hit = self._hide_by_cls.get(c)
                 if hit:
                     if cands is None:
-                        cands = list(self._hide_plain)
+                        cands = list(self.hide_plain)
                     cands.extend(hit)
         if self._hide_by_id:
             nid = node.get("id")
@@ -161,9 +201,9 @@ class AdblockRules:
                 hit = self._hide_by_id.get(nid)
                 if hit:
                     if cands is None:
-                        cands = list(self._hide_plain)
+                        cands = list(self.hide_plain)
                     cands.extend(hit)
-        return self._hide_plain if cands is None else cands
+        return self.hide_plain if cands is None else cands
 
     def _add_line(self, raw: str) -> None:
         line = raw.strip()
@@ -205,8 +245,8 @@ class AdblockRules:
             rx = re.compile(_rule_to_regex(body), re.IGNORECASE)
         except re.error:
             return
-        tokens = _TOKEN_RE.findall(body.lower().replace("||", " ").replace("|", " "))
-        rule = UrlRule(raw, rx, is_exc, tokens, frozenset(inc), frozenset(exc))
+        rule = UrlRule(raw, rx, is_exc, _delimited_tokens(body),
+                       _longest_literal(body), frozenset(inc), frozenset(exc))
         if is_exc:
             idx = len(self.except_rules)
             self.except_rules.append(rule)
@@ -227,26 +267,31 @@ class AdblockRules:
         else:
             untokenized.append(idx)
 
-    def _candidates(self, url_l: str, table: dict[str, list[int]],
+    def _candidates(self, url_tokens: set[str], table: dict[str, list[int]],
                     untokenized: list[int]) -> list[int]:
+        # each rule sits under one token, so distinct url tokens give
+        # distinct candidates
         cands = list(untokenized)
-        for tok in _TOKEN_RE.findall(url_l):
+        for tok in url_tokens:
             hit = table.get(tok)
             if hit:
                 cands.extend(hit)
         return cands
 
-    def _any_match(self, url: str, rules: list[UrlRule], cands: list[int]) -> bool:
-        if not cands:
-            return False
-        host = domain_of(url)
-        seen: set[int] = set()
+    def _any_match(self, url: str, url_l: str | None, rules: list[UrlRule],
+                   cands: list[int]) -> bool:
+        """``url_l`` is the lowercased url when it is ASCII, else None."""
+        host = None
         for i in cands:
-            if i in seen:
-                continue
-            seen.add(i)
             r = rules[i]
-            if r.domain_ok(host) and r.regex.search(url):
+            if url_l is not None and r.literal is not None and r.literal not in url_l:
+                continue
+            if r.domains_inc or r.domains_exc:
+                if host is None:
+                    host = domain_of(url)
+                if not r.domain_ok(host):
+                    continue
+            if r.regex.search(url):
                 return True
         return False
 
@@ -255,15 +300,18 @@ class AdblockRules:
         v = self._verdicts.get(url)
         if v is not None:
             return v
-        url_l = url.lower()
-        bc = self._candidates(url_l, self._block_index, self._block_untokenized)
-        if not self._any_match(url, self.block_rules, bc):
+        if url.isascii():
+            url_l = url.lower()
+            toks = set(_TOKEN_RE.findall(url_l))
+        else:
+            url_l = None
+            toks = set(_TOKEN_RE.findall(url.translate(_ASCII_FOLD).lower()))
+        bc = self._candidates(toks, self._block_index, self._block_untokenized)
+        if not self._any_match(url, url_l, self.block_rules, bc):
             v = False
         else:
-            ec = self._candidates(
-                url_l, self._except_index, self._except_untokenized
-            )
-            v = not self._any_match(url, self.except_rules, ec)
+            ec = self._candidates(toks, self._except_index, self._except_untokenized)
+            v = not self._any_match(url, url_l, self.except_rules, ec)
         if len(self._verdicts) >= 1 << 17:
             self._verdicts.clear()
         self._verdicts[url] = v

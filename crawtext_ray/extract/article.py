@@ -17,7 +17,7 @@ from typing import Any
 
 from . import cleaners, metas, output, scoring
 from .adblock import AdblockRules
-from .dom import parse_html
+from .dom import parse_html, tagged
 from .encoding import decode_html
 from .stopwords import resolve_language
 from .urlnorm import canon_url, is_crawlable
@@ -36,7 +36,7 @@ def _extract_outlinks(root, page_url: str, rules: AdblockRules | None) -> list[s
     # per-page memo: real pages repeat nav/footer hrefs dozens of times —
     # canonize + filter + adblock-match each distinct href once
     memo: dict[str, str | None] = {}
-    for a in root.walk("a"):
+    for a in tagged(root, "a"):
         href = a.get("href")
         if not href:
             continue
@@ -110,7 +110,10 @@ def extract_article(
     result["lang"] = use_lang
 
     # C1 + C2 + F3 + C3 + C4 fused into one removal walk (byte-identical
-    # to the sequential passes; see cleaners.remove_unwanted), then C5/C6
+    # to the sequential passes; see cleaners.remove_unwanted), then C5/C6.
+    # The parse-time tag lists describe the raw tree only: drop them
+    # before the first mutation.
+    root.tag_index = None
     cleaners.remove_unwanted(root, rules)
     cleaners.clean_em_tags(root)
     cleaners.remove_drop_caps(root)

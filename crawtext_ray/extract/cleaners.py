@@ -42,6 +42,17 @@ _TARGETED_RES = [
     re.compile(r"[^-]twitter"),
 ]
 
+
+
+@lru_cache(maxsize=1)
+def _boilerplate_re() -> "re.Pattern[str]":
+    """C3 (case-insensitive) and C4 (case-sensitive) as one regex: it
+    searches a string iff one of them does."""
+    return re.compile("|".join(
+        [f"(?i:{_naughty_re().pattern})", *(r.pattern for r in _TARGETED_RES)]
+    ))
+
+
 _DROP_CAP_RE = re.compile(r"drop_?cap(ital)?", re.IGNORECASE)
 
 
@@ -134,10 +145,13 @@ def remove_unwanted(root: Node, rules=None) -> None:
     removal criteria are disjoint and order-independent, so one walk
     produces the same tree as the sequential passes (verified by the
     golden corpus); profiling showed the five separate full-tree walks
-    were ~15% of extraction."""
-    rx = _naughty_re()
+    were ~15% of extraction. A node without an id, class or name
+    attribute can match only a tag-only hiding rule, so without such
+    rules it is skipped."""
+    rx = _boilerplate_re()
     hide = rules.hide_rules if rules is not None else ()
     hide_exc = rules.hide_exceptions if rules is not None else ()
+    bare_hide = rules is not None and bool(rules.hide_plain)
     for n in root.walk():
         if n.parent is None:
             continue
@@ -147,15 +161,16 @@ def remove_unwanted(root: Node, rules=None) -> None:
             continue
         if tag in ("html", "body", "#document"):
             continue
-        if hide and not tag.startswith("#"):
+        attrs = n.attrs
+        if not (bare_hide or "class" in attrs or "id" in attrs or "name" in attrs):
+            continue
+        if hide:
             cands = rules.hide_candidates(n)
             if cands and any(h.matches(n) for h in cands) and not any(
                 h.matches(n) for h in hide_exc
             ):
-                if n.parent is not None:
-                    n.parent.remove(n)
+                n.parent.remove(n)
                 continue
         ident = n.id_class_name()
-        if ident and (rx.search(ident) or any(r.search(ident) for r in _TARGETED_RES)):
-            if n.parent is not None:
-                n.parent.remove(n)
+        if ident and rx.search(ident):
+            n.parent.remove(n)

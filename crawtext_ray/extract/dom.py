@@ -11,6 +11,13 @@ tag/class/id matching for the cleaner and element-hiding filters.
 Determinism contract (SURVEY.md §2.7 item 7): document order == parser
 event order; every node carries a monotonically increasing ``order`` id
 assigned at creation.
+
+Raw-tree index: the parser returns a ``Document`` root whose
+``tag_index`` lists the ``a``, ``meta``, ``link``, ``title`` and ``html``
+nodes in creation order, which is the DFS document order of the tree as
+parsed. ``tagged(root, tag)`` reads it instead of walking the tree. The
+index holds only until the tree's first mutation: code that mutates a
+parsed tree sets ``tag_index`` to None first, and ``tagged`` then walks.
 """
 
 from __future__ import annotations
@@ -257,10 +264,34 @@ class Node:
         return f"<Node {self.tag} order={self.order} attrs={self.attrs}>"
 
 
+INDEXED_TAGS = ("a", "meta", "link", "title", "html")
+
+
+class Document(Node):
+    """A parsed tree's root, with the raw-tree index (module docstring)."""
+
+    __slots__ = ("tag_index",)
+
+    def __init__(self) -> None:
+        super().__init__("#document", order=0)
+        self.tag_index: dict[str, list[Node]] | None = {
+            t: [] for t in INDEXED_TAGS
+        }
+
+
+def tagged(root: Node, tag: str) -> list[Node]:
+    """``root.walk(tag)``; read from the raw-tree index while ``root``
+    still has one. Callers must not mutate the returned list."""
+    index = getattr(root, "tag_index", None)
+    if index is not None and tag in index:
+        return index[tag]
+    return root.walk(tag)
+
+
 class _TreeBuilder(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = Node("#document", order=0)
+        self.root = Document()
         self.stack: list[Node] = [self.root]
         self._order = 1
 
@@ -273,6 +304,9 @@ class _TreeBuilder(HTMLParser):
                 d[k] = v if v is not None else ""
         n = Node(tag, d, self._order)
         self._order += 1
+        listed = self.root.tag_index.get(tag)
+        if listed is not None:
+            listed.append(n)
         return n
 
     def updatepos(self, i: int, j: int) -> int:
@@ -362,6 +396,7 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
     # tree-identity suite pins the two paths to each other.
     stack = b.stack  # shared list: builder state IS the scanner state
     order = b._order
+    index_get = b.root.tag_index.get
     find = html.find
     i, n = 0, len(html)
     cdata: str | None = None
@@ -416,6 +451,8 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
                         top = stack[-1]
                     node = Node(tag, {}, order)
                     order += 1
+                    if (listed := index_get(tag)) is not None:
+                        listed.append(node)
                     node.parent = top
                     top.children.append(node)
                     if tag not in VOID_ELEMENTS:
@@ -458,6 +495,8 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
                 if selfclose:
                     node = Node(tag, d, order)
                     order += 1
+                    if (listed := index_get(tag)) is not None:
+                        listed.append(node)
                     top = stack[-1]
                     node.parent = top
                     top.children.append(node)
@@ -473,6 +512,8 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
                         top = stack[-1]
                     node = Node(tag, d, order)
                     order += 1
+                    if (listed := index_get(tag)) is not None:
+                        listed.append(node)
                     node.parent = top
                     top.children.append(node)
                     if tag not in VOID_ELEMENTS:
@@ -561,7 +602,7 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
         b._order = order
 
 
-def parse_html(html: str) -> Node:
+def parse_html(html: str) -> Document:
     """Parse (possibly broken) HTML into a Node tree; never raises on
     malformed markup — the fast scanner bails to stdlib ``html.parser``
     (lenient by construction) on constructs it does not replicate."""

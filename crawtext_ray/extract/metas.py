@@ -1,6 +1,7 @@
 """Metadata extractors (SURVEY.md §2.2 M5; reference goose:
 goose/extractors.py::ContentExtractor.get_title / get_meta_description /
-get_meta_keywords / get_meta_lang / get_canonical_link).
+get_meta_keywords / get_meta_lang / get_canonical_link). They read the
+raw tree's parse-time tag lists (``dom.tagged``).
 
 Title rule (SURVEY.md §2.7 item 5): entities already decoded by the
 parser; split on the FIRST splitter present among "|", " - ", "»", ":";
@@ -10,7 +11,7 @@ surrounding spaces so hyphenated words survive.)
 
 from __future__ import annotations
 
-from .dom import Node
+from .dom import Node, tagged
 from .output import inner_trim
 from .urlnorm import canon_url
 
@@ -28,14 +29,12 @@ def clean_title(raw: str) -> str:
 
 
 def get_title(root: Node) -> str:
-    t = root.find_first("title")
-    if t is None:
-        return ""
-    return clean_title(t.text_content())
+    titles = tagged(root, "title")
+    return clean_title(titles[0].text_content()) if titles else ""
 
 
 def _meta_content(root: Node, name: str) -> str:
-    for m in root.walk("meta"):
+    for m in tagged(root, "meta"):
         if m.get("name").lower() == name or m.get("property").lower() == name:
             return m.get("content").strip()
     return ""
@@ -52,10 +51,10 @@ def get_meta_keywords(root: Node) -> str:
 def get_meta_lang(root: Node) -> str:
     """html@lang, else http-equiv content-language, else meta name=lang;
     first 2 chars lowercased."""
-    html = root.find_first("html")
-    if html is not None and html.get("lang"):
-        return html.get("lang")[:2].lower()
-    for m in root.walk("meta"):
+    html = tagged(root, "html")
+    if html and html[0].get("lang"):
+        return html[0].get("lang")[:2].lower()
+    for m in tagged(root, "meta"):
         if m.get("http-equiv").lower() == "content-language" and m.get("content"):
             return m.get("content")[:2].lower()
         if m.get("name").lower() == "lang" and m.get("content"):
@@ -64,7 +63,7 @@ def get_meta_lang(root: Node) -> str:
 
 
 def get_canonical_link(root: Node, page_url: str) -> str:
-    for l in root.walk("link"):
+    for l in tagged(root, "link"):
         if l.get("rel").lower() == "canonical" and l.get("href"):
             return canon_url(page_url, l.get("href"))
     return page_url

@@ -10,8 +10,6 @@ empties; join paragraphs with "\n\n"; LF only; no trailing newline
 
 from __future__ import annotations
 
-import re
-
 from .dom import Node
 from .scoring import is_high_link_density
 from .stopwords import stopword_count_cached
@@ -20,12 +18,13 @@ _SIBLING_MIN_THRESHOLD = 10.0
 _SIBLING_SCORE_FACTOR = 0.30
 _CHILD_PRUNE_FACTOR = 0.08
 _FEWWORDS_MIN_STOPWORDS = 3  # strictly fewer than this is removed
-_WS_RE = re.compile(r"\s+")
 
 
 def inner_trim(text: str) -> str:
-    """goose: goose/utils innerTrim — collapse whitespace, strip."""
-    return _WS_RE.sub(" ", text).strip()
+    """goose: goose/utils innerTrim — collapse whitespace, strip.
+    ``str.split()`` splits on exactly the characters regex ``\\s`` matches
+    in a str pattern (both are ``str.isspace``)."""
+    return " ".join(text.split())
 
 
 def sibling_threshold(top_node_score: float) -> float:
@@ -170,16 +169,10 @@ def remove_fewwords_paragraphs(top_node: Node, lang: str) -> None:
 
 def convert_to_text(top_node: Node) -> str:
     """X10: the byte-defining formatter."""
-    paras: list[str] = []
-    if top_node.text and inner_trim(top_node.text):
-        paras.append(inner_trim(top_node.text))
+    texts = [top_node.text]
     for child in top_node.children:
-        txt = inner_trim(child.text_content())
-        if txt:
-            paras.append(txt)
-        if child.tail and inner_trim(child.tail):
-            paras.append(inner_trim(child.tail))
-    return "\n\n".join(paras)
+        texts += (child.text_content(), child.tail)
+    return "\n\n".join(t for t in map(inner_trim, texts) if t)
 
 
 def format_output(top_node: Node, lang: str) -> str:

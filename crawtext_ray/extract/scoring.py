@@ -38,10 +38,15 @@ def nodes_to_check(root: Node) -> list[Node]:
 def is_high_link_density(node: Node) -> bool:
     """X2. Nodes with no links are never high density; link-only nodes
     (no words at all) are."""
+    return _high_link_density(node, None)
+
+
+def _high_link_density(node: Node, text: str | None) -> bool:
+    """X2 with the node's ``text_content()`` when the caller has it."""
     links = [n for n in node.walk("a") if n is not node]
     if not links:
         return False
-    words = node.text_content().split()
+    words = (node.text_content() if text is None else text).split()
     if not words:
         return True
     link_words = " ".join(l.text_content() for l in links).split()
@@ -85,10 +90,13 @@ def calculate_best_node(root: Node, lang: str) -> ScoreResult:
     candidates = nodes_to_check(root)
 
     kept: list[Node] = []
+    kept_sw: list[int] = []
     for node in candidates:
-        sw = stopword_count_cached(node.text_content(), lang)
-        if sw > _MIN_KEEP_STOPWORDS and not is_high_link_density(node):
+        text = node.text_content()
+        sw = stopword_count_cached(text, lang)
+        if sw > _MIN_KEEP_STOPWORDS and not _high_link_density(node, text):
             kept.append(node)
+            kept_sw.append(sw)
     res.kept_candidates = kept
 
     n = len(kept)
@@ -96,7 +104,7 @@ def calculate_best_node(root: Node, lang: str) -> ScoreResult:
     bottom_neg = n * 0.25
     parent_nodes: list[Node] = []
 
-    for i, node in enumerate(kept):
+    for i, (node, sw) in enumerate(zip(kept, kept_sw)):
         boost_score = 0.0
         if is_boostable(node, lang):
             boost_score = (1.0 / starting_boost) * 50.0
@@ -106,7 +114,7 @@ def calculate_best_node(root: Node, lang: str) -> ScoreResult:
             boost_score = -(booster * booster)
             if abs(boost_score) > _NEG_ESCAPE:
                 boost_score = _NEG_ESCAPE_BONUS
-        upscore = int(stopword_count_cached(node.text_content(), lang) + boost_score)
+        upscore = int(sw + boost_score)
 
         parent = node.parent
         if parent is None:

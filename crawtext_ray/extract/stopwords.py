@@ -4,6 +4,18 @@ goose:resources/text/stopwords-xx.txt).
 
 Tokenization contract (SURVEY.md §2.7 item 1): NFC normalize -> strip
 unicode punctuation (categories P*) -> lowercase -> split on whitespace.
+
+``stopword_count`` applies the contract per word: it NFC-normalizes the
+text, splits it on whitespace, and maps each word to
+``word.translate(_PUNCT_TABLE).lower()`` through a bounded module memo
+(``_TOKENS``). This equals ``tokenize`` by construction: no P* code point
+is whitespace, so deleting punctuation neither adds nor removes a split
+point; no character lowercases to or from whitespace; and ``str.lower``'s
+one context-dependent mapping (final sigma) looks no further than the
+surrounding cased letters, which whitespace ends. A word that is all
+punctuation maps to "" and counts as no token. Words longer than
+``MAX_MEMO_LEN`` and texts longer than ``MAX_MEMO_TEXT`` are counted
+without being memoized, so one huge page cannot fill the memos.
 """
 
 from __future__ import annotations
@@ -71,18 +83,54 @@ def word_stats(text: str, lang: str = DEFAULT_LANGUAGE) -> WordStats:
     return WordStats(len(toks), [t for t in toks if t in sw])
 
 
+# memo bounds: entries per memo (a memo is cleared at its cap, like the
+# Adblock verdicts) and the longest word / text a memo keeps
+MAX_MEMO_WORDS = 1 << 15
+MAX_MEMO_LEN = 32
+MAX_MEMO_TEXTS = 4096
+MAX_MEMO_TEXT = 2048
+_TOKENS: dict[str, str] = {}  # word -> its token ("" for punctuation)
+_COUNTS: dict[tuple[str, str], int] = {}  # (text, lang) -> stopword count
+
+
+def _token(word: str) -> str:
+    tok = word.translate(_PUNCT_TABLE).lower()
+    if len(word) <= MAX_MEMO_LEN:
+        if len(_TOKENS) >= MAX_MEMO_WORDS:
+            _TOKENS.clear()
+        _TOKENS[word] = tok
+    return tok
+
+
 def stopword_count(text: str, lang: str = DEFAULT_LANGUAGE) -> int:
-    toks = tokenize(text)
+    """Stopword tokens of ``text``: ``tokenize`` counted word by word
+    through the token memo."""
     sw = stopword_set(lang)
-    return sum(map(sw.__contains__, toks))
+    get = _TOKENS.get
+    n = 0
+    for w in unicodedata.normalize("NFC", text).split():
+        tok = get(w)
+        if tok is None:
+            tok = _token(w)
+        if tok in sw:
+            n += 1
+    return n
 
 
-@lru_cache(maxsize=4096)
 def stopword_count_cached(text: str, lang: str) -> int:
     """Memoized stopword count: the scorer re-evaluates the same node
     texts several times per page (keep filter, boost walk, sibling
     checks); pure function, bounded cache."""
-    return stopword_count(text, lang)
+    if len(text) > MAX_MEMO_TEXT:
+        return stopword_count(text, lang)
+    key = (text, lang)
+    n = _COUNTS.get(key)
+    if n is None:
+        n = stopword_count(text, lang)
+        if len(_COUNTS) >= MAX_MEMO_TEXTS:
+            _COUNTS.clear()
+        _COUNTS[key] = n
+    return n
 
 
 def resolve_language(input_lang: str | None, meta_lang: str | None,

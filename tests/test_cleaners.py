@@ -1,6 +1,8 @@
 """C1–C6 document cleaner branches (reference goose: goose/cleaners.py)."""
 
 import reference_cleaners as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crawtext_ray.extract import cleaners
 from crawtext_ray.extract.dom import parse_html
@@ -138,3 +140,56 @@ def test_extract_cleaning_equals_reference_clean_document():
         ref.clean_document(b)
 
         assert serialize(a) == serialize(b), f"divergence on row {row_id}"
+
+
+def _sequential_remove(root, rules):
+    ref.remove_comments(root)
+    ref.remove_scripts_styles(root)
+    if rules is not None:
+        ref.hide_elements(rules, root)
+    ref.remove_naughty_nodes(root)
+    ref.remove_targeted_nodes(root)
+
+
+_TAG_ONLY_RULES = ["##aside", "##.promo", "###ad-slot", "#@#aside.keep"]
+_ATTRS = ["", " href=x", " data-k='1' lang=en", " class=promo",
+          " class='x SideBar'", " id=ad-slot", " class=caption",
+          " id='a google b'", " class=entrymore", " class=xfacebook",
+          " name=facebook-broadcasting", " class=keep", " id=Twitter",
+          " id=xTwitter", " class=' twitter'", " class=ad-banner",
+          " class='ad-banner ad-banner-editorial'", " name=menu"]
+
+
+@st.composite
+def _soup(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            out.append(draw(st.sampled_from(["text ", "tail ", "<!--c-->",
+                                             "<script>s</script>", "<br>"])))
+        elif kind == 1:
+            out.append(draw(st.sampled_from(["</div>", "</aside>", "</p>",
+                                             "</span>"])))
+        else:
+            tag = draw(st.sampled_from(["div", "aside", "p", "span", "noscript"]))
+            out.append(f"<{tag}{draw(st.sampled_from(_ATTRS))}>")
+    return "<html><body>" + "".join(out) + "</body></html>"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_soup(), st.sampled_from(["none", "default", "tag_only"]))
+def test_remove_unwanted_equals_sequential_reference(html, which):
+    """The fused walk (bare-node skip, one C3+C4 regex) produces the
+    reference tree with no rules, the default rules, and rules holding
+    a tag-only hiding rule."""
+    from crawtext_ray.extract.adblock import AdblockRules, default_rules
+    from crawtext_ray.extract.dom import serialize
+
+    rules = {"none": None, "default": default_rules(),
+             "tag_only": AdblockRules(_TAG_ONLY_RULES)}[which]
+    a = parse_html(html)
+    cleaners.remove_unwanted(a, rules)
+    b = parse_html(html)
+    _sequential_remove(b, rules)
+    assert serialize(a) == serialize(b)

@@ -8,7 +8,15 @@ import random
 import pyarrow.parquet as pq
 import pytest
 
-from crawtext_ray.extract.dom import _Bail, _TreeBuilder, _fast_build, parse_html
+from crawtext_ray.extract.dom import (
+    INDEXED_TAGS,
+    Document,
+    _Bail,
+    _TreeBuilder,
+    _fast_build,
+    parse_html,
+    tagged,
+)
 
 
 def _stdlib_tree(html: str):
@@ -175,6 +183,60 @@ def test_walk_and_text_content_match_lazy_forms():
             assert root.walk(tag) == list(root.iter(tag))
         for n in root.walk():
             assert n.text_content() == "".join(n.itertext())
+
+
+def assert_index_is_walk(root):
+    """Every parse-time tag list equals the DFS walk of its tag."""
+    assert isinstance(root, Document)
+    for tag in INDEXED_TAGS:
+        assert root.tag_index[tag] == root.walk(tag), tag
+        assert tagged(root, tag) is root.tag_index[tag]
+
+
+_INDEX_ATOMS = [
+    "<html lang=en>", "<html>", "</html>", "<head>", "<title>", "</title>",
+    "<meta name=description content=d>", "<meta property=og:x content=y/>",
+    "<link rel=canonical href=/c>", "<a href=/x>", "<a>", "</a>", "<p>",
+    "</p>", "<div class=x>", "</div>", "<!--c-->", "<script>", "</script>",
+    "<table><tr><td>", "<li>", "text ", "&amp; ", "<A HREF=up>", "<br/>",
+]
+
+
+def test_tag_index_equals_walk_fast_and_fallback():
+    """The parse-time lists equal walk(tag) on the fast scanner's trees,
+    on the stdlib builder's trees (the _Bail fallback), and on
+    parse_html's, including documents that bail half way."""
+    rng = random.Random(11)
+    cases = list(EDGE_CASES)
+    for _ in range(300):
+        cases.append("".join(rng.choice(_INDEX_ATOMS)
+                             for _ in range(rng.randint(1, 40))))
+    cases += [c + "<![CDATA[x]]>" + c for c in cases[-50:]]  # bail late
+    fast = 0
+    for html in cases:
+        try:
+            assert_index_is_walk(_fast_tree(html))
+            fast += 1
+        except _Bail:
+            pass
+        try:
+            ref = _stdlib_tree(html)
+        except Exception:
+            ref = None  # stdlib itself crashes on this input
+        if ref is not None:
+            assert_index_is_walk(ref)
+        assert_index_is_walk(parse_html(html))
+    assert fast > len(cases) // 2
+
+
+def test_tagged_walks_without_an_index():
+    root = parse_html("<html lang=en><a href=1>x</a><p><a href=2>y</a></p>")
+    links = root.tag_index["a"]
+    root.tag_index = None
+    assert tagged(root, "a") == links
+    p = root.walk("p")[0]
+    assert tagged(p, "a") == [links[1]]  # a plain node has no index
+    assert tagged(root, "p") == [p]
 
 
 try:

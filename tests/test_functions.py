@@ -1,10 +1,16 @@
 """Scalar text functions + metas + stopwords (M5/M8/M9, §2.9)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crawtext_ray.extract.stopwords as stopwords
 from crawtext_ray.extract.dom import parse_html
 from crawtext_ray.extract.metas import clean_title, get_meta_lang, get_title
 from crawtext_ray.extract.stopwords import (
     resolve_language,
     stopword_count,
+    stopword_count_cached,
+    stopword_set,
     tokenize,
     word_stats,
 )
@@ -25,6 +31,51 @@ def test_stopword_count_langs():
     assert stopword_count("the cat and the dog", "en") == 3
     assert stopword_count("le chat et la maison", "fr") >= 2
     assert word_stats("the cat", "en").word_count == 2
+
+
+# words and separators that stress the per-word form of the tokenizer:
+# final and medial sigma, dotted/dotless i, NEL and the \x1c-\x1f
+# separators, NBSP, combining marks NFC composes, punctuation-only words
+_PIECES = [
+    "the", "The", "THE", "and", "of", "le", "la", "et", "der", "die", "und",
+    "el", "de", "ΑΣ", "Σ", "σ", "ς", "ΟΔΟΣ", "İ", "ı", "I", "e\u0301", "é",
+    "\u0085", "\x1c", "\x1f", "\u00a0", "\u2028", "\u3000", " ", "\t", "\n",
+    "'", "—", ".", ",", "!?", "«", "»", "\u00ad", "x", "1",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+                 st.text(max_size=200)),
+       st.sampled_from(["en", "fr", "de", "es"]))
+def test_stopword_count_equals_tokenize_reference(text, lang):
+    """The per-word memo form counts exactly the frozen tokenizer's
+    stopword tokens, cached or not."""
+    sw = stopword_set(lang)
+    want = sum(t in sw for t in tokenize(text))
+    assert stopword_count(text, lang) == want
+    assert stopword_count_cached(text, lang) == want
+    assert stopword_count_cached(text, lang) == want  # memo hit
+
+
+def test_stopword_memos_keep_no_long_entries():
+    """Hostile input: huge single-paragraph texts and huge 'words' are
+    counted correctly and never stored in either memo."""
+    long_word = "x" * (stopwords.MAX_MEMO_LEN + 1)
+    texts = [
+        "the " * 100_000,
+        ("the " + long_word + " ") * 1_000,
+        "a" * 1_000_000,
+        " ".join(f"{i}the{i}" * 3 for i in range(5_000)),
+    ]
+    for t in texts:
+        want = sum(w in stopword_set("en") for w in tokenize(t))
+        assert stopword_count_cached(t, "en") == want
+        assert stopword_count(t, "en") == want
+    assert max(map(len, stopwords._TOKENS), default=0) <= stopwords.MAX_MEMO_LEN
+    assert max((len(t) for t, _ in stopwords._COUNTS), default=0) <= stopwords.MAX_MEMO_TEXT
+    assert len(stopwords._TOKENS) <= stopwords.MAX_MEMO_WORDS
+    assert len(stopwords._COUNTS) <= stopwords.MAX_MEMO_TEXTS
 
 
 def test_resolve_language_priority():

@@ -1,5 +1,11 @@
 """X5–X10 pruning + formatting (reference goose: outputformatters.py)."""
 
+import re
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crawtext_ray.extract.article import extract_article
 from crawtext_ray.extract.dom import parse_html
 from crawtext_ray.extract.output import (
@@ -16,6 +22,32 @@ RICH = (
 
 def test_inner_trim():
     assert inner_trim("  a\n\t b   c ") == "a b c"
+
+
+_WS_RE = re.compile(r"\s+")
+
+
+def _regex_inner_trim(text: str) -> str:
+    """The former regex form of inner_trim."""
+    return _WS_RE.sub(" ", text).strip()
+
+
+def test_inner_trim_equals_regex_form_on_every_space():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert spaces == [c for c in map(chr, range(sys.maxunicode + 1))
+                      if _WS_RE.fullmatch(c)]
+    for c in spaces:
+        for s in (f"a{c}b", f"{c}a{c}{c}b{c}", c, f"x{c}", f"{c}\u200bx"):
+            assert inner_trim(s) == _regex_inner_trim(s), hex(ord(c))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet=st.sampled_from(
+    list("ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028"
+         "\u2029\u202f\u205f\u3000\u200b\u180e\ufeff")), max_size=60)
+    | st.text(max_size=200))
+def test_inner_trim_equals_regex_form(s):
+    assert inner_trim(s) == _regex_inner_trim(s)
 
 
 def test_sibling_threshold_floor():
