@@ -109,11 +109,10 @@ def extract_article(
     use_lang = resolve_language(lang, meta_lang, root.text_content)
     result["lang"] = use_lang
 
-    # C1 + C2 + F3 + C3 + C4 fused into one removal walk (byte-identical
-    # to the sequential passes; see cleaners.remove_unwanted), then C5/C6.
-    # The parse-time tag lists describe the raw tree only: drop them
-    # before the first mutation.
-    root.tag_index = None
+    # C1 + C2 + F3 + C3 + C4 fused into one removal pass (byte-identical
+    # to the sequential passes; see cleaners.remove_unwanted, which also
+    # drops the raw-tree index before the tree's first mutation), then
+    # C5/C6.
     cleaners.remove_unwanted(root, rules)
     cleaners.clean_em_tags(root)
     cleaners.remove_drop_caps(root)

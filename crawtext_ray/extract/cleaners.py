@@ -15,7 +15,7 @@ import re
 from functools import lru_cache
 from importlib import resources as _ilr
 
-from .dom import COMMENT, Node
+from .dom import COMMENT, IDENT_ATTRS, REMOVABLE, REMOVABLE_TAGS, Node
 
 BLOCK_TAGS = frozenset(
     ["a", "blockquote", "dl", "div", "img", "ol", "p", "pre", "table", "ul"]
@@ -51,6 +51,27 @@ def _boilerplate_re() -> "re.Pattern[str]":
     return re.compile("|".join(
         [f"(?i:{_naughty_re().pattern})", *(r.pattern for r in _TARGETED_RES)]
     ))
+
+
+# C3+C4 verdict memo: id/class/name strings repeat across a site's pages
+# and within a page. Bounded like the Adblock verdicts: cleared at
+# MAX_VERDICTS entries, and strings longer than MAX_VERDICT_LEN are
+# searched without being kept.
+MAX_VERDICTS = 4096
+MAX_VERDICT_LEN = 256
+_VERDICTS: dict[str, bool] = {}
+
+
+def boilerplate_verdict(ident: str) -> bool:
+    """``_boilerplate_re().search(ident)`` as a bool, through the memo."""
+    v = _VERDICTS.get(ident)
+    if v is None:
+        v = _boilerplate_re().search(ident) is not None
+        if len(ident) <= MAX_VERDICT_LEN:
+            if len(_VERDICTS) >= MAX_VERDICTS:
+                _VERDICTS.clear()
+            _VERDICTS[ident] = v
+    return v
 
 
 _DROP_CAP_RE = re.compile(r"drop_?cap(ital)?", re.IGNORECASE)
@@ -140,29 +161,40 @@ def div_to_para(root: Node) -> None:
 
 
 def remove_unwanted(root: Node, rules=None) -> None:
-    """Fused single-pass removal of C1 (comments), C2 (script/style),
-    F3 (element-hiding rules) and C3/C4 (boilerplate id/class) — the
-    removal criteria are disjoint and order-independent, so one walk
-    produces the same tree as the sequential passes (verified by the
-    golden corpus); profiling showed the five separate full-tree walks
-    were ~15% of extraction. A node without an id, class or name
-    attribute can match only a tag-only hiding rule, so without such
-    rules it is skipped."""
-    rx = _boilerplate_re()
+    """Fused single-pass removal of C1 (comments), C2 (script/style/
+    noscript), F3 (element-hiding rules) and C3/C4 (boilerplate
+    id/class/name) — the removal criteria are disjoint and
+    order-independent, so one pass in document order produces the same
+    tree as the sequential passes (tests/reference_cleaners.py).
+
+    A node without an id, class or name attribute can match only a
+    tag-only hiding rule. Without such rules, only C1/C2 nodes and nodes
+    carrying one of those attributes can be removed, and a parsed
+    ``Document`` lists exactly those, in document order, in its raw-tree
+    index (``dom.REMOVABLE``): the pass reads that list instead of
+    walking the tree. It clears the index before it removes anything;
+    the index describes the tree as parsed only. The C3+C4 verdict of
+    each id/class/name string goes through a bounded memo."""
     hide = rules.hide_rules if rules is not None else ()
     hide_exc = rules.hide_exceptions if rules is not None else ()
     bare_hide = rules is not None and bool(rules.hide_plain)
-    for n in root.walk():
+    index = getattr(root, "tag_index", None)
+    if index is not None:
+        root.tag_index = None
+    if index is not None and not bare_hide:
+        nodes = index[REMOVABLE]
+    else:
+        nodes = root.walk()
+    for n in nodes:
         if n.parent is None:
             continue
         tag = n.tag
-        if tag == COMMENT or tag in ("script", "style", "noscript"):
+        if tag in REMOVABLE_TAGS:
             n.parent.remove(n)
             continue
         if tag in ("html", "body", "#document"):
             continue
-        attrs = n.attrs
-        if not (bare_hide or "class" in attrs or "id" in attrs or "name" in attrs):
+        if not bare_hide and IDENT_ATTRS.isdisjoint(n.attrs):
             continue
         if hide:
             cands = rules.hide_candidates(n)
@@ -172,5 +204,5 @@ def remove_unwanted(root: Node, rules=None) -> None:
                 n.parent.remove(n)
                 continue
         ident = n.id_class_name()
-        if ident and rx.search(ident):
+        if ident and boilerplate_verdict(ident):
             n.parent.remove(n)

@@ -12,12 +12,29 @@ Determinism contract (SURVEY.md §2.7 item 7): document order == parser
 event order; every node carries a monotonically increasing ``order`` id
 assigned at creation.
 
+Two parse paths build the same tree. ``_fast_build`` runs one compiled
+tokenizer regex (``_TOKEN``) over the document; its alternatives are the
+hot shapes: text runs, start tags that are bare or carry only
+``name="value"`` attributes (optionally self-closing), plain end tags,
+terminated comments and the doctype. Every other construct at a ``<``
+(other attribute quotings, bogus comments, processing instructions,
+tolerant end tags) and the raw text of script/style go to per-construct
+code at that position, after which the scanner restarts. Where that code
+does not replicate the stdlib (junk inside a start tag, EOF inside
+markup, marked sections), the whole document is re-parsed by the stdlib
+``HTMLParser`` builder ``_TreeBuilder``, which is also the differential
+tests' oracle (tests/test_dom_fast.py).
+
 Raw-tree index: the parser returns a ``Document`` root whose
-``tag_index`` lists the ``a``, ``meta``, ``link``, ``title`` and ``html``
-nodes in creation order, which is the DFS document order of the tree as
-parsed. ``tagged(root, tag)`` reads it instead of walking the tree. The
-index holds only until the tree's first mutation: code that mutates a
-parsed tree sets ``tag_index`` to None first, and ``tagged`` then walks.
+``tag_index`` lists, in creation order (the DFS document order of the
+tree as parsed), the ``a``, ``meta``, ``link``, ``title`` and ``html``
+nodes, and under ``REMOVABLE`` the nodes ``cleaners.remove_unwanted`` can
+act on: comments, script/style/noscript, and nodes with an id, class or
+name attribute. ``tagged(root, tag)`` reads a tag list instead of walking
+the tree. The index holds only until the tree's first mutation: code that
+mutates a parsed tree sets ``tag_index`` to None first (the first
+mutation in the kernel is ``remove_unwanted``, which does so itself), and
+``tagged`` then walks.
 """
 
 from __future__ import annotations
@@ -34,7 +51,6 @@ try:
     # stdlib-parser speed, not to an ImportError for the whole module
     from html.parser import (
         attrfind_tolerant as _attrfind,
-        commentclose as _commentclose,
         endtagfind as _endtagfind,
         tagfind_tolerant as _tagfind,
     )
@@ -49,13 +65,15 @@ VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 
-# HTML5-lite implicit-close table: starting <key> closes an open <value>.
-_P_CLOSERS = frozenset(
-    "address article aside blockquote details div dl fieldset figcaption figure "
-    "footer form h1 h2 h3 h4 h5 h6 header hgroup hr main menu nav ol p pre "
-    "section table ul".split()
-)
+# HTML5-lite implicit-close table: starting <key> closes the innermost
+# open element when its tag is in <value>.
 _IMPLICIT_CLOSE = {
+    **dict.fromkeys(
+        "address article aside blockquote details div dl fieldset figcaption "
+        "figure footer form h1 h2 h3 h4 h5 h6 header hgroup hr main menu nav "
+        "ol p pre section table ul".split(),
+        frozenset(["p"]),
+    ),
     "li": frozenset(["li"]),
     "dt": frozenset(["dt", "dd"]),
     "dd": frozenset(["dt", "dd"]),
@@ -180,9 +198,6 @@ class Node:
                 push(reversed(cs))
         return out
 
-    def find_all(self, tags: frozenset[str] | set[str]) -> list["Node"]:
-        return [n for n in self.walk() if n.tag in tags]
-
     def find_first(self, tag: str) -> "Node | None":
         for n in self.iter(tag):
             return n
@@ -265,6 +280,11 @@ class Node:
 
 
 INDEXED_TAGS = ("a", "meta", "link", "title", "html")
+# the index's list of the nodes cleaners.remove_unwanted can act on: the
+# nodes it removes by tag, and those carrying an attribute it tests
+REMOVABLE = "#removable"
+REMOVABLE_TAGS = frozenset([COMMENT, "script", "style", "noscript"])
+IDENT_ATTRS = frozenset(["id", "class", "name"])
 
 
 class Document(Node):
@@ -275,7 +295,7 @@ class Document(Node):
     def __init__(self) -> None:
         super().__init__("#document", order=0)
         self.tag_index: dict[str, list[Node]] | None = {
-            t: [] for t in INDEXED_TAGS
+            t: [] for t in (*INDEXED_TAGS, REMOVABLE)
         }
 
 
@@ -304,9 +324,12 @@ class _TreeBuilder(HTMLParser):
                 d[k] = v if v is not None else ""
         n = Node(tag, d, self._order)
         self._order += 1
-        listed = self.root.tag_index.get(tag)
+        index = self.root.tag_index
+        listed = index.get(tag)
         if listed is not None:
             listed.append(n)
+        if tag in REMOVABLE_TAGS or not IDENT_ATTRS.isdisjoint(d):
+            index[REMOVABLE].append(n)
         return n
 
     def updatepos(self, i: int, j: int) -> int:
@@ -325,10 +348,7 @@ class _TreeBuilder(HTMLParser):
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         # implicit closes
         closers = _IMPLICIT_CLOSE.get(tag)
-        top = self.stack[-1].tag
-        if tag in _P_CLOSERS and top == "p":
-            self.stack.pop()
-        elif closers and top in closers:
+        if closers and self.stack[-1].tag in closers:
             self.stack.pop()
         node = self._new_node(tag, attrs)
         self.stack[-1].append(node)
@@ -356,6 +376,7 @@ class _TreeBuilder(HTMLParser):
         n = Node(COMMENT, order=self._order)
         self._order += 1
         n.text = data
+        self.root.tag_index[REMOVABLE].append(n)
         self.stack[-1].append(n)
 
     def handle_decl(self, decl: str) -> None:  # <!DOCTYPE ...>
@@ -370,9 +391,31 @@ class _Bail(Exception):
     the caller re-parses the whole document with stdlib HTMLParser."""
 
 
-# <tagname> with no attributes — the majority of tags in article bodies.
-# Equivalent to tagfind_tolerant + empty attr loop + '>' on this shape.
-_SIMPLE_START = re.compile(r"([a-zA-Z][a-zA-Z0-9]*)>")
+# The tokenizer's hot shapes, one alternative each. Every name and value
+# class is the stdlib's own (tagfind_tolerant's tag name, endtagfind,
+# attrfind_tolerant on a double-quoted value, commentclose; as of the
+# CPython the differential tests run on), so a shape this regex accepts
+# is split exactly as HTMLParser splits it. A tag name is followed by one
+# of the characters that end it (``[\t\n\r\f ]``, ``/``, ``>``), so
+# backtracking cannot shorten it; a lazy comment body ends where
+# commentclose's search from the body's start would.
+_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+_QATTR = r'[^\s/>][^\s/=>]*="[^"]*"'
+_TOKEN = re.compile(
+    r"([^<]+)"                                              # 1 text run
+    r"|<(?:"
+    r"/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"                   # 2 end tag
+    rf"|({_NAME})>"                                         # 3 bare start tag
+    rf"|({_NAME})[\t\n\r\f ]\s*([^\s/>][^\s/=>]*)=\"([^\"]*)\"\s*>"  # 4-6
+    rf"|({_NAME})((?:[\t\n\r\f ]\s*{_QATTR})(?:\s+{_QATTR})*)?\s*(/?)>"  # 7-9
+    r"|!--(.*?)--\s*>"                                      # 10 comment
+    r"|![dD][oO][cC][tT][yY][pP][eE][^>]*>"                 # doctype: no group
+    r"|(?![a-zA-Z/!?])()"                                   # 11 lone '<'
+    r"|()"                                                  # 12 anything else
+    r")",
+    re.S,
+)
+_QATTRS = re.compile(r'([^\s/>][^\s/=>]*)="([^"]*)"')
 _CDATA_CLOSE = {
     "script": re.compile(r"</\s*script\s*>", re.I),
     "style": re.compile(r"</\s*style\s*>", re.I),
@@ -380,15 +423,20 @@ _CDATA_CLOSE = {
 
 
 def _fast_build(html: str, b: _TreeBuilder) -> None:
-    """Single-pass tokenizer replicating the event sequence stdlib
-    ``HTMLParser(convert_charrefs=True)`` emits to our handlers (the tree
-    coalesces adjacent data events, so chunking differences are
-    immaterial). Reuses the stdlib's own compiled regexes for tag name,
-    attribute, end-tag, and comment-close matching so accept/position
-    semantics are identical by construction; raises ``_Bail`` on the
-    rare constructs it does not cover (junk inside a start tag, EOF
-    inside markup, marked sections) and the caller falls back to stdlib
-    for that document. Differential tree-identity tests: test_dom.py."""
+    """Build the tree ``b`` would build from stdlib
+    ``HTMLParser(convert_charrefs=True)`` events (the tree coalesces
+    adjacent data events, so chunking differences are immaterial).
+
+    One ``_TOKEN`` scanner walks the document; each match is a text run,
+    a start tag that is bare or has only ``name="value"`` attributes
+    (one attribute captured directly, more split by ``_QATTRS``), an end
+    tag, a comment or the doctype. Every other construct at a ``<`` goes
+    to per-construct code reusing the stdlib's own compiled regexes, and
+    so does the raw text of script/style; the scanner restarts after
+    it. Raises ``_Bail`` on what that code does not replicate (junk
+    inside a start tag, EOF inside markup, marked sections); the caller
+    then re-parses with stdlib. Differential tree-identity tests:
+    test_dom_fast.py."""
     # The _TreeBuilder handler bodies are INLINED here (text append,
     # implicit-close, node creation, stray-end-tag pop) — one method
     # dispatch per markup event was ~10% of parse time. The stdlib
@@ -396,86 +444,149 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
     # tree-identity suite pins the two paths to each other.
     stack = b.stack  # shared list: builder state IS the scanner state
     order = b._order
-    index_get = b.root.tag_index.get
+    index = b.root.tag_index
+    index_get = index.get
+    removable = index[REMOVABLE].append
     find = html.find
-    i, n = 0, len(html)
-    cdata: str | None = None
+    n = len(html)
+    match = _TOKEN.scanner(html).match
     try:
-        while i < n:
-            if cdata is not None:
-                m = _CDATA_CLOSE[cdata].search(html, i)
-                if m is None:
-                    return  # unterminated script/style swallows to EOF
-                j = m.start()
-                if i < j:
-                    cur = stack[-1]  # raw: no charrefs in cdata
-                    if cur.children:
-                        cur.children[-1].tail += html[i:j]
-                    else:
-                        cur.text += html[i:j]
-                for si in range(len(stack) - 1, 0, -1):
-                    if stack[si].tag == cdata:
-                        del stack[si:]
-                        break
-                cdata = None
-                i = m.end()
+        while (m := match()) is not None:
+            k = m.lastindex
+            if k == 1:
+                s = m[1]
+                if "&" in s:
+                    s = _unescape(s)
+                top = stack[-1]
+                if top.children:
+                    top.children[-1].tail += s
+                else:
+                    top.text += s
                 continue
-            j = find("<", i)
-            if j < 0:
-                cur = stack[-1]
-                if cur.children:
-                    cur.children[-1].tail += _unescape(html[i:])
+            if k == 2:
+                tag = m[2].lower()
+                if stack[-1].tag == tag:  # never void: voids are not pushed
+                    stack.pop()
+                elif tag not in VOID_ELEMENTS:
+                    for si in range(len(stack) - 2, 0, -1):
+                        if stack[si].tag == tag:
+                            del stack[si:]
+                            break
+                continue
+            if k == 6:
+                tag, name, value = m.group(4, 5, 6)
+                tag = tag.lower()
+                d = {name.lower(): _unescape(value) if "&" in value else value}
+                selfclose = False
+            elif k == 3:
+                tag = m[3].lower()
+                d = {}
+                selfclose = False
+            elif k == 9:
+                tag, attrs, selfclose = m.group(7, 8, 9)
+                tag = tag.lower()
+                d = {}
+                if attrs:
+                    for name, value in _QATTRS.findall(attrs):
+                        name = name.lower()
+                        if name not in d:  # first value wins (contract)
+                            d[name] = _unescape(value) if "&" in value else value
+            elif k == 10:
+                node = Node(COMMENT, order=order)
+                order += 1
+                node.text = m[10]
+                removable(node)
+                top = stack[-1]
+                node.parent = top
+                top.children.append(node)
+                continue
+            elif k is None:
+                continue  # doctype: handle_decl is a no-op for the tree
+            elif k == 11:
+                # '<' opening no markup (also as the final character:
+                # stdlib breaks, then the end-flush emits it as data)
+                top = stack[-1]
+                if top.children:
+                    top.children[-1].tail += "<"
                 else:
-                    cur.text += _unescape(html[i:])
-                return
-            if i < j:
-                cur = stack[-1]
-                if cur.children:
-                    cur.children[-1].tail += _unescape(html[i:j])
-                else:
-                    cur.text += _unescape(html[i:j])
-            i = j
-            c = html[i + 1] if i + 1 < n else ""
-            if ("a" <= c <= "z") or ("A" <= c <= "Z"):
-                m = _SIMPLE_START.match(html, i + 1)
-                if m is not None:  # <p>, <div>, <b> ... the hot shape
-                    tag = m.group(1).lower()
-                    top = stack[-1]
-                    if (
-                        top.tag == "p"
-                        and tag in _P_CLOSERS
-                        or (c2 := _IMPLICIT_CLOSE.get(tag))
-                        and top.tag in c2
-                    ):
-                        stack.pop()
+                    top.text += "<"
+                continue
+            else:
+                i = m.start()
+                c = html[i + 1]  # a letter, '/', '!' or '?' (else k == 11)
+                if c == "/":  # endtagfind does not match here (else k == 2)
+                    if (nm := _tagfind.match(html, i + 2)) is None:
+                        # tolerant paths: </>, </ junk → bogus comment
+                        if html.startswith("</>", i):
+                            match = _TOKEN.scanner(html, i + 3).match
+                            continue
+                        pos = find(">", i + 2)
+                        if pos < 0:
+                            raise _Bail  # EOF recovery differs; defer to stdlib
+                        node = Node(COMMENT, order=order)
+                        order += 1
+                        node.text = html[i + 2 : pos]
+                        removable(node)
                         top = stack[-1]
-                    node = Node(tag, {}, order)
+                        node.parent = top
+                        top.children.append(node)
+                        match = _TOKEN.scanner(html, pos + 1).match
+                        continue
+                    else:  # </tag junk>
+                        gtpos = find(">", nm.end())
+                        if gtpos < 0:
+                            raise _Bail
+                        tag = nm[1].lower()
+                        i = gtpos + 1
+                    if tag not in VOID_ELEMENTS:
+                        for si in range(len(stack) - 1, 0, -1):
+                            if stack[si].tag == tag:
+                                del stack[si:]
+                                break
+                    match = _TOKEN.scanner(html, i).match
+                    continue
+                if c == "?":
+                    pos = find(">", i + 2)
+                    if pos < 0:
+                        raise _Bail
+                    # handle_pi is a no-op for the tree
+                    match = _TOKEN.scanner(html, pos + 1).match
+                    continue
+                if c == "!":
+                    # a comment or doctype here is unterminated (else k is
+                    # 10 or None): stdlib EOF recovery
+                    if (
+                        html.startswith("<!--", i)
+                        or html.startswith("<![", i)  # parse_marked_section
+                        or html[i : i + 9].lower() == "<!doctype"
+                        or (pos := find(">", i + 2)) < 0
+                    ):
+                        raise _Bail
+                    node = Node(COMMENT, order=order)  # bogus comment
                     order += 1
-                    if (listed := index_get(tag)) is not None:
-                        listed.append(node)
+                    node.text = html[i + 2 : pos]
+                    removable(node)
+                    top = stack[-1]
                     node.parent = top
                     top.children.append(node)
-                    if tag not in VOID_ELEMENTS:
-                        stack.append(node)
-                        if tag in ("script", "style"):
-                            cdata = tag
-                    i = m.end()
+                    match = _TOKEN.scanner(html, pos + 1).match
                     continue
-                m = _tagfind.match(html, i + 1)
-                k = m.end()
-                tag = m.group(1).lower()
-                d: dict[str, str] = {}
+                # any other start tag: tagfind_tolerant + attrfind_tolerant
+                tm = _tagfind.match(html, i + 1)
+                i = tm.end()
+                tag = tm[1].lower()
+                d = {}
                 while True:
-                    ch = html[k] if k < n else ""
+                    ch = html[i] if i < n else ""
                     if ch == ">":
-                        k += 1
+                        i += 1
                         selfclose = False
                         break
-                    if ch == "/" and html.startswith("/>", k):
-                        k += 2
+                    if ch == "/" and html.startswith("/>", i):
+                        i += 2
                         selfclose = True
                         break
-                    am = _attrfind.match(html, k)
+                    am = _attrfind.match(html, i)
                     if am is None:
                         raise _Bail  # junk inside tag / EOF inside tag
                     attrname, rest, attrvalue = am.group(1, 2, 3)
@@ -491,113 +602,49 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
                     attrname = attrname.lower()
                     if attrname not in d:  # first value wins (contract)
                         d[attrname] = attrvalue if attrvalue is not None else ""
-                    k = am.end()
-                if selfclose:
-                    node = Node(tag, d, order)
-                    order += 1
-                    if (listed := index_get(tag)) is not None:
-                        listed.append(node)
-                    top = stack[-1]
-                    node.parent = top
-                    top.children.append(node)
-                else:
-                    top = stack[-1]
-                    if (
-                        top.tag == "p"
-                        and tag in _P_CLOSERS
-                        or (c2 := _IMPLICIT_CLOSE.get(tag))
-                        and top.tag in c2
-                    ):
-                        stack.pop()
-                        top = stack[-1]
-                    node = Node(tag, d, order)
-                    order += 1
-                    if (listed := index_get(tag)) is not None:
-                        listed.append(node)
-                    node.parent = top
-                    top.children.append(node)
-                    if tag not in VOID_ELEMENTS:
-                        stack.append(node)
-                        if tag in ("script", "style"):
-                            cdata = tag
-                i = k
-            elif c == "/":
-                m = _endtagfind.match(html, i)
-                if m is not None:
-                    tag = m.group(1).lower()
-                    i = m.end()
-                elif (nm := _tagfind.match(html, i + 2)) is None:
-                    # tolerant paths: </>, </ junk → bogus comment
-                    if html.startswith("</>", i):
-                        i += 3
-                        continue
-                    pos = find(">", i + 2)
-                    if pos < 0:
-                        raise _Bail  # EOF recovery differs; defer to stdlib
-                    node = Node(COMMENT, order=order)
-                    order += 1
-                    node.text = html[i + 2 : pos]
-                    top = stack[-1]
-                    node.parent = top
-                    top.children.append(node)
-                    i = pos + 1
-                    continue
-                else:  # </tag junk>
-                    gtpos = find(">", nm.end())
-                    if gtpos < 0:
-                        raise _Bail
-                    tag = nm.group(1).lower()
-                    i = gtpos + 1
-                if tag not in VOID_ELEMENTS:
-                    for si in range(len(stack) - 1, 0, -1):
-                        if stack[si].tag == tag:
-                            del stack[si:]
-                            break
-            elif html.startswith("<!--", i):
-                m = _commentclose.search(html, i + 4)
-                if m is None:
-                    raise _Bail  # unterminated comment: stdlib EOF recovery
-                node = Node(COMMENT, order=order)
-                order += 1
-                node.text = html[i + 4 : m.start()]
+                    i = am.end()
+                match = _TOKEN.scanner(html, i).match
+            # a start tag (tag, d, selfclose); a self-closing one is
+            # handle_startendtag: no implicit close, never pushed
+            top = stack[-1]
+            if (
+                not selfclose
+                and (closers := _IMPLICIT_CLOSE.get(tag))
+                and top.tag in closers
+            ):
+                stack.pop()
                 top = stack[-1]
-                node.parent = top
-                top.children.append(node)
+            node = Node(tag, d, order)
+            order += 1
+            if (listed := index_get(tag)) is not None:
+                listed.append(node)
+            if tag in REMOVABLE_TAGS or d and not IDENT_ATTRS.isdisjoint(d):
+                removable(node)
+            node.parent = top
+            top.children.append(node)
+            if selfclose or tag in VOID_ELEMENTS:
+                continue
+            stack.append(node)
+            if tag != "script" and tag != "style":
+                continue
+            # raw text up to the element's end tag (set_cdata_mode). A
+            # close-regex match whose name only case-folds to the tag
+            # ('</ſcript>') is no end tag to parse_endtag: it is data and
+            # the raw text goes on.
+            if k != 12:
                 i = m.end()
-            elif c == "?":
-                pos = find(">", i + 2)
-                if pos < 0:
-                    raise _Bail
-                i = pos + 1  # handle_pi is a no-op for the tree
-            elif c == "!":
-                if html.startswith("<![", i):
-                    raise _Bail  # marked section (parse_marked_section)
-                if html[i : i + 9].lower() == "<!doctype":
-                    pos = find(">", i + 9)
-                    if pos < 0:
-                        raise _Bail
-                    i = pos + 1  # handle_decl is a no-op for the tree
-                else:
-                    pos = find(">", i + 2)
-                    if pos < 0:
-                        raise _Bail
-                    node = Node(COMMENT, order=order)  # bogus comment
-                    order += 1
-                    node.text = html[i + 2 : pos]
-                    top = stack[-1]
-                    node.parent = top
-                    top.children.append(node)
-                    i = pos + 1
-            else:
-                # lone '<' (incl. as the final character: stdlib breaks,
-                # then the end-flush emits it as data — same coalesced
-                # text)
-                cur = stack[-1]
-                if cur.children:
-                    cur.children[-1].tail += "<"
-                else:
-                    cur.text += "<"
-                i += 1
+            close = _CDATA_CLOSE[tag]
+            j = i
+            while (cm := close.search(html, j)) is not None and (
+                _endtagfind.match(html, cm.start()) is None
+            ):
+                j = cm.end()
+            end = j if cm is None else cm.start()
+            node.text = html[i:end]  # raw: no charrefs in cdata
+            if cm is None:
+                return  # unterminated script/style swallows the rest
+            stack.pop()  # the node: nothing opens inside raw text
+            match = _TOKEN.scanner(html, cm.end()).match
     finally:
         b._order = order
 

@@ -1,5 +1,5 @@
-"""Stopword tables + word statistics (SURVEY.md §2 M8/M9, goose:
-goose/text.py::StopWords/WordStats; resources layout mirrors
+"""Stopword tables + stopword counts (SURVEY.md §2 M8/M9, goose:
+goose/text.py::StopWords; resources layout mirrors
 goose:resources/text/stopwords-xx.txt).
 
 Tokenization contract (SURVEY.md §2.7 item 1): NFC normalize -> strip
@@ -64,23 +64,6 @@ def stopword_set(lang: str) -> frozenset[str]:
     ref = _ilr.files("crawtext_ray") / "resources" / f"stopwords-{lang}.txt"
     words = ref.read_text(encoding="utf-8").split()
     return frozenset(words)
-
-
-class WordStats:
-    """goose: goose/text.py::WordStats equivalent."""
-
-    __slots__ = ("word_count", "stop_word_count", "stop_words")
-
-    def __init__(self, word_count: int, stop_words: list[str]):
-        self.word_count = word_count
-        self.stop_words = stop_words
-        self.stop_word_count = len(stop_words)
-
-
-def word_stats(text: str, lang: str = DEFAULT_LANGUAGE) -> WordStats:
-    toks = tokenize(text)
-    sw = stopword_set(lang)
-    return WordStats(len(toks), [t for t in toks if t in sw])
 
 
 # memo bounds: entries per memo (a memo is cleared at its cap, like the

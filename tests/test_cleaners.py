@@ -193,3 +193,55 @@ def test_remove_unwanted_equals_sequential_reference(html, which):
     b = parse_html(html)
     _sequential_remove(b, rules)
     assert serialize(a) == serialize(b)
+
+
+def test_remove_unwanted_reads_the_index_only_without_tag_only_rules():
+    """A parsed tree's removal list serves when no tag-only hiding rule
+    exists; with one, bare nodes are walked and removed too. Either way
+    the pass drops the raw-tree index."""
+    from crawtext_ray.extract.adblock import AdblockRules
+    from crawtext_ray.extract.dom import serialize
+
+    html = ("<html><body><aside>bare</aside><aside class=keep>k</aside>"
+            "<div class=sidebar>s</div><!--c--><p>text</p></body></html>")
+    for rules in (None, AdblockRules(_TAG_ONLY_RULES)):
+        a = parse_html(html)
+        cleaners.remove_unwanted(a, rules)
+        assert a.tag_index is None
+        b = parse_html(html)
+        _sequential_remove(b, rules)
+        assert serialize(a) == serialize(b)
+    assert "bare" not in text(a) and "k" in text(a)
+
+
+_IDENT_PIECES = ["google", " google ", "Google", "GOOGLE", "facebook",
+                 "facebook-broadcasting", "Facebook-Broadcasting", "-facebook",
+                 "xfacebook", "twitter", "-twitter", "Twitter", "more",
+                 "more…", "emore", "caption", "Caption", "sidebar", "SideBar",
+                 "footer", "story", "entry-more", " ", "-", "x", "ſ", "K"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.sampled_from(_IDENT_PIECES), min_size=1,
+                         max_size=5).map("".join), min_size=1, max_size=40),
+       st.integers(1, 8))
+def test_boilerplate_verdict_memo_equals_search(idents, cap):
+    """The memo's verdict equals the C3+C4 regex search on case variants
+    and C4 shapes, first call and repeat, and the memo never holds more
+    than its cap."""
+    import crawtext_ray.extract.cleaners as cl
+
+    old = cl.MAX_VERDICTS
+    cl.MAX_VERDICTS = cap
+    cl._VERDICTS.clear()
+    try:
+        rx = cl._boilerplate_re()
+        for ident in idents + [s.upper() for s in idents] + idents:
+            assert cl.boilerplate_verdict(ident) == bool(rx.search(ident))
+            assert len(cl._VERDICTS) <= cap
+        long = "x" * cl.MAX_VERDICT_LEN + " google "
+        assert cl.boilerplate_verdict(long)
+        assert long not in cl._VERDICTS
+    finally:
+        cl.MAX_VERDICTS = old
+        cl._VERDICTS.clear()

@@ -37,7 +37,7 @@ def test_li_and_td_implicit_close():
     r = parse_html("<ul><li>a<li>b</ul><table><tr><td>1<td>2<tr><td>3</table>")
     ul = r.find_first("ul")
     assert len([c for c in ul.children if c.tag == "li"]) == 2
-    trs = r.find_all({"tr"})
+    trs = r.walk("tr")
     assert len(trs) == 2
     assert len([n for n in r.iter("td")]) == 3
 

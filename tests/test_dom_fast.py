@@ -9,7 +9,10 @@ import pyarrow.parquet as pq
 import pytest
 
 from crawtext_ray.extract.dom import (
+    IDENT_ATTRS,
     INDEXED_TAGS,
+    REMOVABLE,
+    REMOVABLE_TAGS,
     Document,
     _Bail,
     _TreeBuilder,
@@ -108,6 +111,36 @@ EDGE_CASES = [
     "&#9731; &#xFF; &#999999999;",
     "<p title='a>b'>gt in quoted attr</p>",
     "<a href=\"x\" 'bogus'>y</a>",
+    # the tokenizer's hot shapes at their boundaries
+    '<A HREF="x">up</A>',
+    '<a href="1" HREF="2" Href="3">dup upper</a>',
+    '<div class="a" class="b" id="c" ID="d">dup</div>',
+    'x &amp; y & z &lt;<p title="a &amp; b &lt; c &">t</p>',
+    '<p class="x"\n>nl</p><div\n\tid="y"  \n>ws</div\n>',
+    '<a href="x" >sp</a ><br >',
+    "<ScRiPt>if (a<b) {}</sCrIpT>after",
+    "<style>unterminated { color: red; }",
+    '<style type="text/css">p{}</style>x',
+    "<!---->empty<!-- a --!>still comment -->after",
+    "<!-- a --!>unterminated",
+    "<!-- a -- >closed",
+    "<!DOCTYPE html><p>x",
+    "<!DOCTYPE>x<!doctypeNoSpace>y",
+    "<p>x<!DOCTYPE html",
+    "<br/><br />x<img src=\"a\"/><img src=\"b\" />",
+    '<p title="<b>not a tag</b>">t</p><a href="a>b" id="c<d">l</a>',
+    '<a x=""y="1">adjacent</a><a x="1"/ y="2">slash</a>',
+    '<a x =\"1\" y= "2">spaced eq</a>',
+    "<p\x0b>vt</p><p\xa0x=\"1\">nbsp</p><p\x00>nul",
+    "<p\x0b/>vt-selfclose<a\x0bx=\"1\">vt-attr</a>",
+    "<a\x0bx=\"1\" >vt-attr-space</a><p\xa0id=\"1\" class=\"2\"\n>nbsp</p>",
+    "<a\x0bx=\"1 2\">vt-spaced-value</a><a\x0bx=\"1 2\"/>",
+    "<my-tag data-x=\"1\">t</my-tag><h:x>ns</h:x>",
+    "<p/>p-selfclose<script/>not cdata",
+    "<script>a</\u017fcript>b</script>c",
+    "<script>a</scr\u0131pt>b",
+    "<noscript><p>n</p></noscript><!--c-->",
+    "<< <3 a<b<p>x",
 ]
 
 
@@ -159,6 +192,9 @@ def test_fast_dom_fuzz():
         "<", ">", "&", ";", "'", '"', "/", "=", "!", "-", "?", " ", "\n",
         "p", "div", "a", "script", "style", "amp", "x1", "--", "<!--",
         "-->", "</", "/>", "<![", "text ", "&amp;", "&#65;", "é",
+        '="x"', '="a&amp;b"', '="<>"', " class", " ID", "HREF", "A",
+        "ScRiPt", "<!---->", "--!>", "-- >", "<!DOCTYPE html>", "<br/>",
+        "\t", "\x0b", "\xa0", "\u017f",
     ]
     for _ in range(400):
         html = "".join(rng.choice(atoms) for _ in range(rng.randint(1, 60)))
@@ -186,11 +222,16 @@ def test_walk_and_text_content_match_lazy_forms():
 
 
 def assert_index_is_walk(root):
-    """Every parse-time tag list equals the DFS walk of its tag."""
+    """Every parse-time tag list equals the DFS walk of its tag, and the
+    removal list equals the walk filtered to the nodes remove_unwanted
+    can act on (C1/C2 tags, or an id/class/name attribute)."""
     assert isinstance(root, Document)
     for tag in INDEXED_TAGS:
         assert root.tag_index[tag] == root.walk(tag), tag
         assert tagged(root, tag) is root.tag_index[tag]
+    assert root.tag_index[REMOVABLE] == [
+        n for n in root.walk()
+        if n.tag in REMOVABLE_TAGS or not IDENT_ATTRS.isdisjoint(n.attrs)]
 
 
 _INDEX_ATOMS = [
@@ -199,13 +240,17 @@ _INDEX_ATOMS = [
     "<link rel=canonical href=/c>", "<a href=/x>", "<a>", "</a>", "<p>",
     "</p>", "<div class=x>", "</div>", "<!--c-->", "<script>", "</script>",
     "<table><tr><td>", "<li>", "text ", "&amp; ", "<A HREF=up>", "<br/>",
+    '<div class="x">', "<div id=y>", "<p name='n'>", "<!x>", "</ junk>",
+    "<style>s</style>", "<noscript>", "</noscript>", "<span CLASS=Up>",
+    '<img id="i"/>', "<p class>",
 ]
 
 
 def test_tag_index_equals_walk_fast_and_fallback():
-    """The parse-time lists equal walk(tag) on the fast scanner's trees,
-    on the stdlib builder's trees (the _Bail fallback), and on
-    parse_html's, including documents that bail half way."""
+    """The parse-time lists (tag lists and the removal list) equal their
+    walks on the fast scanner's trees, on the stdlib builder's trees (the
+    _Bail fallback), and on parse_html's, including documents that bail
+    half way."""
     rng = random.Random(11)
     cases = list(EDGE_CASES)
     for _ in range(300):
@@ -265,3 +310,44 @@ if _HAVE_HYP:
     def test_fast_dom_hypothesis_differential(html):
         """Hypothesis-driven tree-identity differential vs stdlib."""
         assert_same(html)
+
+    _WS = st.sampled_from(["", " ", "\n", "\t", " \n\t", "\x0b", "\xa0"])
+    _TAG = st.sampled_from(["p", "div", "a", "A", "br", "li", "td", "tr",
+                            "span", "ScRiPt", "style", "noscript", "my-tag",
+                            "h1", "x\x0b"])
+    _VALUE = st.sampled_from(["", "x", "a b", "&amp;", "a&b", "a &lt; b",
+                              "a<b", "a>b", "'", "u?a=1&amp;b=2"])
+    _ATTR = st.builds(
+        lambda ws, name, quote, value: ws + name + quote(value),
+        st.sampled_from([" ", "\n", "  ", "\t\n"]),
+        st.sampled_from(["href", "HREF", "class", "Class", "id", "name",
+                         "x", "data-x"]),
+        st.sampled_from([lambda v: f'="{v}"', lambda v: f"='{v}'",
+                         lambda v: "=" + v.replace(" ", ""),
+                         lambda v: ""]),
+        _VALUE,
+    )
+    _START = st.builds(
+        lambda tag, attrs, ws, end: f"<{tag}{''.join(attrs)}{ws}{end}",
+        _TAG, st.lists(_ATTR, max_size=3), _WS, st.sampled_from([">", "/>"]),
+    )
+    _END = st.builds(lambda lead, tag, ws: f"</{lead}{tag}{ws}>",
+                     st.sampled_from(["", " "]), _TAG, _WS)
+    _OTHER = st.sampled_from([
+        "text", "a & b", "&amp;", "x &lt; y", " ", "\n", "é", "<", "< ",
+        "<!---->", "<!-- a -->", "<!-- a --!>", "<!-- a -- >",
+        "<!DOCTYPE html>", "<!doctype x>", "<?pi?>", "<!bogus>",
+        "</\u017fcript>", "</>",
+    ])
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.one_of(_START, _END, _OTHER), max_size=30).map("".join))
+    def test_tokenizer_grammar_differential(html):
+        """Documents made of the tokenizer's shapes and their neighbours
+        (other quotings, case, whitespace before '>', self-closing,
+        raw-text elements, comment and doctype forms) build the stdlib
+        builder's tree: tags, attrs, order, text and tail; and the
+        parse-time lists equal their walks."""
+        assert_same(html)
+        assert_index_is_walk(parse_html(html))
