@@ -32,7 +32,7 @@ def audit(out_dir: str) -> list[dict]:
             entry.update(status="missing_data_file", actual=None)
         else:
             try:
-                df = pq.read_table(path, columns=["url", "content_sha256"]).to_pandas()
+                table = pq.read_table(path, columns=["url", "content_sha256"])
             except Exception as e:
                 # a corrupt/truncated part file is exactly what an integrity
                 # auditor exists to flag — report it, keep auditing the rest
@@ -40,14 +40,14 @@ def audit(out_dir: str) -> list[dict]:
                              error=str(e))
                 results.append(entry)
                 continue
-            actual = _partition_checksum(df)
+            actual = _partition_checksum(table)
             entry.update(
                 status="ok" if actual == rec["checksum"] else "checksum_mismatch",
                 actual=actual,
-                rows=len(df),
+                rows=table.num_rows,
                 expected_rows=rec["row_count"],
             )
-            if entry["status"] == "ok" and len(df) != rec["row_count"]:
+            if entry["status"] == "ok" and table.num_rows != rec["row_count"]:
                 entry["status"] = "row_count_mismatch"
         results.append(entry)
     return results

@@ -17,6 +17,12 @@ mod the job's partition count), assigned here in the sink — so a rerun
 lists lineage files, skips urls whose bucket is complete, and only
 reprocesses the rest: resume cost is the failed partitions only.
 
+The sink stays in Arrow: each upstream block is split into one row per
+partition holding that partition's slice as an Arrow IPC stream, the
+keyed exchange moves those few rows, and each grouped writer concatenates
+its slices and writes them. The checksum and status counts are Arrow
+compute; nothing here converts rows to Python objects or pandas.
+
 Storage requirement (BASELINE.md "At 100 TB"): the grouped writers run
 INSIDE Ray workers while the driver lists/reads the same paths, and the
 commit protocol is fsync + atomic rename — on a multi-node cluster
@@ -31,26 +37,50 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..stages.partitioning import url_buckets
 
-def _partition_checksum(df: pd.DataFrame) -> str:
-    """sha256 over sorted url||content_sha256 (SURVEY.md §1.2 lineage)."""
-    h = hashlib.sha256()
-    if "content_sha256" in df.columns:
-        keys = sorted(
-            f"{u}||{c.hex() if isinstance(c, (bytes, bytearray)) else c}"
-            for u, c in zip(df["url"], df["content_sha256"])
-        )
-    else:
-        keys = sorted(str(u) for u in df["url"])
-    for k in keys:
-        h.update(k.encode("utf-8"))
-    return h.hexdigest()
+
+def _values(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
+    """Zero-based offsets and value bytes of a large binary/string array."""
+    offsets = np.frombuffer(arr.buffers()[1], np.int64)[
+        arr.offset:arr.offset + len(arr) + 1]
+    data = memoryview(arr.buffers()[2] or b"")[offsets[0]:offsets[-1]]
+    return offsets - offsets[0], data
+
+
+def _hex(arr: pa.Array) -> pa.Array:
+    """Lowercase hex text of each binary value (``bytes.hex()``), nulls kept."""
+    arr = arr.cast(pa.large_binary())
+    offsets, data = _values(arr)
+    validity = arr.is_valid().buffers()[1] if arr.null_count else None
+    return pa.LargeStringArray.from_buffers(
+        len(arr), pa.py_buffer(offsets * 2), pa.py_buffer(data.hex().encode()),
+        validity, arr.null_count)
+
+
+def _partition_checksum(t: pa.Table) -> str:
+    """sha256 over sorted url||content_sha256 (SURVEY.md §1.2 lineage):
+    binary hashes as hex, nulls as ``None``, keys in code-point order."""
+    def text(col):
+        col = col.combine_chunks()
+        col = _hex(col) if pa.types.is_binary(col.type) or \
+            pa.types.is_large_binary(col.type) else col.cast(pa.large_string())
+        return pc.fill_null(col, "None")
+
+    keys = text(t["url"])
+    if "content_sha256" in t.column_names:
+        keys = pc.binary_join_element_wise(keys, text(t["content_sha256"]),
+                                           pa.scalar("||", pa.large_string()))
+    keys = keys.take(pc.array_sort_indices(keys))
+    return hashlib.sha256(_values(keys)[1]).hexdigest()
 
 
 def _atomic_write_bytes(path: str, data: bytes) -> None:
@@ -67,17 +97,20 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
 ROW_ORDER = ("url", "warc_ts", "content_sha256")
 
 
-def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
+def write_partition(table: pa.Table, out_dir: str, pid: int,
                     schema: pa.Schema | None = None) -> dict:
     """Write one partition's data + lineage sidecar atomically, rows sorted
-    by the ``ROW_ORDER`` columns the partition has. ``wall_s`` and
-    ``rows_per_sec`` time the parquet write plus the checksum; a partition
-    with a ``status`` column also records its ``status_counts``."""
+    by the ``ROW_ORDER`` columns the partition has (``table`` cast to
+    ``schema`` first when one is given). ``wall_s`` and ``rows_per_sec``
+    time the parquet write plus the checksum; a partition with a
+    ``status`` column also records its ``status_counts`` (nulls left
+    out)."""
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, f"part-{pid:05d}.parquet")
     tmp_path = data_path + ".tmp"
-    table = pa.Table.from_pandas(df, schema=schema, preserve_index=False)
+    if schema is not None:
+        table = table.select(schema.names).cast(schema)
     table = table.sort_by([(c, "ascending") for c in ROW_ORDER
                            if c in table.column_names])
     # low-cardinality columns dictionary-encode at rest (SURVEY.md §1.2)
@@ -87,22 +120,26 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp_path, data_path)
-    checksum = _partition_checksum(df)
+    checksum = _partition_checksum(table)
     wall_s = time.perf_counter() - t0
 
+    n = table.num_rows
     record = {
         "partition_id": pid,
         "input_row_start": 0,
-        "input_row_end": int(len(df)),
-        "row_count": int(len(df)),
+        "input_row_end": n,
+        "row_count": n,
         "checksum": checksum,
         "wall_s": round(wall_s, 4),
-        "rows_per_sec": round(len(df) / wall_s, 2) if wall_s > 0 else 0.0,
+        "rows_per_sec": round(n / wall_s, 2) if wall_s > 0 else 0.0,
         "status": "ok",
     }
-    if "status" in df.columns:
+    if "status" in table.column_names:
+        counts = pc.value_counts(table["status"])
         record["status_counts"] = {
-            str(k): int(v) for k, v in df["status"].value_counts().items()}
+            str(v): c for v, c in zip(counts.field("values").to_pylist(),
+                                      counts.field("counts").to_pylist())
+            if v is not None}
     _atomic_write_bytes(
         os.path.join(out_dir, f"lineage-{pid:05d}.json"),
         json.dumps(record, sort_keys=True).encode(),
@@ -110,13 +147,19 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
     return record
 
 
+_SIDECAR = re.compile(r"lineage-(\d+)\.json")
+
+
 def completed_partitions(out_dir: str) -> set[int]:
     if not os.path.isdir(out_dir):
         return set()
     out = set()
     for name in os.listdir(out_dir):
-        if name.startswith("lineage-") and name.endswith(".json"):
-            out.add(int(name[len("lineage-"):-len(".json")]))
+        m = _SIDECAR.fullmatch(name)
+        # only the names the sink writes: ``lineage-old.json`` or
+        # ``lineage-7.json`` are not commit records
+        if m and name == f"lineage-{int(m.group(1)):05d}.json":
+            out.add(int(m.group(1)))
     return out
 
 
@@ -128,15 +171,44 @@ def read_lineage(out_dir: str) -> list[dict]:
     return recs
 
 
+def split_by_partition(t: pa.Table, num_partitions: int) -> pa.Table:
+    """One row per partition present in the block: ``partition_id``
+    (the url-hash bucket mod ``num_partitions``) and ``ipc``, that
+    partition's rows (in block order) as one Arrow IPC stream."""
+    if t.num_rows == 0:
+        return pa.table({"partition_id": pa.array([], pa.int64()),
+                         "ipc": pa.array([], pa.binary())})
+    pids = url_buckets(t["url"].to_pylist(), num_partitions)
+    order = np.argsort(pids, kind="stable")
+    pids = pids[order]
+    starts = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]])
+    rows = t.take(order)
+    sink = pa.BufferOutputStream()
+    offsets = [0]
+    for start, end in zip(starts, np.r_[starts[1:], len(pids)]):
+        with pa.ipc.new_stream(sink, rows.schema) as w:
+            w.write_table(rows.slice(start, end - start))
+        offsets.append(sink.tell())
+    ipc = pa.Array.from_buffers(
+        pa.binary(), len(starts),
+        [None, pa.py_buffer(np.array(offsets, np.int32)), sink.getvalue()])
+    return pa.table({"partition_id": pa.array(pids[starts], pa.int64()),
+                     "ipc": ipc})
+
+
 def write_partitioned(articles, out_dir: str, num_partitions: int,
                       schema: pa.Schema | None = None):
-    """Sink: give each article row its ``partition_id`` (the url-hash
-    bucket mod ``num_partitions``), group rows by it — the job's one
-    url-hash keyed exchange, over extracted articles — and write each
-    partition + lineage atomically inside the grouped task.
+    """Sink: split each article block by ``partition_id`` (the url-hash
+    bucket mod ``num_partitions``) into one IPC-packed row per partition
+    present (``split_by_partition``, fused into the upstream operator),
+    group those rows by ``partition_id`` — the job's one url-hash keyed
+    exchange, about ``num_partitions`` small rows per block instead of
+    every article row — and in each group concatenate the slices and
+    write the partition + lineage atomically (``write_partition``). The
+    sink stays in Arrow end to end.
 
-    The tagged articles are materialized (this call runs the upstream
-    plan) before the exchange. In one streaming plan, the exchange and the
+    The split rows are materialized (this call runs the upstream plan)
+    before the exchange. In one streaming plan, the exchange and the
     grouped write cannot start until every article exists, yet Ray Data's
     resource allocator still reserves CPU budget for them; at 4 CPUs that
     left the extract one task at a time in one worker process.
@@ -145,20 +217,25 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
     input block before it emits any.
 
     Returns the small lineage summary as a Dataset (one row/partition)."""
-    from ..stages.partitioning import url_buckets
 
-    def add_partition_id(t: pa.Table) -> pa.Table:
-        pids = url_buckets(t["url"].to_pylist(), num_partitions)
-        return t.append_column("partition_id", pa.array(pids, pa.int64()))
-
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        pid = int(g["partition_id"].iloc[0])
-        rec = write_partition(g.drop(columns=["partition_id"]), out_dir, pid,
+    def write_group(g: pa.Table) -> pa.Table:
+        slices = [pa.ipc.open_stream(b.as_buffer()).read_all()
+                  for b in g["ipc"]]
+        # blocks of one dataset may type a column differently (a column
+        # that is all null in one block is pa.null() there)
+        table = pa.concat_tables(slices, promote_options="default")
+        rec = write_partition(table, out_dir, g["partition_id"][0].as_py(),
                               schema=schema)
-        return pd.DataFrame([rec])
+        row = {k: [v] for k, v in rec.items()}
+        if "status_counts" in rec:
+            # a map column: one summary schema whatever statuses a group has
+            row["status_counts"] = pa.array(
+                [list(rec["status_counts"].items())],
+                pa.map_(pa.string(), pa.int64()))
+        return pa.table(row)
 
-    tagged = articles.map_batches(
-        add_partition_id, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    return tagged.groupby("partition_id").map_groups(write_group,
-                                                     batch_format="pandas")
+    split_rows = articles.map_batches(
+        split_by_partition, fn_kwargs={"num_partitions": num_partitions},
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    return split_rows.groupby("partition_id").map_groups(
+        write_group, batch_format="pyarrow")

@@ -261,7 +261,7 @@ def test_extract_job_operator_names(ray_session, pages_small, tmp_path,
 def test_extract_job_is_one_scan_extract_sink_operator(ray_session, pages_small,
                                                       tmp_path, monkeypatch):
     """The job fuses the page scan, the extract and the sink's partition
-    tagging into one operator (a separate read operator holds CPU budget
+    split into one operator (a separate read operator holds CPU budget
     until its last task ends), and leaves the session's block size alone.
     The pages span several files: Ray splits the blocks of a read with
     fewer files than read tasks, and a splitting read does not fuse."""
@@ -282,7 +282,7 @@ def test_extract_job_is_one_scan_extract_sink_operator(ray_session, pages_small,
     fused = [o for o in ops if "extract_fn" in o]
     assert len(fused) == 1, ops
     assert fused[0].startswith("ReadParquet->")
-    assert "add_partition_id" in fused[0]
+    assert "split_by_partition" in fused[0]
     assert DataContext.get_current().target_max_block_size == session_block
 
 
@@ -341,7 +341,7 @@ def test_write_partition_fsyncs_data_before_commit(tmp_path, monkeypatch):
     sidecar (the commit record) is written."""
     import os
 
-    import pandas as pd
+    import pyarrow as pa
 
     from crawtext_ray.state import lineage
 
@@ -358,8 +358,8 @@ def test_write_partition_fsyncs_data_before_commit(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", recording_replace)
-    df = pd.DataFrame({"url": ["http://a.example/1", "http://a.example/2"]})
-    lineage.write_partition(df, str(tmp_path), 3)
+    table = pa.table({"url": ["http://a.example/1", "http://a.example/2"]})
+    lineage.write_partition(table, str(tmp_path), 3)
     data_tmp, side_tmp = "part-00003.parquet.tmp", "lineage-00003.json.tmp"
     assert events == [("fsync", data_tmp), ("replace", data_tmp),
                       ("fsync", side_tmp), ("replace", side_tmp)]
@@ -499,7 +499,7 @@ def test_write_partition_times_the_write(tmp_path, monkeypatch):
     """Lineage ``wall_s`` / ``rows_per_sec`` time the parquet write itself."""
     import time
 
-    import pandas as pd
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from crawtext_ray.state import lineage
@@ -511,8 +511,8 @@ def test_write_partition_times_the_write(tmp_path, monkeypatch):
         return write_table(*a, **k)
 
     monkeypatch.setattr(lineage.pq, "write_table", slow_write)
-    df = pd.DataFrame({"url": ["http://a.example/1", "http://a.example/2"]})
-    rec = lineage.write_partition(df, str(tmp_path), 3)
+    table = pa.table({"url": ["http://a.example/1", "http://a.example/2"]})
+    rec = lineage.write_partition(table, str(tmp_path), 3)
     assert rec["wall_s"] >= 0.05
     assert 0 < rec["rows_per_sec"] <= 2 / 0.05
     assert lineage.read_lineage(str(tmp_path)) == [rec]
