@@ -114,7 +114,7 @@ def drop_exact_dups(articles):
     loser set exceeds ``partitioning.BROADCAST_ROWS`` the stage falls back
     to a full-row ``first_by`` (pays the wide shuffle, needs zero driver
     memory) — the same two-modes-by-threshold shape as
-    ``connected_components``.
+    ``dedup.dedup_paragraphs``' winner map.
 
     (A native hash semi-join on winners was tried and rejected: Acero
     joins reject struct/list payload columns, which the articles schema

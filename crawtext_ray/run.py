@@ -28,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--incremental-from", default=None,
                     help="previous run's output dir: urls already "
                          "extracted there are skipped (Bloom anti-join; "
-                         "the cron-re-run model)")
+                         "the cron-re-run model; not with --curate)")
     ap.add_argument("--report", action="store_true",
                     help="print per-language report after the run")
     ap.add_argument("--curate", action="store_true",
@@ -106,6 +106,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.dsir_from and not args.curate:
         print("error: --dsir-from requires --curate", file=sys.stderr)
+        return 2
+    if args.incremental_from and args.curate:
+        print("error: --incremental-from applies to the extract job only, "
+              "not --curate", file=sys.stderr)
         return 2
     if not 0.0 < args.dsir_keep <= 1.0:
         print("error: --dsir-keep must be in (0, 1]", file=sys.stderr)

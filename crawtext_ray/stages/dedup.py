@@ -13,19 +13,17 @@ Training-data-side (scale ops beyond the reference):
 
 Per-batch sketching is vectorized and every shuffle only ever sees
 (key, id) rows — never full text — so the exchange volume is O(rows),
-not O(bytes). The per-document and per-paragraph reduces (exact
-content dedup, paragraph dedup, LSH buckets, component rounds) are the
-shared key-run reduce (``partitioning.key_runs``); the candidate
-verifier groups per participant id (candidate-bounded), and Ray hash
-aggregates remain in three places: the LSH per-id min, the
-candidate-pair distinct and the components' initial labels.
+not O(bytes). Every per-key reduce (exact content dedup, paragraph
+dedup, the LSH bucket pass, per-id min and candidate-pair distinct, the
+component rounds) is the shared key-run reduce
+(``partitioning.key_runs``); only the candidate verifier groups per
+participant id (candidate-bounded).
 
-LSH buckets have one form: one key-run reduce over the (id, bucket)
-rows, with no driver state. Every other small side (verification
-participants, the connected-components edge list, the
+LSH buckets and connected components have one form each, with no driver
+state. Every other small side (verification participants, the
 duplicated-paragraph winner map) is counted on the driver and broadcast
 only at or under ``partitioning.BROADCAST_ROWS`` rows; above it the
-keyed, Bloom or key-run form runs. Membership filters go through
+keyed or Bloom form runs. Membership filters go through
 ``partitioning.member_filter``.
 """
 
@@ -250,8 +248,8 @@ def minhash_lsh_duplicates(
     Shape: one vectorized signature pass emits (id, band_keys
     list<int64>) — one row per DOC — and ``banded_lsh_pairs`` links each
     doc to its buckets' min id through one key-run reduce over buckets
-    and one keyed Min aggregate: no broadcast, no driver state, and the
-    plan runs nothing until it is consumed."""
+    and one over ids: no broadcast, no driver state, and the plan runs
+    nothing until it is consumed."""
     from .fusion import map_stage
 
     banded = map_stage(
@@ -289,10 +287,8 @@ def banded_lsh_pairs(banded, bands: int, id_col: str):
     """The LSH LINKING form over (id, band_keys fixed_size_list<int64,
     bands>) rows — shared by the minhash and simhash paths. Per bucket
     run (sorted by id, so its first id is its min), every other member
-    emits (id, run min); a keyed Min aggregate then takes each id's min
-    rep across bands. Returns (id, rep_id) rows."""
-    from ray.data.aggregate import Min
-
+    emits (id, run min); ``first_by`` on id then keeps each id's min rep
+    across bands — two key-run reduces. Returns (id, rep_id) rows."""
     from .partitioning import run_ids
 
     def run_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -303,7 +299,7 @@ def banded_lsh_pairs(banded, bands: int, id_col: str):
                          "rep_id": rep.filter(mask)})
 
     pairs = _bucket_runs(banded, bands, id_col, run_pairs)
-    return pairs.groupby(id_col).aggregate(Min("rep_id", alias_name="rep_id"))
+    return first_by(pairs, id_col, "rep_id", "rep_id")
 
 
 def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
@@ -315,9 +311,7 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
     pass; O(bucket²) per duplicate bucket, and single-member buckets
     emit nothing — post-LSH dup buckets are the same cardinality class
     as the output itself."""
-    from ray.data.aggregate import Count
-
-    from .partitioning import run_starts
+    from .partitioning import key_runs, run_starts
 
     a_col, b_col = f"{id_col}_a", f"{id_col}_b"
 
@@ -341,13 +335,9 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
         })
 
     pairs = _bucket_runs(banded, bands, id_col, pairs_of)
-    # a pair can collide in several bands/buckets — keyed distinct
-    return pairs.groupby([a_col, b_col]).aggregate(
-        Count(alias_name="_n")
-    ).map_batches(
-        lambda t: t.select([a_col, b_col]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    # a pair can collide in several bands/buckets: one row per (a, b) run
+    return key_runs(pairs, a_col, [b_col], lambda t, _starts: t.take(
+        pa.array(run_starts(t[a_col], t[b_col]))))
 
 
 def minhash_verified_duplicates(
@@ -811,184 +801,79 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
 
 
 def connected_components(pairs, id_col: str = "doc_id",
-                         rep_col: str = "rep_id", max_iters: int = 10):
+                         rep_col: str = "rep_id"):
     """Transitive dup clusters from candidate (id, rep) edges — the
     distributed union-find substitute the LSH bucket-rep output needs
     when chains occur (a~b, b~c ⇒ {a,b,c}).
 
-    Two paths, picked by edge count:
-    - |edges| ≤ ``partitioning.BROADCAST_ROWS``: one keyed min-label
-      aggregate, then pointer-jumping on the driver (O(E) memory, O(E α) time) — fastest
-      when the dup graph fits a driver heap.
-    - more edges: fully distributed min-label propagation —
-      per round, each node's label flows to its neighbors through one
-      key-run reduce on node; convergence is detected by the global
-      label sum going flat (labels are monotonically non-increasing).
-      O(diameter) rounds; each round's exchange carries two int64
-      columns, nothing driver-sized.
+    Min-label propagation, Pregel-on-groupby: the state is one keyed
+    stream of (node, kind, value) rows — kind 0 = the node's label,
+    kind 1 = an edge (value = neighbor), kind 2 = a label message. Each
+    round is ONE key-run reduce on node (``partitioning.key_runs``,
+    segment-vectorized per shard): a node's new label is the min of its
+    id, its label and its messages, and a node whose label dropped (every
+    node in the first round, which starts from the edge rows alone) sends
+    it to each neighbor. Rounds run to the fixpoint, when no message is
+    in flight: at most diameter + 2 rounds, each carrying int64 columns
+    only, with nothing driver-sized (the stop test reads row counts from
+    block metadata).
 
     Returns (id_col, cluster_id) with cluster_id = min id of the
     component (ids absent from every pair are absent — singletons need
     no relabeling)."""
+    from .partitioning import key_runs, run_ids
 
-    def explode(batch: pa.Table) -> pa.Table:
+    def edge_rows(batch: pa.Table) -> pa.Table:
         a = batch[id_col].combine_chunks().cast(pa.int64())
         b = batch[rep_col].combine_chunks().cast(pa.int64())
-        return pa.table(
-            {
-                "node": pa.concat_arrays([a, b]),
-                "nbr": pa.concat_arrays([b, a]),
-            }
-        )
-
-    edges = pairs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    edges = edges.materialize()
-
-    # initial label = min(node, min neighbor): a keyed Min aggregate plus
-    # a clip-to-node map (no per-node Python)
-    from ray.data.aggregate import Min
-
-    labels = edges.groupby("node").aggregate(
-        Min("nbr", alias_name="label")
-    ).map_batches(
-        lambda t: pa.table({
-            "node": t["node"],
-            "label": pa.compute.min_element_wise(t["label"], t["node"]),
-        }),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-
-    from . import partitioning
-
-    if edges.count() <= partitioning.BROADCAST_ROWS:
-        labels = _cc_driver_rounds(labels, max_iters)
-    else:
-        labels = _cc_distributed_rounds(edges, labels, max_iters)
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {id_col: batch["node"], "cluster_id": batch["label"]}
-        )
-
-    return labels.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _cc_driver_rounds(labels, max_iters: int):
-    """Pointer-jumping on the driver (small dup graphs)."""
-    for _ in range(max_iters):
-        lab_map = {int(r["node"]): int(r["label"]) for r in labels.take_all()}
-        new_map = dict(lab_map)
-        changed = False
-        for n in list(new_map):
-            l = new_map[n]
-            while l in new_map and new_map[l] < l:
-                l = new_map[l]
-            if l != new_map[n]:
-                new_map[n] = l
-                changed = True
-        if not changed:
-            break
-        import ray.data as rd
-
-        labels = rd.from_items(
-            [{"node": n, "label": l} for n, l in sorted(new_map.items())]
-        )
-    return labels
-
-
-def _cc_distributed_rounds(edges, labels, max_iters: int):
-    """Distributed min-label propagation, Pregel-on-groupby: the state is
-    one keyed stream of (node, kind, value) rows — kind 0 = the node's
-    current label, kind 1 = an outgoing edge (value = neighbor), kind 2
-    = an incoming label message. Each round is ONE key-run reduce on node
-    (``partitioning.key_runs``, segment-vectorized per shard): each node
-    run computes its new min label from kinds {0,2}, re-emits its
-    label row and edge rows, and sends the new label to every neighbor
-    as a kind-2 message. No joins (Ray 2.49's hash join misplans when
-    its right side's lineage contains a hash aggregate), nothing
-    driver-sized; convergence = the global label sum going flat (labels
-    only ever decrease)."""
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
         return pa.table({
-            "node": t["node"],
-            "kind": pa.array(np.ones(n, dtype=np.int64), pa.int64()),
-            "value": t["nbr"],
+            "node": pa.concat_arrays([a, b]),
+            "kind": pa.array(np.ones(2 * len(a), dtype=np.int64)),
+            "value": pa.concat_arrays([b, a]),
         })
-
-    def label_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "node": pa.array(t["node"].to_pylist(), pa.int64()),
-            "kind": pa.array(np.zeros(n, dtype=np.int64), pa.int64()),
-            "value": pa.array(t["label"].to_pylist(), pa.int64()),
-        })
-
-    state = (
-        edges.map_batches(edge_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            labels.map_batches(
-                label_rows, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .materialize()
-    )
-
-    def label_sum(s) -> int:
-        only = s.map_batches(
-            lambda t: t.filter(pa.compute.equal(t["kind"], pa.scalar(0))),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        return int(only.sum("value"))
-
-    from .partitioning import key_runs, run_ids
 
     big = np.iinfo(np.int64).max
 
     def step(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        # per node run: new label = min over kinds {0, 2} (the node itself
-        # when it has none); re-emit label + edge rows, and send the new
-        # label along every edge as a kind-2 message
         node = t["node"].to_numpy()
         kind = t["kind"].to_numpy()
         value = t["value"].to_numpy()
-        lab = np.minimum.reduceat(np.where(kind != 1, value, big), starts)
-        lab = np.where(lab == big, node[starts], lab)
         e = kind == 1
-        nbrs = value[e]
+        # every node has an edge row, whose own id bounds its label
+        lab = np.minimum.reduceat(np.where(e, node, value), starts)
+        old = np.minimum.reduceat(np.where(kind == 0, value, big), starts)
+        rid = run_ids(starts, len(node))
+        send = e & (lab < old)[rid]
         return pa.table({
-            "node": np.concatenate([node[starts], node[e], nbrs]),
+            "node": np.concatenate([node[starts], node[e], value[send]]),
             "kind": np.concatenate([np.zeros(len(starts), np.int64),
-                                    np.ones(len(nbrs), np.int64),
-                                    np.full(len(nbrs), 2, np.int64)]),
-            "value": np.concatenate(
-                [lab, nbrs, lab[run_ids(starts, len(node))[e]]]),
+                                    np.ones(int(e.sum()), np.int64),
+                                    np.full(int(send.sum()), 2, np.int64)]),
+            "value": np.concatenate([lab, value[e], lab[rid[send]]]),
         })
 
-    # stop after TWO consecutive flat rounds: round k's labels react to
-    # messages sent in round k-1, so one flat round can just mean the
-    # first message wave is still in flight; labels are monotone
-    # non-increasing, so two flat rounds imply a fixpoint.
-    prev_sum = label_sum(state)
-    flat = 0
-    for _ in range(max_iters):
+    state = pairs.map_batches(
+        edge_rows, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
+    n_edges = state.count()
+    # a round's sort shuffle costs blocks² tasks whatever the rows: keep
+    # the state in as few blocks as Ray's target block size allows (at 4
+    # CPUs, 2,000 nodes in 200 input blocks took 45 s, in one block 1.4 s)
+    per_block = state.context.target_max_block_size or float("inf")
+    state = state.repartition(int(state.size_bytes() // per_block) + 1)
+    state = key_runs(state, "node", [], step).materialize()
+    # the first round sends along every edge: label + edge rows are the
+    # rest, and a state of only those has no message in flight
+    at_rest = state.count() - n_edges
+    while state.count() > at_rest:
         state = key_runs(state, "node", [], step).materialize()
-        cur_sum = label_sum(state)
-        flat = flat + 1 if cur_sum == prev_sum else 0
-        if flat >= 2:
-            break
-        prev_sum = cur_sum
 
-    return state.map_batches(
-        lambda t: pa.table(
-            {
-                "node": (f := t.filter(pa.compute.equal(t["kind"], pa.scalar(0))))["node"],
-                "label": f["value"],
-            }
-        ),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    def labels(t: pa.Table) -> pa.Table:
+        f = t.filter(pa.compute.equal(t["kind"], pa.scalar(0)))
+        return pa.table({id_col: f["node"], "cluster_id": f["value"]})
+
+    return state.map_batches(labels, batch_format="pyarrow",
+                             zero_copy_batch=True)
 
 
 # ----------------------------------------------- paragraph-level dedup ----

@@ -534,47 +534,83 @@ def test_connected_components_transitive(ray_session):
     assert out[10] == 9 and out[9] == 9
 
 
-def test_connected_components_distributed_matches_driver(ray_session,
-                                                         monkeypatch):
-    """BROADCAST_ROWS=0 forces the keyed label-propagation path; labels
-    must equal the driver pointer-jumping path on a chain + a separate
-    pair + a star."""
+def _union_find_clusters(edges):
+    """{id: min id of its component} over (doc_id, rep_id) edges: the
+    plain union-find reference for ``connected_components``."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        a, b = find(e["doc_id"]), find(e["rep_id"])
+        parent[max(a, b)] = min(a, b)
+    return {x: find(x) for x in list(parent)}
+
+
+def _random_forest(n, seed):
+    """Edges of random recursive trees of 2-4 nodes over ``n`` distinct
+    ids (negative and large ones included), each member linked to an
+    earlier member of its tree in a random orientation."""
+    rng = np.random.default_rng(seed)
+    ids = [int(x) for x in
+           rng.choice(np.arange(-500, 10**9, 7919), n, replace=False)]
+    edges, i = [], 0
+    while i < len(ids):
+        tree = ids[i:i + int(rng.integers(2, 5))]
+        i += len(tree)
+        for k in range(1, len(tree)):
+            a, b = tree[k], tree[int(rng.integers(0, k))]
+            if rng.integers(0, 2):
+                a, b = b, a
+            edges.append({"doc_id": a, "rep_id": b})
+    return edges
+
+
+def test_connected_components_matches_union_find(ray_session):
+    """Every node gets its component's min id, as a union-find gives:
+    a star whose hub is its max id, a chain + a separate pair + a star,
+    a 40-node chain (diameter 39: the rounds run to the fixpoint, not to
+    a cap), random forests with random edge orientation, and no edges
+    (zero rows out)."""
     import ray.data as rd
 
-    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import connected_components
 
-    edges = [
-        {"doc_id": 5, "rep_id": 3},
-        {"doc_id": 3, "rep_id": 1},
-        {"doc_id": 10, "rep_id": 9},
-        {"doc_id": 21, "rep_id": 20},
-        {"doc_id": 22, "rep_id": 20},
-        {"doc_id": 23, "rep_id": 22},
-    ]
-    pairs = rd.from_items(edges)
-    drv = {r["doc_id"]: r["cluster_id"]
-           for r in connected_components(pairs).take_all()}
-    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    dist = {r["doc_id"]: r["cluster_id"]
-            for r in connected_components(rd.from_items(edges)).take_all()}
-    assert drv == dist
-    assert dist[5] == dist[3] == dist[1] == 1
-    assert dist[23] == dist[22] == dist[21] == dist[20] == 20
+    def pairs(*links):
+        return [{"doc_id": a, "rep_id": b} for a, b in links]
+
+    cases = {
+        "star": pairs((1, 5), (2, 5), (3, 5)),
+        "chain+pair+star": pairs((5, 3), (3, 1), (10, 9), (21, 20),
+                                 (22, 20), (23, 22)),
+        "chain40": pairs(*((i + 1, i) for i in range(39))),
+        "forest60": _random_forest(60, seed=3),
+        "forest2000": _random_forest(2000, seed=4),
+        "empty": [],
+    }
+    for name, edges in cases.items():
+        got = {r["doc_id"]: r["cluster_id"]
+               for r in connected_components(rd.from_items(edges)).take_all()}
+        assert got == _union_find_clusters(edges), name
+    assert _union_find_clusters(cases["star"]) == {1: 1, 2: 1, 3: 1, 5: 1}
 
 
-def test_connected_components_distributed_random_forest(ray_session,
-                                                        monkeypatch):
-    """The segment-vectorized Pregel rounds (BROADCAST_ROWS=0) label a random
-    forest — many components per key-run shard, negative and large ids —
-    with each component's min id, like a union-find does."""
+def test_connected_components_distributed_random_forest(ray_session):
+    """The segment-vectorized Pregel rounds label a random forest — many
+    components per key-run shard, negative and large ids — with each
+    component's min id, like a union-find does."""
     import ray.data as rd
 
     rng = np.random.default_rng(11)
     ids = [int(x) for x in
            rng.choice(np.arange(-500, 10**9, 7919), 600, replace=False)]
-    # random recursive trees of 2-4 nodes (diameter <= 3, so max_iters
-    # is never the limit); each member links to an earlier member
+    # random recursive trees of 2-4 nodes; each member links to an
+    # earlier member
     edges, want, i = [], {}, 0
     while i < len(ids):
         tree = ids[i:i + int(rng.integers(2, 5))]
@@ -585,10 +621,8 @@ def test_connected_components_distributed_random_forest(ray_session,
         if len(tree) > 1:
             want.update({x: min(tree) for x in tree})
 
-    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import connected_components
 
-    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
     got = {r["doc_id"]: r["cluster_id"]
            for r in connected_components(rd.from_items(edges)).take_all()}
     assert got == want
@@ -750,6 +784,37 @@ def test_lsh_plans_run_nothing_on_driver(ray_session, docs_with_dups,
     assert {"doc_id": 102, "rep_id": 100} in mh
     assert {"doc_id": 102, "rep_id": 100} in sh
     assert {"doc_id_a": 100, "doc_id_b": 102} in cands
+
+
+def test_lsh_and_components_run_no_ray_aggregate(ray_session,
+                                                 docs_with_dups,
+                                                 monkeypatch):
+    """The LSH operators and connected components are built and run with
+    Ray's GroupedData.aggregate disabled: every per-key reduce is the
+    key-run reduce, and the planted pairs come out."""
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from crawtext_ray.stages.dedup import (
+        connected_components,
+        minhash_lsh_duplicates,
+        minhash_verified_duplicates,
+        simhash_duplicates,
+    )
+
+    def refuse(*_a, **_k):
+        raise AssertionError("hash aggregate called")
+
+    monkeypatch.setattr(GroupedData, "aggregate", refuse)
+
+    mh = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).take_all()
+    assert {"doc_id": 102, "rep_id": 100} in mh
+    assert {"doc_id": 102, "rep_id": 100} in \
+        simhash_duplicates(docs_with_dups).take_all()
+    verified = minhash_verified_duplicates(docs_with_dups).take_all()
+    assert (100, 102) in {(r["doc_id_a"], r["doc_id_b"]) for r in verified}
+    comp = connected_components(rd.from_items(mh)).take_all()
+    assert {r["doc_id"]: r["cluster_id"] for r in comp}[102] == 100
 
 
 def test_sampling_native_and_deterministic(ray_session):
