@@ -574,7 +574,7 @@ def _q_shuffle_shards(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang"])
-    return shuffle_shards(docs, n_shards=8, seed=0, method="md5")
+    return shuffle_shards(docs, n_shards=8, seed=0)
 
 
 def _q_pack_sequences(sf_dir: str):
@@ -591,8 +591,7 @@ def _q_pack_sequences(sf_dir: str):
     docs = docs.map_batches(
         lambda t: t.rename_columns(["doc_id", "n_tokens"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    return pack_sequences(docs, seq_len=4096, n_shards=4, seed=1,
-                          method="md5")
+    return pack_sequences(docs, seq_len=4096, n_shards=4, seed=1)
 
 
 def _q_corpus_data_card(sf_dir: str):
@@ -703,6 +702,33 @@ def _q_unigram_lm(sf_dir: str):
     return df
 
 
+def _q_dsir_weights(sf_dir: str):
+    """DSIR importance weights toward a target subset SQL can rebuild
+    (``doc_id % 5 = 0``): per-document ``nll_background − nll_target``
+    under two Lidstone unigram models (top-1000 vocab, alpha 0.5, one
+    shared OOV bucket), the background being the whole table. dsir_logw
+    is rounded to 4 dp on both sides for the reason ``_q_unigram_lm``
+    gives: the two nll sums differ from the SQL aggregate's at ~1e-15,
+    the checker compares with no tolerance, and at 4 dp a
+    rounding-boundary straddle is ~1e-11/row."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawtext_ray.stages.textops import dsir_weights
+
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
+                           columns=["doc_id", "text"])
+    target = docs.map_batches(
+        lambda t: t.filter(pa.array(
+            t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0)),
+        batch_format="pyarrow", zero_copy_batch=True)
+    df = dsir_weights(docs, target, vocab_size=1000, alpha=0.5).select_columns(
+        ["doc_id", "dsir_logw"]).to_pandas()
+    df["dsir_logw"] = np.round(df["dsir_logw"], 4)
+    return df
+
+
 def _q_stratified_sample(sf_dir: str):
     """Per-stratum quota sampling (language rebalancing): keep a row iff
     the first two md5 bytes of its id fall under the stratum's rate —
@@ -745,108 +771,6 @@ def _q_bfs_crawl(sf_dir: str):
     return out
 
 
-def _q_media_features(sf_dir: str):
-    """Multimodal plumbing: documents.text bytes as fake binary payloads
-    → decode/feature actor stage + resize actor stage, joined on media_id
-    into one wide feature row (decode kernels stubbed: no image libs).
-
-    Merged slots, never dropped: the video frame-sampling and audio
-    segmentation operators (formerly ``frame_samples`` and
-    ``audio_segments_docs``) run in full and land as per-media DIGEST
-    columns — sha256 over the ordered frame hashes / segment rows — so
-    any change to any frame hash or segment boundary still flips the
-    oracle, in one row per media."""
-    import hashlib
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    from crawtext_ray.stages.multimodal import (
-        audio_segments,
-        decode_image_features,
-        resize_images,
-        sample_frames,
-    )
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    def to_media(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "media_id": batch["doc_id"],
-                "payload": pa.array(
-                    [(t or "").encode() for t in batch["text"].to_pylist()],
-                    pa.binary(),
-                ),
-                "mime": pa.array(["image/fake"] * batch.num_rows, pa.string()),
-            }
-        )
-
-    def to_media_ascii(batch: pa.Table) -> pa.Table:
-        # the frame sampler's payloads are ASCII-sanitized so byte-based
-        # slicing equals the character-based SQL (sha256/substr are
-        # VARCHAR-only in DuckDB); the operator stays byte-based
-        return pa.table(
-            {
-                "media_id": batch["doc_id"],
-                "payload": pa.array(
-                    [(t or "").encode("ascii", "ignore")
-                     for t in batch["text"].to_pylist()],
-                    pa.binary(),
-                ),
-            }
-        )
-
-    media = docs.map_batches(to_media, batch_format="pyarrow",
-                             zero_copy_batch=True).materialize()
-    feats = decode_image_features(media, decode="fake", batch_size=64)
-    resized = resize_images(media, max_side=256).map_batches(
-        lambda t: t.rename_columns(
-            ["media_id_r" if c == "media_id" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    joined = feats.join(
-        resized,
-        join_type="inner",
-        num_partitions=4,
-        on=("media_id",),
-        right_on=("media_id_r",),
-    ).select_columns(
-        ["media_id", "sha256", "n_bytes", "width", "height", "mean_luma",
-         "out_width", "out_height", "resized_sha"]
-    ).to_pandas()
-
-    def sha_concat(parts) -> str:
-        return hashlib.sha256("".join(parts).encode()).hexdigest()
-
-    media_ascii = docs.map_batches(to_media_ascii, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    fr = sample_frames(media_ascii, every_n=10).to_pandas().sort_values(
-        ["media_id", "frame_index"]
-    )
-    fdig = fr.groupby("media_id").agg(
-        n_frames=("frame_sha", "size"),
-        frames_digest=("frame_sha", sha_concat),
-    ).reset_index()
-
-    au = audio_segments(media, window_ms=10_000).to_pandas()
-    au["seg_row"] = (au["seg_index"].astype(str) + ":"
-                     + au["t_start_ms"].astype(str) + ":"
-                     + au["t_end_ms"].astype(str))
-    au = au.sort_values(["media_id", "seg_index"])
-    adig = au.groupby("media_id").agg(
-        n_segments=("seg_row", "size"),
-        segments_digest=("seg_row", lambda s: hashlib.sha256(
-            "|".join(s).encode()).hexdigest()),
-    ).reset_index()
-
-    out = joined.merge(fdig, on="media_id").merge(adig, on="media_id")
-    assert len(out) == len(joined), "every media has >=1 frame and segment"
-    return out
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     from crawtext_ray.stages import relational as R
 
@@ -855,8 +779,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # rows-only ones. Redundant slots were merged, never dropped:
     # word_counts+quality_ints → doc_stats; window_running/lag/sliding →
     # window_funcs; distinct_users_count → global_event_stats column;
-    # media_features+resize_images_docs+frame_samples+audio_segments →
-    # media_features (wide row + per-media digest columns);
     # ann_lsh_topk+ann_ivf_topk → ann_topk (method column); the extract
     # report trio → extract_reports (kind column, now oracle-checked
     # against generator truth); union_clicks_views+users_click_and_purchase
@@ -867,8 +789,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # event_time_rollups (kind column). The freed slots carry the
     # curation/export operators (decontamination, repetition stats,
     # unigram-LM scoring, stratified sampling, paragraph dedup,
-    # shuffle-sharding, sequence packing, the corpus data card), each
-    # oracle-backed.
+    # shuffle-sharding, sequence packing, the corpus data card, DSIR
+    # weights), each oracle-backed.
     return {
         # A1/A2/T1/U2 report family, one kind-tagged slot (oracle-checked)
         "doc_reports": _q_doc_reports,
@@ -927,9 +849,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "shuffle_shards_docs": _q_shuffle_shards,
         "pack_sequences_docs": _q_pack_sequences,
         "corpus_data_card": _q_corpus_data_card,
-        # multimodal plumbing (oracle-checked over fake kernels; frames +
-        # audio segments merged in as digest columns)
-        "media_features": _q_media_features,
+        # DSIR importance weights toward a doc_id-defined target subset
+        "dsir_weights_docs": _q_dsir_weights,
         "pdf_extract": _q_pdf_extract,
         # flagship pipelines with planted generator truth (oracle-checked)
         "extract_reports": _q_extract_reports,
@@ -1215,58 +1136,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(floor((len(toks) - 1) / 48) AS BIGINT))) AS u(k) "
             "WHERE len(toks) >= 1"
         ),
-        # the wide multimodal row: image features + resize + the merged
-        # frame-sampling and audio-segmentation operators as per-media
-        # digests (sha256 over the ordered frame hashes / segment rows)
-        "media_features": (
-            "WITH m AS (SELECT doc_id AS media_id, text, sha256(text) AS h, "
-            "octet_length(CAST(text AS BLOB)) AS nb FROM documents), "
-            "b AS (SELECT media_id, text, h, nb, "
-            "(strpos('0123456789abcdef', substr(h, 1, 1)) - 1) * 16 "
-            "+ (strpos('0123456789abcdef', substr(h, 2, 1)) - 1) AS b0, "
-            "(strpos('0123456789abcdef', substr(h, 3, 1)) - 1) * 16 "
-            "+ (strpos('0123456789abcdef', substr(h, 4, 1)) - 1) AS b1, "
-            "(strpos('0123456789abcdef', substr(h, 5, 1)) - 1) * 16 "
-            "+ (strpos('0123456789abcdef', substr(h, 6, 1)) - 1) AS b2 FROM m), "
-            "d AS (SELECT media_id, text, h, nb, "
-            "CAST(64 + b0 % 192 AS BIGINT) AS width, "
-            "CAST(64 + b1 % 192 AS BIGINT) AS height, "
-            "b2 / 255.0 AS mean_luma FROM b), "
-            "r AS (SELECT *, greatest(width, height) AS side FROM d), "
-            "o AS (SELECT media_id, text, h, nb, width, height, mean_luma, "
-            "CASE WHEN side <= 256 THEN width ELSE greatest(1, "
-            "CAST(floor(width * 256.0 / side) AS BIGINT)) END AS out_width, "
-            "CASE WHEN side <= 256 THEN height ELSE greatest(1, "
-            "CAST(floor(height * 256.0 / side) AS BIGINT)) END AS out_height "
-            "FROM r), "
-            "fm AS (SELECT doc_id AS media_id, "
-            r"regexp_replace(text, '[^\x00-\x7f]', '', 'g') AS p FROM documents), "
-            "ff AS (SELECT media_id, p, greatest(1, "
-            "CAST(floor(length(p) / 1024) AS BIGINT)) AS nf FROM fm), "
-            "fs AS (SELECT media_id, k AS frame_index, "
-            "sha256(substr(p, k * 1024 + 1, 1024)) AS frame_sha "
-            "FROM ff, UNNEST(generate_series(0, nf - 1, 10)) AS u(k)), "
-            "fd AS (SELECT media_id, CAST(count(*) AS BIGINT) AS n_frames, "
-            "sha256(string_agg(frame_sha, '' ORDER BY frame_index)) "
-            "AS frames_digest FROM fs GROUP BY media_id), "
-            "ad AS (SELECT media_id, greatest(1, CAST(floor(nb / 16) AS BIGINT)) "
-            "AS dur FROM m), "
-            "aseg AS (SELECT media_id, k AS seg_index, k * 10000 AS t_start_ms, "
-            "least(k * 10000 + 10000, dur) AS t_end_ms FROM ad, "
-            "UNNEST(generate_series(0, CAST(floor((dur - 1) / 10000) AS BIGINT))) "
-            "AS u(k)), "
-            "adg AS (SELECT media_id, CAST(count(*) AS BIGINT) AS n_segments, "
-            "sha256(string_agg(seg_index || ':' || t_start_ms || ':' || t_end_ms, "
-            "'|' ORDER BY seg_index)) AS segments_digest "
-            "FROM aseg GROUP BY media_id) "
-            'SELECT o.media_id, o.h AS "sha256", CAST(o.nb AS BIGINT) AS n_bytes, '
-            "o.width, o.height, o.mean_luma, o.out_width, o.out_height, "
-            "sha256(o.text || '|' || o.out_width || 'x' || o.out_height) "
-            "AS resized_sha, fd.n_frames, fd.frames_digest, "
-            "adg.n_segments, adg.segments_digest "
-            "FROM o JOIN fd ON fd.media_id = o.media_id "
-            "JOIN adg ON adg.media_id = o.media_id"
-        ),
         "lang_id_docs": _LANG_ID_SQL,
         "text_features_docs": _TEXT_FEATURES_SQL,
         # verified-minhash near-dup: on this corpus LSH recall is total
@@ -1425,6 +1294,33 @@ def oracle_sql() -> dict[str, str]:
             "SELECT d.doc_id, COALESCE(sc.n_tokens, 0) AS n_tokens, "
             "round(COALESCE(sc.nll, 0.0), 4) AS nll "
             "FROM documents d LEFT JOIN sc ON sc.doc_id = d.doc_id"
+        ),
+        # DSIR: the unigram_lm_docs model trained twice, on the target
+        # subset (m = 'tg') and on the whole table (m = 'bg'); every doc
+        # is scored under both and logw = nll_bg - nll_tg, rounded to 4 dp
+        "dsir_weights_docs": (
+            "WITH t AS (SELECT doc_id, list_filter("
+            "regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '') "
+            "AS toks FROM documents), "
+            "dt AS (SELECT doc_id, unnest(toks) AS tok FROM t), "
+            "c AS (SELECT 'bg' AS m, tok, count(*) AS n FROM dt GROUP BY tok "
+            "UNION ALL SELECT 'tg' AS m, tok, count(*) AS n FROM dt "
+            "WHERE doc_id % 5 = 0 GROUP BY tok), "
+            "top AS (SELECT m, tok, n FROM (SELECT m, tok, n, row_number() "
+            "OVER (PARTITION BY m ORDER BY n DESC, tok) AS r FROM c) "
+            "WHERE r <= 1000), "
+            "p AS (SELECT m, CAST(sum(n) AS DOUBLE) AS total, "
+            "CAST(count(*) AS DOUBLE) AS v FROM top GROUP BY m), "
+            "lp AS (SELECT top.m, tok, ln((CAST(n AS DOUBLE) + 0.5) "
+            "/ (p.total + 0.5 * (p.v + 1))) AS logp FROM top JOIN p ON p.m = top.m), "
+            "oo AS (SELECT m, ln(0.5 / (total + 0.5 * (v + 1))) AS logp FROM p), "
+            "sc AS (SELECT dt.doc_id, oo.m, avg(-COALESCE(lp.logp, oo.logp)) AS nll "
+            "FROM dt CROSS JOIN oo LEFT JOIN lp ON lp.m = oo.m AND lp.tok = dt.tok "
+            "GROUP BY dt.doc_id, oo.m), "
+            "w AS (SELECT doc_id, sum(CASE m WHEN 'bg' THEN nll ELSE -nll END) "
+            "AS logw FROM sc GROUP BY doc_id) "
+            "SELECT d.doc_id, round(COALESCE(w.logw, 0.0), 4) AS dsir_logw "
+            "FROM documents d LEFT JOIN w ON w.doc_id = d.doc_id"
         ),
         # same md5 arithmetic as the operator: first two digest bytes as
         # a big-endian int under 65536 * rate

@@ -104,9 +104,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.bpe_ids and args.bpe_vocab is None:
         print("error: --bpe-ids requires --bpe-vocab", file=sys.stderr)
         return 2
-    if args.dsir_from and not args.curate:
-        print("error: --dsir-from requires --curate", file=sys.stderr)
-        return 2
+    if not args.curate:
+        # the curate chain is the only reader of these flags
+        curate_only = [flag for flag, val in (
+            ("--decontaminate-from", args.decontaminate_from),
+            ("--verify-dups", args.verify_dups),
+            ("--max-nll", args.max_nll),
+            ("--lang-rates", args.lang_rates),
+            ("--dsir-from", args.dsir_from),
+            ("--dedup-paragraphs", args.dedup_paragraphs),
+        ) if val is not None and val is not False]
+        for flag in curate_only:
+            print(f"error: {flag} requires --curate", file=sys.stderr)
+        if curate_only:
+            return 2
     if args.incremental_from and args.curate:
         print("error: --incremental-from applies to the extract job only, "
               "not --curate", file=sys.stderr)
@@ -267,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                                "n_tokens_col": "n_bpe_tokens"}
             manifest = write_training_shards(
                 articles, args.out.rstrip("/") + "_shards",
-                n_shards=args.export_shards, key="url", method="md5",
+                n_shards=args.export_shards, key="url",
                 **pack_kwargs,
             )
             summary = {

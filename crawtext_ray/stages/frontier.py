@@ -6,14 +6,12 @@ pre-crawled pages corpus (SURVEY.md §0), so BFS = iterative subsetting of
 the pages Dataset by the current frontier's url set, one Dataset round per
 depth (no global sort — depth ordering is the driver loop).
 
-J1 (seen-url anti-join) has two forms:
-- ``anti_join_broadcast``: ship the seen set once per worker and filter
-  each batch (``partitioning.member_filter``) — right when |seen| fits a
-  worker heap.
-- ``anti_join_grouped``: union + groupby("url") keeping groups with no
-  seen flag — the shuffle form for when neither side is small
-  (Ray 2.49 has no native anti-join; hash-partition groupby is the
-  idiomatic equivalent).
+J1 (seen-url anti-join) with a small seen set is
+``partitioning.member_filter(..., keep=False)``: the set is shipped once
+per worker and each batch is filtered. When neither side is small it is
+``anti_join_grouped``: union + groupby("url") keeping groups with no
+seen flag (Ray 2.49 has no native anti-join; hash-partition groupby is
+the idiomatic equivalent).
 
 ``bfs_crawl`` picks between a broadcast frontier and a Dataset frontier
 against ``partitioning.BROADCAST_ROWS``.
@@ -22,17 +20,6 @@ against ``partitioning.BROADCAST_ROWS``.
 from __future__ import annotations
 
 import pyarrow as pa
-
-
-def anti_join_broadcast(ds, seen_keys, key: str = "url"):
-    """Broadcast-side J1: drop the rows whose ``key`` is in the python
-    collection ``seen_keys`` (an empty one passes every row)."""
-    from .partitioning import member_filter
-
-    if not seen_keys:
-        return ds
-    return member_filter(ds, key, pa.array(sorted(set(seen_keys))),
-                         keep=False)
 
 
 def anti_join_grouped(new_ds, seen_ds, key: str = "url"):

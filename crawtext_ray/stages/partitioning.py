@@ -51,10 +51,9 @@ def url_buckets(urls: list, num_buckets: int) -> np.ndarray:
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (public-domain constant set from
     the SplitMix64 PRNG): uint64 in → well-mixed uint64 out, pure numpy.
-    The PRODUCTION hash for sampling ops at corpus scale — ~70x faster
-    than per-row md5 — while md5 stays the oracle-exact mode (DuckDB can
-    reproduce md5 bit-for-bit; a SQL splitmix64 would need HUGEINT
-    gymnastics for the 64-bit wraparound)."""
+    The integer-key mixer of the Bloom filter and the paragraph-dedup
+    pair keys; the row hashes of the sampling and shuffle ops are md5
+    (``md5_prefix_array``), which DuckDB reproduces bit-for-bit."""
     x = np.ascontiguousarray(x).astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x += np.uint64(0x9E3779B97F4A7C15)
@@ -84,18 +83,6 @@ def md5_prefix_array(ids, nbytes: int, seed: int | None = None) -> np.ndarray:
             for i in ids
         )
     return np.frombuffer(buf, dtype=dtype)
-
-
-def require_integer_ids(arr: np.ndarray, what: str) -> np.ndarray:
-    """Guard for the splitmix64 fast paths: raise the documented
-    TypeError on non-integer id columns instead of a numpy cast error
-    (or, worse, silently numeric-parsing string ids)."""
-    if not np.issubdtype(np.asarray(arr).dtype, np.integer):
-        raise TypeError(
-            f"splitmix64 {what} needs integer ids; use method='md5' "
-            "for string ids"
-        )
-    return arr
 
 
 def size_hash_shuffle(ctx) -> None:

@@ -1,7 +1,7 @@
 """PDF text-extraction stage (the north rule's "PDF/layout parse" leg):
 opaque ``binary`` PDF payloads → extracted text + page metadata, as a
 task-fused map_batches stage (same plumbing pattern as the HTML extract
-and multimodal stages)."""
+stage)."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ class ExtractPdfText:
 
 
 def extract_pdf_texts(ds, payload_col: str = "payload", id_col: str = "doc_id",
-                      batch_size: int = 32, concurrency="tasks"):
+                      batch_size: int = 32):
     """Small batches: PDFs can be MB-scale rows."""
     from .fusion import map_stage
 
@@ -42,5 +42,4 @@ def extract_pdf_texts(ds, payload_col: str = "payload", id_col: str = "doc_id",
         ds,
         lambda: ExtractPdfText(payload_col=payload_col, id_col=id_col),
         batch_size=batch_size,
-        concurrency=concurrency,
     )

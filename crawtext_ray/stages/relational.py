@@ -84,84 +84,12 @@ def filter_events(sf_dir: str, event_type: str = "click", min_value: float = 50.
 # --- scalar fns: counts, json, dates -------------------------------------
 
 
-def word_counts_docs(sf_dir: str):
-    """M9: whitespace word count + BPE-ish token count per doc. Arrow
-    RE2 kernels end-to-end (differentially verified against Python re on
-    the fixture corpus — counts identical)."""
-    import pyarrow.compute as pc
-
-    def fn(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_words": pc.cast(
-                    pc.count_substring_regex(col, pattern=r"\S+"), pa.int64()
-                ),
-                "n_tokens": pc.cast(
-                    pc.count_substring_regex(
-                        col, pattern=r"[A-Za-z0-9_]+|[^A-Za-z0-9_\s]"
-                    ),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        fn, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-def quality_ints_docs(sf_dir: str):
-    """Quality-feature integers (ASCII contracts; see oracle): chars,
-    words, punctuation marks, English-stopword hits. All Arrow kernels;
-    the stopword count is split_pattern_regex → is_in → bincount (RE2
-    has no lookarounds, so a boundary regex can't express it) —
-    differentially verified against the Python-re path."""
-    import pyarrow.compute as pc
-
-    from ..extract.stopwords import stopword_set
-
-    sw_arr = pa.array(sorted(stopword_set("en")))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        low = pc.utf8_lower(col)
-        toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-        arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        # null-slot-safe flatten/parent-index pairing (ADVICE r2: an
-        # offsets diff counts a null slot's range while flatten skips it)
-        hits = pc.is_in(pc.list_flatten(arr), value_set=sw_arr).to_numpy(
-            zero_copy_only=False
-        )
-        row_idx = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
-        n_stop = np.bincount(
-            row_idx, weights=hits, minlength=len(arr)
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars_calc": pc.cast(pc.utf8_length(col), pa.int64()),
-                "n_words": pc.cast(
-                    pc.count_substring_regex(col, pattern=r"\S+"), pa.int64()
-                ),
-                "n_punct": pc.cast(
-                    pc.count_substring_regex(col, pattern=r"[^A-Za-z0-9_\s]"),
-                    pa.int64(),
-                ),
-                "n_stop": pa.array(n_stop, pa.int64()),
-            }
-        )
-
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        fn, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
 def doc_stats_docs(sf_dir: str):
-    """Per-doc scalar-function stats in ONE pass: the merged form of
-    word_counts_docs + quality_ints_docs (same Arrow kernels, one scan
-    instead of two — and one driver-gate query slot instead of two).
+    """M9 per-doc scalar-function stats in ONE pass of Arrow kernels:
+    chars, whitespace words, word-or-punctuation tokens, punctuation
+    marks (ASCII contracts; see oracle) and English-stopword hits. The
+    stopword count is split_pattern_regex → is_in → bincount (RE2 has no
+    lookarounds, so a boundary regex can't express it).
     Output (doc_id, n_chars_calc, n_words, n_tokens, n_punct, n_stop)."""
     import pyarrow.compute as pc
 
@@ -174,6 +102,8 @@ def doc_stats_docs(sf_dir: str):
         low = pc.utf8_lower(col)
         toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
         arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
+        # null-slot-safe flatten/parent-index pairing (an offsets diff
+        # counts a null slot's range while flatten skips it)
         hits = pc.is_in(pc.list_flatten(arr), value_set=sw_arr).to_numpy(
             zero_copy_only=False
         )
@@ -620,34 +550,20 @@ def asof_click_before_purchase(sf_dir: str):
     return key_runs(keep, "user_id", _BY_TIME, _asof_merge_frame)
 
 
-def sample_docs_deterministic(sf_dir: str, pct: int = 10,
-                              method: str = "md5"):
+def sample_docs_deterministic(sf_dir: str, pct: int = 10):
     """T3 sampling, the reproducible form: keep a doc iff its id hash
     falls in the lowest ``pct``% of the range — a deterministic hash
     sample that every rerun selects identically. Use Ray-native
     ``ds.random_sample`` when statistical (non-reproducible) sampling is
-    wanted.
-
-    ``method="md5"`` (default): first byte of md5(str(doc_id)) — the
-    ORACLE-EXACT mode (DuckDB reproduces it bit-for-bit), one md5 call
-    per row. ``method="splitmix64"``: top 8 bits of the vectorized
-    splitmix64 finalizer — the PRODUCTION mode for 10^12-row corpora
-    (~70x faster, zero Python per row); integer ids only."""
-    import numpy as np
-
-    from .partitioning import md5_prefix_array, require_integer_ids, splitmix64
+    wanted. The hash is the first byte of md5(str(doc_id)): one md5
+    call per row, and DuckDB reproduces it bit-for-bit."""
+    from .partitioning import md5_prefix_array
 
     cut = 256 * pct // 100
 
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch
-        if method == "splitmix64":
-            ids = require_integer_ids(
-                batch["doc_id"].to_numpy(zero_copy_only=False), "sampling"
-            )
-            keep = (splitmix64(ids) >> np.uint64(56)).astype(np.int64) < cut
-            return batch.filter(pa.array(keep))
         keep = md5_prefix_array(batch["doc_id"].to_pylist(), 1) < cut
         return batch.filter(pa.array(keep))
 

@@ -16,10 +16,9 @@ the same statistical effect deterministically and resumably:
 - shard files are written independently (``part-<shard>.parquet``), so a
   failed export resumes per shard.
 
-Hash modes mirror the sampling ops: ``splitmix64`` (vectorized, integer
-keys, the production mode) and ``md5`` (any key type, bit-reproducible
-in SQL — the oracle/differential mode); both kernels are shared with
-the samplers via stages.partitioning.
+The row hash is the samplers' md5 kernel (stages.partitioning
+``md5_prefix_array``): any key type, and DuckDB reproduces it
+bit-for-bit, so the SQL oracles rebuild every shard and position.
 
 Output location: ``out_dir`` may be a plain local path OR a
 ``scheme://`` URI resolvable by ``pyarrow.fs.FileSystem.from_uri``
@@ -36,38 +35,21 @@ import numpy as np
 import pyarrow as pa
 
 
-def _row_hashes(ids, method: str, seed: int) -> np.ndarray:
-    from .partitioning import md5_prefix_array, require_integer_ids, splitmix64
-
-    if method == "splitmix64":
-        arr = require_integer_ids(np.asarray(ids), "sharding")
-        with np.errstate(over="ignore"):
-            mixed = arr.astype(np.uint64) + splitmix64(
-                np.full(1, seed, dtype=np.uint64)
-            )
-        return splitmix64(mixed)
-    if method == "md5":
-        return md5_prefix_array(ids, 8, seed=seed).astype(np.uint64)
-    raise ValueError(f"unknown hash method {method!r}")
-
-
-def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, method: str,
-                     finish):
+def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, finish):
     """Shared core: map-side shard+hash assignment, then ONE keyed
     groupby whose group function sorts the shard into shuffle order,
     assigns ``pos``, and hands the ordered table to ``finish`` (the
     caller's per-shard work — identity, packing, or file write) — so
     every variant pays exactly one exchange and one sort."""
+    from .partitioning import md5_prefix_array
 
     def assign(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch.append_column(
                 "shard", pa.array([], pa.int64())
             ).append_column("_h", pa.array([], pa.uint64()))
-        h = _row_hashes(batch[key].to_pylist()
-                        if method == "md5"
-                        else batch[key].to_numpy(zero_copy_only=False),
-                        method, seed)
+        h = md5_prefix_array(batch[key].to_pylist(), 8,
+                             seed=seed).astype(np.uint64)
         t = batch.append_column(
             "shard", pa.array((h % np.uint64(n_shards)).astype(np.int64))
         )
@@ -93,11 +75,11 @@ def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, method: str,
 
 
 def shuffle_shards(ds, n_shards: int = 64, key: str = "doc_id",
-                   seed: int = 0, method: str = "splitmix64"):
+                   seed: int = 0):
     """Assign every row a ``shard`` and its deterministic ``pos`` within
     that shard; rows come back grouped by shard and ordered by position.
     Columns are preserved; ``shard``/``pos`` are appended (int64)."""
-    return _grouped_shuffle(ds, n_shards, key, seed, method, lambda g: g)
+    return _grouped_shuffle(ds, n_shards, key, seed, lambda g: g)
 
 
 def _resolve_fs(out_dir: str):
@@ -131,7 +113,6 @@ def _pack_table(g: pa.Table, seq_len: int, n_tokens_col: str) -> pa.Table:
 
 def write_training_shards(ds, out_dir: str, n_shards: int = 64,
                           key: str = "doc_id", seed: int = 0,
-                          method: str = "splitmix64",
                           pack_seq_len: int | None = None,
                           n_tokens_col: str = "n_tokens") -> list[dict]:
     """Shuffle-shard ``ds`` and write one parquet file per shard
@@ -181,7 +162,7 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
 
     recs = {
         int(r["shard"]): int(r["rows"])
-        for r in _grouped_shuffle(ds, n_shards, key, seed, method,
+        for r in _grouped_shuffle(ds, n_shards, key, seed,
                                   write_shard).take_all()
     }
     # rowless shards (tiny corpora / unlucky hashes): write empty files
@@ -221,7 +202,7 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
 
 def pack_sequences(ds, seq_len: int, key: str = "doc_id",
                    n_tokens_col: str = "n_tokens", n_shards: int = 64,
-                   seed: int = 0, method: str = "splitmix64"):
+                   seed: int = 0):
     """GPT-style sequence packing assignment: documents are laid out in
     the deterministic shuffle order (``shuffle_shards``) and the token
     stream is cut into fixed ``seq_len`` windows; every document gets
@@ -239,6 +220,5 @@ def pack_sequences(ds, seq_len: int, key: str = "doc_id",
     shard — loaders consume one shard each, which is the point."""
 
     return _grouped_shuffle(
-        ds, n_shards, key, seed, method,
-        lambda g: _pack_table(g, seq_len, n_tokens_col)
-    )
+        ds, n_shards, key, seed,
+        lambda g: _pack_table(g, seq_len, n_tokens_col))

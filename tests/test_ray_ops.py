@@ -1,4 +1,4 @@
-"""Dedup / similarity / multimodal / frontier operators on small planted
+"""Dedup / similarity / frontier operators on small planted
 datasets (the training-data operator set)."""
 
 import numpy as np
@@ -348,72 +348,6 @@ def test_embedding_dedup_skewed_bucket(ray_session):
     assert sorted(got["vec_id"]) == list(range(1, 60))
 
 
-def test_multimodal_fake_decode_and_stub(ray_session):
-    import ray.data as rd
-
-    from crawtext_ray.stages.multimodal import (
-        DecodeImageFeatures,
-        decode_image_features,
-        sample_frames,
-    )
-
-    media = rd.from_items(
-        [
-            {"media_id": i, "payload": bytes([i]) * (1024 * (i + 1)), "mime": "image/fake"}
-            for i in range(5)
-        ]
-    )
-    feats = decode_image_features(media).to_pandas()
-    assert len(feats) == 5
-    assert (feats["n_bytes"] > 0).all()
-    assert feats["sha256"].is_unique
-    assert ((feats["width"] >= 64) & (feats["width"] < 256)).all()
-
-    frames = sample_frames(media, every_n=2).to_pandas()
-    assert (frames.groupby("media_id").size() > 0).all()
-
-    with pytest.raises(NotImplementedError):
-        DecodeImageFeatures(decode="real")(
-            __import__("pyarrow").table({"media_id": [1], "payload": [b"x"]})
-        )
-
-
-def test_multimodal_resize_and_audio_stages(ray_session):
-    import pytest
-    import ray.data as rd
-
-    from crawtext_ray.stages.multimodal import (
-        AudioSegments,
-        ResizeImages,
-        audio_segments,
-        resize_images,
-    )
-
-    media = rd.from_items(
-        [{"media_id": i, "payload": bytes([i]) * (40_000 * (i + 1))}
-         for i in range(4)]
-    )
-    rs = resize_images(media, max_side=128).to_pandas()
-    assert len(rs) == 4
-    assert (rs["out_width"] <= 128).all() and (rs["out_height"] <= 128).all()
-    assert rs["resized_sha"].is_unique
-
-    seg = audio_segments(media, window_ms=1000).to_pandas()
-    # fake model: 1 ms per 16 bytes → media 0 = 2500 ms → 3 windows
-    m0 = seg[seg["media_id"] == 0].sort_values("seg_index")
-    assert list(m0["t_start_ms"]) == [0, 1000, 2000]
-    assert list(m0["t_end_ms"]) == [1000, 2000, 2500]
-    # real-decode stubs raise with the dependency note
-    import pyarrow as pa
-
-    b = pa.table({"media_id": pa.array([1], pa.int64()),
-                  "payload": pa.array([b"x"], pa.binary())})
-    with pytest.raises(NotImplementedError):
-        ResizeImages(decode="real")(b)
-    with pytest.raises(NotImplementedError):
-        AudioSegments(decode="real")(b)
-
-
 def test_bfs_crawl_rounds(ray_session, pages_small):
     import ray.data as rd
 
@@ -448,19 +382,6 @@ def test_bfs_crawl_distributed_matches_broadcast(ray_session, pages_small,
                sorted(x["url"] for x in b.select_columns(["url"]).take_all())
     seen_big_set = {r["url"] for r in seen_big.iter_rows()}
     assert seen_big_set == set(seen_small)
-
-
-def test_anti_join_broadcast(ray_session):
-    import ray.data as rd
-
-    from crawtext_ray.stages.frontier import anti_join_broadcast
-
-    ds = rd.from_items([{"url": f"u{i}", "x": i} for i in range(10)])
-    out = anti_join_broadcast(ds, {f"u{i}" for i in range(0, 10, 2)})
-    rows = sorted(r["url"] for r in out.take_all())
-    assert rows == [f"u{i}" for i in range(1, 10, 2)]
-    # empty seen set = passthrough
-    assert anti_join_broadcast(ds, set()).count() == 10
 
 
 def test_anti_join_grouped(ray_session):

@@ -5,7 +5,7 @@ import pandas as pd
 
 
 def test_shuffle_shards_md5_vs_duckdb(ray_session):
-    """md5 mode matches the same arithmetic in SQL: shard = first 8 md5
+    """The md5 row hash matches the same arithmetic in SQL: shard = first 8 md5
     bytes of 'seed:id' mod S, pos = rank of (hash, id) within shard."""
     import duckdb
     import ray.data as rd
@@ -14,7 +14,7 @@ def test_shuffle_shards_md5_vs_duckdb(ray_session):
 
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "lang"])
-    got = shuffle_shards(docs, n_shards=8, seed=0, method="md5").to_pandas()
+    got = shuffle_shards(docs, n_shards=8, seed=0).to_pandas()
     sql = """
     WITH h AS (
       SELECT doc_id, lang,
@@ -33,6 +33,8 @@ def test_shuffle_shards_md5_vs_duckdb(ray_session):
 
 
 def test_shuffle_shards_splitmix_deterministic_and_balanced(ray_session):
+    """The md5 row hash on integer ids: rerun-identical, balanced over
+    shards, seed-dependent, and not the input order within a shard."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -93,15 +95,13 @@ def test_write_training_shards_roundtrip(ray_session, tmp_path):
 
 
 def test_shuffle_shards_string_keys_need_md5(ray_session):
-    import pytest
+    """The md5 row hash takes string keys as they are."""
     import ray.data as rd
 
     from crawtext_ray.stages.shuffle import shuffle_shards
 
     ds = rd.from_items([{"doc_id": "a"}, {"doc_id": "b"}])
-    with pytest.raises(Exception, match="integer ids"):
-        shuffle_shards(ds, n_shards=2).to_pandas()
-    out = shuffle_shards(ds, n_shards=2, method="md5").to_pandas()
+    out = shuffle_shards(ds, n_shards=2).to_pandas()
     assert set(out["doc_id"]) == {"a", "b"}
 
 
@@ -155,8 +155,7 @@ def test_export_shards_cli_over_articles(ray_session, pages_small, tmp_path):
     articles = rd.read_parquet(out, file_extensions=["parquet"])
     n = articles.count()
     manifest = write_training_shards(
-        articles, str(tmp_path / "shards"), n_shards=4, key="url",
-        method="md5")
+        articles, str(tmp_path / "shards"), n_shards=4, key="url")
     assert sum(m["rows"] for m in manifest) == n
     t = pq.read_table(manifest[0]["path"])
     assert {"url", "meta", "outlinks", "shard", "pos"} <= set(t.column_names)
@@ -178,8 +177,8 @@ def test_pack_sequences_vs_duckdb(ray_session):
     docs = docs.map_batches(
         lambda t: t.rename_columns(
             ["doc_id", "n_tokens"]), batch_format="pyarrow")
-    got = pack_sequences(docs, seq_len=4096, n_shards=4, seed=1,
-                         method="md5").to_pandas()
+    got = pack_sequences(docs, seq_len=4096, n_shards=4,
+                         seed=1).to_pandas()
     sql = """
     WITH h AS (
       SELECT doc_id, n_chars AS n_tokens,
@@ -281,7 +280,7 @@ def test_packed_tokenized_export_over_articles(ray_session, pages_small,
     articles = bpe_encode_docs(articles, tok, text_col="extracted_text")
     manifest = write_training_shards(
         articles, str(tmp_path / "shards"), n_shards=4, key="url",
-        method="md5", pack_seq_len=128, n_tokens_col="n_bpe_tokens")
+        pack_seq_len=128, n_tokens_col="n_bpe_tokens")
     assert sum(m["rows"] for m in manifest) == articles.count()
     t = pq.read_table(manifest[0]["path"]).to_pandas()
     assert len(t) > 0
