@@ -1122,8 +1122,8 @@ def oracle_sql() -> dict[str, str]:
         ),
         "redact_pii_docs": (
             "SELECT doc_id, regexp_replace(regexp_replace(text, "
-            "'[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}', '[EMAIL]', 'g'), "
-            "'\+?[0-9][0-9\-\s]{7,}[0-9]', '[PHONE]', 'g') AS clean_text "
+            r"'[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}', '[EMAIL]', 'g'), "
+            r"'\+?[0-9][0-9\-\s]{7,}[0-9]', '[PHONE]', 'g') AS clean_text "
             "FROM documents"
         ),
         "chunk_docs": (

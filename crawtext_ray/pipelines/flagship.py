@@ -53,7 +53,10 @@ def build_articles(
     ``read_pages``' small blocks: the extract slices each block into
     ``batch_size``-row kernel calls itself, because Ray does not fuse a
     read into a map that sets a ``batch_size`` (see
-    ``extract_articles``). ``num_partitions`` is unused: the articles
+    ``extract_articles``), and ``read_pages`` sizes the scan by work
+    (``sources.pages.scan_tasks``: whole waves of one task per CPU, never
+    more tasks than files), because Ray does not fuse a read whose blocks
+    it splits either. ``num_partitions`` is unused: the articles
     are not partitioned until a sink partitions them. ``concurrency``:
     see ``extract_articles``."""
     ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS,

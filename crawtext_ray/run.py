@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
                          "one doc per line) - keep the top --dsir-keep "
                          "fraction of curated docs by DSIR importance "
                          "weight (target-vs-corpus unigram LMs)")
-    ap.add_argument("--dsir-keep", type=float, default=0.25,
+    ap.add_argument("--dsir-keep", type=float, default=None,
                     help="fraction kept by --dsir-from (default 0.25)")
     ap.add_argument("--dedup-paragraphs", action="store_true",
                     help="--curate corpus-wide paragraph-level exact "
@@ -122,7 +122,13 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --incremental-from applies to the extract job only, "
               "not --curate", file=sys.stderr)
         return 2
-    if not 0.0 < args.dsir_keep <= 1.0:
+    if args.dsir_from is None:
+        if args.dsir_keep is not None:
+            print("error: --dsir-keep requires --dsir-from", file=sys.stderr)
+            return 2
+    elif args.dsir_keep is None:
+        args.dsir_keep = 0.25
+    elif not 0.0 < args.dsir_keep <= 1.0:
         print("error: --dsir-keep must be in (0, 1]", file=sys.stderr)
         return 2
 

@@ -8,7 +8,10 @@ the read so stages that don't parse never ship ``html`` bytes.
 
 from __future__ import annotations
 
+import math
+
 import ray.data
+from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
@@ -22,25 +25,52 @@ PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 PAGE_BLOCK_BYTES = 8 * 1024 * 1024
 
 
+def scan_tasks(cpus: int, files: int, size_bytes: float | None) -> int:
+    """Read tasks for a page scan of ``files`` files holding about
+    ``size_bytes`` of pages in memory, on ``cpus`` CPUs:
+    ``max(C, min(F, C * ceil(S / (C * PAGE_BLOCK_BYTES))))``.
+
+    Ray Data's scheduling loop notices ended tasks only once per step
+    (``ray.wait(..., timeout=0.1)``), so a CPU whose task has ended idles
+    up to 0.1 s before its next task starts, and Ray's default read
+    parallelism (at least 2 tasks per CPU) pays that wait between two
+    short fused scan+extract tasks on every CPU. The rule gives each task
+    about ``PAGE_BLOCK_BYTES`` of pages, rounded up to whole waves of
+    ``cpus`` tasks, and never more tasks than files: with at least ``cpus``
+    files, every task reads whole files, Ray does not split its blocks
+    (``SplitBlocks``), and the scan fuses into the extract. At scale it is
+    one task per file, each streaming its file in ``PAGE_BLOCK_BYTES``
+    blocks. Fewer files than CPUs still get ``cpus`` tasks (Ray splits
+    the blocks so every CPU gets work). An unknown size gives one task
+    per file."""
+    if size_bytes is None:
+        return max(cpus, files)
+    waves = math.ceil(size_bytes / (cpus * PAGE_BLOCK_BYTES))
+    return max(cpus, min(files, cpus * waves))
+
+
 def read_pages(
     path: str | list[str],
     columns: list[str] | None = None,
     include_paths: bool = False,
-    override_num_blocks: int | None = None,
     shuffle=None,
 ) -> "ray.data.Dataset":
     """Scan the pages table. ``columns`` prunes at the parquet reader
     (row-group level) — e.g. reports read only ["url", "lang"].
     ``shuffle="files"`` randomizes file order (cheap host-skew break for
-    host-clustered crawl dumps). Blocks target ``PAGE_BLOCK_BYTES``, set
-    on this Dataset's own context (a copy; the session's is untouched)."""
-    ds = ray.data.read_parquet(
-        path,
-        columns=columns,
-        include_paths=include_paths,
-        override_num_blocks=override_num_blocks,
-        shuffle=shuffle,
-    )
+    host-clustered crawl dumps). The read-task count is ``scan_tasks`` of
+    the session's CPUs and the scan's file count and in-memory size
+    estimate, both read from the file metadata the datasource already
+    holds; the scan then reads that same datasource. Blocks target
+    ``PAGE_BLOCK_BYTES``, set on this Dataset's own context (a copy; the
+    session's is untouched)."""
+    source = ParquetDatasource(path, columns=columns,
+                               include_paths=include_paths, shuffle=shuffle)
+    files = sum(len(task.metadata.input_files)
+                for task in source.get_read_tasks(1))
+    n = scan_tasks(int(ray.cluster_resources().get("CPU", 1)), files,
+                   source.estimate_inmemory_data_size())
+    ds = ray.data.read_datasource(source, override_num_blocks=n)
     ds.context.target_max_block_size = PAGE_BLOCK_BYTES
     return ds
 

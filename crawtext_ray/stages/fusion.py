@@ -3,12 +3,15 @@ per-worker-process cached state.
 
 Ray Data fuses adjacent TaskPool map operators (transform → transform)
 into one — batches never take an object-store hop between them — but
-only for plain functions, not actor pools, and not a read (or any map
-that may change its row count) into a map that sets ``batch_size``. A
-stage that wants small calls after a read therefore leaves Ray's
-``batch_size`` unset and passes ``slice_rows``: Ray fuses the read into
-it and the stage cuts each block into slices itself (the extract stage
-does this, so the page scan and the extract run as one operator). A
+only for plain functions, not actor pools, not a read (or any map
+that may change its row count) into a map that sets ``batch_size``, and
+not a read whose blocks Ray splits (``SplitBlocks``: more read tasks
+than files). A stage that wants small calls after a read therefore
+leaves Ray's ``batch_size`` unset and passes ``slice_rows``: Ray fuses
+the read into it and the stage cuts each block into slices itself (the
+extract stage does this, and ``sources.pages.read_pages`` asks for at
+most one read task per file when the input has a file per CPU, so the
+page scan and the extract run as one operator). A
 module-global cache keyed per wiring gives the function the same
 once-per-worker state an actor would hold (Ray reuses worker processes
 across tasks). Measured on the extract stage: +25–40% over the

@@ -147,6 +147,19 @@ def test_queries_contract_shape(ray_session):
     assert len(o) == 47
 
 
+def test_entry_module_compiles_with_warnings_as_errors():
+    """Every backslash in the module's SQL literals is a valid Python
+    escape or sits in a raw string: an invalid escape such as ``'\\-'``
+    warns on each import and is a syntax error under ``python -W error``."""
+    import pathlib
+    import warnings
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "__ray_entry__.py"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")
+
+
 def test_window_composite_overflow_fallback():
     """The composite-key searchsorted and the per-segment fallback must
     produce identical frames (the fallback fires when users x time-span

@@ -263,27 +263,65 @@ def test_extract_job_is_one_scan_extract_sink_operator(ray_session, pages_small,
     """The job fuses the page scan, the extract and the sink's partition
     split into one operator (a separate read operator holds CPU budget
     until its last task ends), and leaves the session's block size alone.
-    The pages span several files: Ray splits the blocks of a read with
-    fewer files than read tasks, and a splitting read does not fuse."""
+    The pages are over 8 MiB in 8 files: Ray's default read parallelism
+    (about one task per MiB) would exceed the file count and split the
+    read's blocks, and a splitting read does not fuse. ``read_pages``
+    sizes the scan at one task per CPU here (4), each reading 2 files."""
     import re
 
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     from ray.data import DataContext
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource,
+    )
+
+    from crawtext_ray.pipelines.flagship import PAGES_EXTRACT_COLUMNS
 
     pages = pq.read_table(pages_small)
+    copy = pages.set_column(pages.schema.get_field_index("url"), "url",
+                            pc.binary_join_element_wise(
+                                pages["url"], pa.scalar("#copy"), ""))
+    pages = pa.concat_tables([pages, copy])
     (tmp_path / "pages").mkdir()
     for i in range(8):
-        pq.write_table(pages.slice(i * 125, 125),
+        pq.write_table(pages.slice(i * 250, 250),
                        tmp_path / "pages" / f"part-{i}.parquet")
+    source = ParquetDatasource(str(tmp_path / "pages"),
+                               columns=PAGES_EXTRACT_COLUMNS)
+    assert source.estimate_inmemory_data_size() > 8 * 2**20
     session_block = DataContext.get_current().target_max_block_size
     stats = _job_stats(str(tmp_path / "pages"), str(tmp_path / "out"),
                        monkeypatch)
-    ops = re.findall(r"^Operator \d+ (\S+):", stats, re.M)
-    fused = [o for o in ops if "extract_fn" in o]
-    assert len(fused) == 1, ops
-    assert fused[0].startswith("ReadParquet->")
-    assert "split_by_partition" in fused[0]
+    heads = re.findall(r"^Operator \d+ (\S+): (.*)$", stats, re.M)
+    fused = [(op, rest) for op, rest in heads if "extract_fn" in op]
+    assert len(fused) == 1, heads
+    assert fused[0][0].startswith("ReadParquet->")
+    assert "split_by_partition" in fused[0][0]
+    assert fused[0][1].startswith("4 tasks executed"), fused
     assert DataContext.get_current().target_max_block_size == session_block
+
+
+def test_scan_tasks_whole_cpu_waves_at_most_one_per_file():
+    """The page scan's read-task count (no Ray)."""
+    from crawtext_ray.sources.pages import PAGE_BLOCK_BYTES, scan_tasks
+
+    # perfbench's extract_job shape: 8 files, ~7.2 MB of pages, 4 CPUs
+    assert scan_tasks(4, 8, 7.2e6) == 4
+    # fewer files than CPUs: still one task per CPU (Ray splits blocks)
+    assert scan_tasks(4, 1, 5.7e6) == 4
+    assert scan_tasks(4, 2, 500 * PAGE_BLOCK_BYTES) == 4
+    # many small files: about PAGE_BLOCK_BYTES per task, whole waves
+    assert scan_tasks(4, 64, 100e6) == 12
+    assert scan_tasks(4, 64, 8 * PAGE_BLOCK_BYTES) == 8
+    assert scan_tasks(4, 64, 8 * PAGE_BLOCK_BYTES + 1) == 12
+    assert scan_tasks(32, 1000, 57.5e6) == 32
+    # huge input: one task per file
+    assert scan_tasks(4, 20_000, 100e12) == 20_000
+    # unknown size: one task per file, at least one per CPU
+    assert scan_tasks(4, 8, None) == 8
+    assert scan_tasks(4, 2, None) == 4
 
 
 def test_read_pages_targets_small_blocks(ray_session, pages_small):
