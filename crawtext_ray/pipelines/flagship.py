@@ -59,8 +59,7 @@ def build_articles(
     it splits either. ``num_partitions`` is unused: the articles
     are not partitioned until a sink partitions them. ``concurrency``:
     see ``extract_articles``."""
-    ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS,
-                    shuffle="files")
+    ds = read_pages(pages_path, columns=PAGES_EXTRACT_COLUMNS)
     return extract_articles(
         ds,
         rule_lines=rule_lines,
@@ -90,8 +89,7 @@ def run_extract_job(
     t0 = time.time()
     done = completed_partitions(out_dir)
 
-    ds = read_pages(input_path, columns=PAGES_EXTRACT_COLUMNS,
-                    shuffle="files")
+    ds = read_pages(input_path, columns=PAGES_EXTRACT_COLUMNS)
     if incremental_from:
         # batch-incremental re-crawl (SURVEY.md §2.10, crawtext's
         # cron-re-run model): skip urls already extracted in a previous

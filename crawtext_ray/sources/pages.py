@@ -52,20 +52,17 @@ def scan_tasks(cpus: int, files: int, size_bytes: float | None) -> int:
 def read_pages(
     path: str | list[str],
     columns: list[str] | None = None,
-    include_paths: bool = False,
-    shuffle=None,
 ) -> "ray.data.Dataset":
     """Scan the pages table. ``columns`` prunes at the parquet reader
-    (row-group level) — e.g. reports read only ["url", "lang"].
-    ``shuffle="files"`` randomizes file order (cheap host-skew break for
+    (row-group level) — e.g. reports read only ["url", "lang"]. The
+    files are read in shuffled order (a cheap host-skew break for
     host-clustered crawl dumps). The read-task count is ``scan_tasks`` of
     the session's CPUs and the scan's file count and in-memory size
     estimate, both read from the file metadata the datasource already
     holds; the scan then reads that same datasource. Blocks target
     ``PAGE_BLOCK_BYTES``, set on this Dataset's own context (a copy; the
     session's is untouched)."""
-    source = ParquetDatasource(path, columns=columns,
-                               include_paths=include_paths, shuffle=shuffle)
+    source = ParquetDatasource(path, columns=columns, shuffle="files")
     files = sum(len(task.metadata.input_files)
                 for task in source.get_read_tasks(1))
     n = scan_tasks(int(ray.cluster_resources().get("CPU", 1)), files,

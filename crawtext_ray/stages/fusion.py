@@ -55,19 +55,18 @@ def fused(factory, key=None, slice_rows: int | None = None):
 
 
 def map_stage(ds, factory, *, key=None, concurrency="tasks", batch_size=None,
-              slice_rows: int | None = None, batch_format: str = "pyarrow",
-              zero_copy_batch: bool = True):
-    """Wire a stage task-fused: ``concurrency`` "tasks"/None runs
-    uncapped tasks, an int caps how many run at once (still tasks — the
-    per-worker cache works either way). ``key``, ``slice_rows`` (pyarrow
-    batches only): see ``fused``."""
+              slice_rows: int | None = None):
+    """Wire a stage task-fused over zero-copy pyarrow batches:
+    ``concurrency`` "tasks"/None runs uncapped tasks, an int caps how
+    many run at once (still tasks — the per-worker cache works either
+    way). ``key``, ``slice_rows``: see ``fused``."""
     kwargs: dict = {}
     if concurrency not in ("tasks", None):
         kwargs["concurrency"] = concurrency
     return ds.map_batches(
         fused(factory, key, slice_rows),
-        batch_format=batch_format,
-        zero_copy_batch=zero_copy_batch,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
         batch_size=batch_size,
         **kwargs,
     )

@@ -685,19 +685,18 @@ def events_by_type_day(sf_dir: str):
 
 
 def median_chars_by_lang(sf_dir: str):
-    """Discrete median (quantile_disc 0.5) of n_chars per lang: per-group
-    sorted pick matching DuckDB's lower-discrete definition."""
-    import math
+    """Discrete median (quantile_disc 0.5) of n_chars per lang: one
+    key-run reduce on lang sorted by n_chars picks each run's row
+    ``(len + 1) // 2 - 1`` — DuckDB's lower-discrete definition."""
 
-    def med(g: pd.DataFrame) -> pd.DataFrame:
-        vals = sorted(g["n_chars"])
-        idx = max(0, math.ceil(0.5 * len(vals)) - 1)
-        return pd.DataFrame(
-            {"lang": [g["lang"].iloc[0]], "median_chars": [int(vals[idx])]}
-        )
+    def median(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        lens = np.diff(np.append(starts, t.num_rows))
+        rows = pa.array(starts + (lens + 1) // 2 - 1)
+        return pa.table({"lang": t["lang"].take(rows),
+                         "median_chars": t["n_chars"].take(rows)})
 
-    ds = _docs(sf_dir, ["lang", "n_chars"])
-    return ds.groupby("lang").map_groups(med, batch_format="pandas")
+    return key_runs(_docs(sf_dir, ["lang", "n_chars"]), "lang", ["n_chars"],
+                    median)
 
 
 # --- global aggregate / set operations ------------------------------------

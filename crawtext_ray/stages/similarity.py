@@ -1,21 +1,25 @@
 """Similarity search over an embedding column (``list<float>``).
 
-- ``brute_force_topk``: exact cosine top-k. The query matrix is broadcast
-  once (``ray.put``) and every batch does one numpy matmul against it —
-  the baseline path and the verifier for the approximate path.
-- ``lsh_bucket_topk``: random-hyperplane LSH bucketing as the scale path:
-  vectors land in sign-pattern buckets; queries only scan their own
-  bucket (plus optional multi-probe neighbors).
-- ``embedding_dedup``: embedding-cosine near-dup via the same LSH buckets.
+One scorer, ``_TopK``, serves every top-k form: the query matrix is
+broadcast once, each batch does one matmul against it and keeps each
+query's partial top-k, and one key-run reduce on ``query_id`` keeps each
+query's best ``k``, ranked by (cosine desc, vec_id asc).
+
+- ``brute_force_topk``: exact float64 cosine — the baseline and verifier.
+- ``lsh_bucket_topk``: a query scores only the vectors in its probed
+  sign-pattern LSH buckets (``lsh_bucket``, multi-probe).
+- ``ivf_topk``: a query scores only its ``nprobe`` nearest k-means
+  clusters (``ivf_cluster``).
+- ``embedding_dedup``: cosine near-dup inside the LSH buckets: one key-run
+  reduce on ``lsh_bucket`` runs a chunked matmul per bucket.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .partitioning import member_filter
+from .partitioning import key_runs, member_filter, run_ids
 
 
 def _to_matrix(col, dtype=np.float32) -> np.ndarray:
@@ -47,79 +51,95 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
-# Empty (query_id, vec_id, cosine) result — the bucket/probe filters can
-# produce zero-row blocks, and np.asarray([]) is 1-D, so every scoring
-# callable early-returns this instead of reaching the matmul.
-def _empty_scores() -> pa.Table:
-    return pa.table(
-        {
-            "query_id": pa.array([], pa.int64()),
-            "vec_id": pa.array([], pa.int64()),
-            "cosine": pa.array([], pa.float64()),
-        }
-    )
+# The scorer's output; the bucket/probe filters can produce zero-row
+# blocks, and np.asarray([]) is 1-D, so those return an empty table
+# instead of reaching the matmul.
+_SCORES = pa.schema([("query_id", pa.int64()), ("vec_id", pa.int64()),
+                     ("cosine", pa.float64())])
 
 
-class _BruteTopK:
-    """Per-batch partial top-k against the broadcast query matrix."""
+class _TopK:
+    """Per-batch partial top-k against the broadcast query matrix. With a
+    ``probe_col``, query ``i`` scores only the rows whose probe value is
+    in ``probes[i]`` (the others score -2, below any cosine, and are
+    dropped). ``dtype`` is the vector side's matmul precision; the query
+    side is float64."""
 
-    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str):
+    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str,
+                 probe_col: str | None, dtype):
         import ray
 
         q = ray.get(queries_ref)
         self.qids = np.asarray(q["query_id"], dtype=np.int64)
-        # float64 so the exact path bit-matches a double-precision oracle
         self.qm = _normalize(np.asarray(q["matrix"], dtype=np.float64))
+        self.probes = q.get("probes")
         self.k = k
         self.id_col = id_col
         self.vec_col = vec_col
+        self.probe_col = probe_col
+        self.dtype = dtype
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return _empty_scores()
+            return _SCORES.empty_table()
         ids = np.asarray(batch[self.id_col].to_numpy(), dtype=np.int64)
-        m = _normalize(_to_matrix(batch[self.vec_col], np.float64))
+        m = _normalize(_to_matrix(batch[self.vec_col], self.dtype))
         sims = self.qm @ m.T  # (nq, nb)
+        if self.probe_col is not None:
+            # one query row at a time: (nq, nb), never (nq, probes, nb)
+            vals = batch[self.probe_col].to_numpy()
+            mask = np.stack([np.isin(vals, ps) for ps in self.probes])
+            sims = np.where(mask, sims, -2.0)
         k = min(self.k, sims.shape[1])
-        out_q, out_id, out_sim = [], [], []
         idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        for qi in range(sims.shape[0]):
-            for j in idx[qi]:
-                out_q.append(int(self.qids[qi]))
-                out_id.append(int(ids[j]))
-                out_sim.append(float(sims[qi, j]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_id, pa.int64()),
-                "cosine": pa.array(out_sim, pa.float64()),
-            }
-        )
+        top = np.take_along_axis(sims, idx, axis=1)
+        hit = top > -2.0
+        qids = np.broadcast_to(self.qids[:, None], idx.shape)
+        return pa.table([qids[hit], ids[idx][hit], top[hit]], schema=_SCORES)
+
+
+def _topk(ds, queries: dict, k: int, id_col: str, vec_col: str,
+          probe_col: str | None, dtype):
+    """The one top-k plan: ``_TopK`` partials per batch (nq×k rows per
+    batch cross the exchange, never the vectors), then one key-run
+    reduce on ``query_id`` keeps each query's best ``k`` and ranks them."""
+    import ray
+
+    from .fusion import map_stage
+
+    ref = ray.put(queries)
+    partials = map_stage(
+        ds, lambda: _TopK(ref, k, id_col, vec_col, probe_col, dtype)
+    )
+
+    def best_k(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        pos = np.arange(t.num_rows) - starts[run_ids(starts, t.num_rows)]
+        keep = pos < k
+        return t.filter(pa.array(keep)).append_column(
+            "rank", pa.array(pos[keep] + 1, pa.int64()))
+
+    return key_runs(partials, "query_id",
+                    [("cosine", "descending"), "vec_id"], best_k)
+
+
+def _probed_topk(ds, queries: dict, probes: list, k: int, id_col: str,
+                 vec_col: str, probe_col: str, dtype):
+    """``_topk`` over only the rows whose ``probe_col`` value some query
+    probes; query ``i`` scores only its own ``probes[i]``."""
+    wanted = np.unique(np.concatenate(probes))
+    filtered = member_filter(ds, probe_col, pa.array(wanted, pa.int64()),
+                             keep=True)
+    q = {"query_id": queries["query_id"], "matrix": queries["matrix"],
+         "probes": probes}
+    return _topk(filtered, q, k, id_col, vec_col, probe_col, dtype)
 
 
 def brute_force_topk(ds, queries: dict, k: int = 10,
                      id_col: str = "vec_id", vec_col: str = "embedding"):
     """Exact cosine top-k. ``queries`` = {"query_id": [...], "matrix":
-    ndarray (nq, dim)}; broadcast once, matmul per batch, then a tiny
-    global reduce (partial top-k per batch → groupby query → final
-    top-k). Exchange volume: nq×k rows per batch, never the vectors."""
-    import ray
-
-    ref = ray.put(queries)
-    from .fusion import map_stage
-
-    partials = map_stage(
-        ds, lambda: _BruteTopK(ref, k, id_col, vec_col)
-    )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True],
-                          kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    ndarray (nq, dim)}; float64 on both sides so it bit-matches a
+    double-precision oracle. Output (query_id, vec_id, cosine, rank)."""
+    return _topk(ds, queries, k, id_col, vec_col, None, np.float64)
 
 
 class _LshBucket:
@@ -175,77 +195,20 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
                     id_col: str = "vec_id", vec_col: str = "embedding",
                     multiprobe: int = 0):
     """Approximate top-k: only vectors whose LSH bucket matches one of
-    the query's probed buckets are scored. Recall trades off with
-    n_planes and back up with ``multiprobe`` (Hamming radius of probed
-    buckets: 0 = the classic single-bucket probe; 2 at 8 planes scores
-    37/256 bucket patterns — still a ~7x corpus prune, but neighbors
-    that flip a sign or two are found). At scale the bucket column
-    doubles as the partition key so each query touches its probed
+    the query's probed buckets are scored (float32 vector side). Recall
+    trades off with n_planes and back up with ``multiprobe`` (Hamming
+    radius of probed buckets: 0 = the classic single-bucket probe; 2 at
+    8 planes scores 37/256 bucket patterns — still a ~7x corpus prune,
+    but neighbors that flip a sign or two are found). At scale the bucket
+    column doubles as the partition key so each query touches its probed
     partitions instead of the full corpus."""
     bucketed = add_lsh_bucket(ds, dim, n_planes, seed, id_col, vec_col)
     hasher = _LshBucket(dim, n_planes, seed, id_col, vec_col)
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float32))
-    qbuckets = hasher.bucket_of(qm)
-    qprobes = [_probe_buckets(int(b), n_planes, multiprobe)
-               for b in qbuckets]
-    wanted = {b for ps in qprobes for b in ps}
-
-    filtered = member_filter(bucketed, "lsh_bucket",
-                             pa.array(sorted(wanted), pa.int64()), keep=True)
-    q_by_bucket = {
-        "query_id": queries["query_id"],
-        "matrix": queries["matrix"],
-        "probes": [np.asarray(ps, dtype=np.int64) for ps in qprobes],
-    }
-    import ray
-
-    ref = ray.put(q_by_bucket)
-
-    class BucketTopK(_BruteTopK):
-        def __init__(self):
-            super().__init__(ref, k, id_col, vec_col)
-            self.qprobes = ray.get(ref)["probes"]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _empty_scores()
-            ids = np.asarray(batch[id_col].to_numpy(), dtype=np.int64)
-            m = _normalize(_to_matrix(batch[vec_col]))
-            vb = np.asarray(batch["lsh_bucket"].to_numpy(), dtype=np.int64)
-            sims = self.qm @ m.T
-            # mask out vectors from buckets no probe of the query hits,
-            # one query row at a time: (nq, nb), never (nq, probes, nb)
-            mask = np.stack([np.isin(vb, ps) for ps in self.qprobes])
-            sims = np.where(mask, sims, -2.0)
-            kk = min(k, sims.shape[1])
-            out_q, out_id, out_sim = [], [], []
-            idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-            for qi in range(sims.shape[0]):
-                for j in idx[qi]:
-                    if sims[qi, j] > -2.0:
-                        out_q.append(int(self.qids[qi]))
-                        out_id.append(int(ids[j]))
-                        out_sim.append(float(sims[qi, j]))
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_id, pa.int64()),
-                    "cosine": pa.array(out_sim, pa.float64()),
-                }
-            )
-
-    from .fusion import map_stage
-
-    partials = map_stage(filtered, BucketTopK)
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True],
-                          kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    probes = [np.asarray(_probe_buckets(int(b), n_planes, multiprobe),
+                         dtype=np.int64) for b in hasher.bucket_of(qm)]
+    return _probed_topk(bucketed, queries, probes, k, id_col, vec_col,
+                        "lsh_bucket", np.float32)
 
 
 def embedding_dedup(ds, dim: int, threshold: float = 0.97,
@@ -269,49 +232,46 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
       2^n_planes buckets sized for ~``target_bucket`` EXPECTED vectors
       each, so bucket count grows with the corpus instead of being a
       fixed partition count.
-    - inside a bucket the pairwise scores are computed in row chunks of
-      ``chunk_rows`` against the bucket matrix: memory is
-      O(chunk × bucket) even when a clone-heavy bucket is huge (near-dup
-      clusters all land in ONE bucket by design, so bucket size cannot
-      be bounded by hashing alone); compute stays O(b²) but each chunk
-      is one vectorized matmul + masked argmin, no per-row Python."""
+    - one key-run reduce on ``lsh_bucket`` sorted by id hands each
+      bucket's rows over as one run; inside a bucket the pairwise scores
+      are computed in row chunks of ``chunk_rows`` against the bucket
+      matrix: memory is O(chunk × bucket) even when a clone-heavy bucket
+      is huge (near-dup clusters all land in ONE bucket by design, so
+      bucket size cannot be bounded by hashing alone); compute stays
+      O(b²) but each chunk is one vectorized matmul + masked argmin, no
+      per-row Python."""
     if n_planes is None:
         n = ds.count()
         n_planes = int(np.clip(np.ceil(np.log2(max(1, n) / target_bucket)) + 2,
                                4, 30))
     bucketed = add_lsh_bucket(ds, dim, n_planes, seed, id_col, vec_col)
+    none = np.iinfo(np.int64).max
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({id_col: [], "rep_id": [], "cosine": []}).astype(
-            {id_col: "int64", "rep_id": "int64", "cosine": "float64"}
-        )
-        if len(g) < 2:
-            return empty
-        order = np.argsort(g[id_col].to_numpy(dtype=np.int64), kind="stable")
-        ids = g[id_col].to_numpy(dtype=np.int64)[order]
-        m = _normalize(np.asarray(list(g[vec_col]), dtype=np.float32))[order]
-        out = []
-        for s in range(0, len(ids), chunk_rows):
-            e = min(s + chunk_rows, len(ids))
-            sims = m[s:e] @ m.T  # (chunk, bucket)
-            # candidates: similar enough AND strictly smaller id
-            mask = (sims >= threshold) & (ids[None, :] < ids[s:e, None])
-            masked_ids = np.where(mask, ids[None, :], np.iinfo(np.int64).max)
-            rep = masked_ids.min(axis=1)
-            pos = masked_ids.argmin(axis=1)  # first occurrence == the rep
-            hasrep = rep < np.iinfo(np.int64).max
-            if hasrep.any():
-                rows = np.nonzero(hasrep)[0]
-                out.append(pd.DataFrame({
-                    id_col: ids[s:e][rows],
-                    "rep_id": rep[rows],
-                    "cosine": sims[rows, pos[rows]].astype(np.float64),
-                }))
-        return pd.concat(out, ignore_index=True) if out else empty
+    def bucket_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        all_ids = np.asarray(t[id_col].to_numpy(), dtype=np.int64)
+        vecs = _to_matrix(t[vec_col])
+        bounds = np.append(starts, t.num_rows)
+        links = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            if b1 - b0 < 2:
+                continue
+            ids = all_ids[b0:b1]
+            m = _normalize(vecs[b0:b1])
+            for s in range(0, len(ids), chunk_rows):
+                e = min(s + chunk_rows, len(ids))
+                sims = m[s:e] @ m.T  # (chunk, bucket)
+                # candidates: similar enough AND strictly smaller id
+                mask = (sims >= threshold) & (ids[None, :] < ids[s:e, None])
+                masked_ids = np.where(mask, ids[None, :], none)
+                rep = masked_ids.min(axis=1)
+                pos = masked_ids.argmin(axis=1)  # first occurrence == the rep
+                rows = np.flatnonzero(rep < none)
+                links.append((ids[s:e][rows], rep[rows], sims[rows, pos[rows]]))
+        link, rep, cos = (np.concatenate(c) for c in zip(*links))
+        return pa.table({id_col: link, "rep_id": rep,
+                         "cosine": cos.astype(np.float64)})
 
-    pairs = bucketed.groupby("lsh_bucket").map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
+    pairs = key_runs(bucketed, "lsh_bucket", [id_col], bucket_pairs)
     if not canonical:
         return pairs
     from .dedup import connected_components
@@ -387,68 +347,9 @@ def ivf_topk(ds, queries: dict, centroids: np.ndarray, k: int = 10,
     each query's ``nprobe`` nearest centroids. The cluster column doubles
     as the partition key at scale (one partition per cluster → a query
     touches nprobe partitions, not the corpus)."""
-    import ray
-
     cents = np.asarray(centroids, dtype=np.float64)
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float64))
-    qprobes = np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe]
-    wanted = {int(c) for row in qprobes for c in row}
-
+    probes = list(np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe])
     clustered = add_ivf_cluster(ds, cents, id_col, vec_col)
-    filtered = member_filter(clustered, "ivf_cluster",
-                             pa.array(sorted(wanted), pa.int64()), keep=True)
-
-    qref = ray.put({
-        "query_id": queries["query_id"],
-        "matrix": queries["matrix"],
-        "probes": qprobes.astype(np.int64),
-    })
-
-    class ProbeTopK:
-        def __init__(self):
-            q = ray.get(qref)
-            self.qids = np.asarray(q["query_id"], dtype=np.int64)
-            self.qm = _normalize(np.asarray(q["matrix"], dtype=np.float64))
-            self.probes = q["probes"]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _empty_scores()
-            ids = np.asarray(batch[id_col].to_numpy(), dtype=np.int64)
-            m = _normalize(_to_matrix(batch[vec_col], np.float64))
-            vc = np.asarray(batch["ivf_cluster"].to_numpy(), dtype=np.int64)
-            sims = self.qm @ m.T
-            # mask vectors outside each query's probed clusters
-            mask = np.zeros_like(sims, dtype=bool)
-            for qi in range(len(self.qids)):
-                mask[qi] = np.isin(vc, self.probes[qi])
-            sims = np.where(mask, sims, -2.0)
-            kk = min(k, sims.shape[1])
-            out_q, out_id, out_sim = [], [], []
-            idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-            for qi in range(sims.shape[0]):
-                for j in idx[qi]:
-                    if sims[qi, j] > -2.0:
-                        out_q.append(int(self.qids[qi]))
-                        out_id.append(int(ids[j]))
-                        out_sim.append(float(sims[qi, j]))
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_id, pa.int64()),
-                    "cosine": pa.array(out_sim, pa.float64()),
-                }
-            )
-
-    from .fusion import map_stage as _map_stage
-
-    partials = _map_stage(filtered, ProbeTopK)
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True],
-                          kind="stable").head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _probed_topk(clustered, queries, probes, k, id_col, vec_col,
+                        "ivf_cluster", np.float64)

@@ -827,6 +827,105 @@ def test_ivf_topk_self_found_and_recall(ray_session):
         assert len(a & e) >= 2  # reasonable recall at nprobe=3/8
 
 
+def test_ivf_topk_matches_reference(ray_session):
+    """The IVF top-k rows at nprobe 1 and 4 equal a numpy reference:
+    exact cosine over only the vectors in each query's ``nprobe`` nearest
+    clusters, (cosine desc, vec_id asc), over several blocks and
+    queries."""
+    import ray.data as rd
+
+    from crawtext_ray.stages.similarity import (
+        _normalize,
+        ivf_topk,
+        train_ivf_centroids,
+    )
+
+    rng = np.random.default_rng(12)
+    centers = rng.standard_normal((30, 16)).astype(np.float32)
+    vecs = np.repeat(centers, 8, axis=0) + 0.3 * rng.standard_normal(
+        (240, 16)).astype(np.float32)
+    ds = rd.from_items(
+        [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(240)],
+        override_num_blocks=4,
+    )
+    qids = [3, 50, 111, 200, 239]
+    queries = {"query_id": qids, "matrix": vecs[qids]}
+    cents = train_ivf_centroids(vecs[::3], n_clusters=8)
+    m = _normalize(vecs.astype(np.float64))
+    cluster = np.argmax(m @ cents.T, axis=1)
+    qm = _normalize(vecs[qids].astype(np.float64))
+    sims = qm @ m.T
+    for nprobe in (1, 4):
+        got = ivf_topk(ds, queries, cents, k=5, nprobe=nprobe).to_pandas()
+        for qi, qid in enumerate(qids):
+            probed = np.argsort(-(qm[qi] @ cents.T))[:nprobe]
+            cand = np.flatnonzero(np.isin(cluster, probed))
+            order = sorted(cand, key=lambda j: (-sims[qi, j], j))[:5]
+            g = got[got["query_id"] == qid].sort_values("rank")
+            assert g["vec_id"].tolist() == [int(j) for j in order]
+            assert g["rank"].tolist() == list(range(1, len(order) + 1))
+            assert np.allclose(g["cosine"], sims[qi, order], atol=1e-12)
+
+
+def test_similarity_and_median_run_no_pandas_map_groups(ray_session,
+                                                        tmp_path,
+                                                        monkeypatch):
+    """The top-k forms, embedding dedup and the discrete median are built
+    and run with pandas-format ``GroupedData.map_groups`` disabled: every
+    per-key reduce there is the key-run reduce (pyarrow groups)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from crawtext_ray.stages.relational import median_chars_by_lang
+    from crawtext_ray.stages.similarity import (
+        brute_force_topk,
+        embedding_dedup,
+        ivf_topk,
+        lsh_bucket_topk,
+        train_ivf_centroids,
+    )
+
+    map_groups = GroupedData.map_groups
+
+    def arrow_only(self, fn, *a, **kw):
+        if kw.get("batch_format") == "pandas":
+            raise AssertionError("pandas map_groups called")
+        return map_groups(self, fn, *a, **kw)
+
+    monkeypatch.setattr(GroupedData, "map_groups", arrow_only)
+
+    rng = np.random.default_rng(2)
+    vecs = rng.standard_normal((60, 8)).astype(np.float32)
+    rows = [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(60)]
+    rows.append({"vec_id": 100, "embedding": vecs[7].tolist()})  # clone
+    ds = rd.from_items(rows, override_num_blocks=3)
+    queries = {"query_id": [4], "matrix": vecs[4:5]}
+    cents = train_ivf_centroids(vecs, n_clusters=4)
+    for plan in (brute_force_topk(ds, queries, k=3),
+                 lsh_bucket_topk(ds, queries, dim=8, k=3, multiprobe=1),
+                 ivf_topk(ds, queries, cents, k=3, nprobe=2)):
+        best = min(plan.take_all(), key=lambda r: r["rank"])
+        assert best["vec_id"] == 4
+    assert {(r["vec_id"], r["rep_id"]) for r in
+            embedding_dedup(ds, dim=8, threshold=0.99).take_all()} \
+        == {(100, 7)}
+    assert {(r["vec_id"], r["rep_id"]) for r in
+            embedding_dedup(ds, dim=8, threshold=0.99,
+                            canonical=True).take_all()} == {(100, 7)}
+
+    lens = {"en": [5, 1, 9, 3], "fr": [7], "de": [2, 8, 4]}
+    pq.write_table(pa.table({
+        "lang": [lang for lang, ns in lens.items() for _ in ns],
+        "n_chars": pa.array([n for ns in lens.values() for n in ns],
+                            pa.int64()),
+    }), tmp_path / "documents.parquet")
+    got = {r["lang"]: r["median_chars"]
+           for r in median_chars_by_lang(str(tmp_path)).take_all()}
+    assert got == {"en": 3, "fr": 7, "de": 4}
+
+
 def test_minhash_verified_equals_brute_truth(ray_session, docs_with_dups):
     """minhash_verified_duplicates = LSH candidates ∩ exact Jaccard ≥ t.
     On a corpus where every true pair is far above the threshold (the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -61,7 +62,7 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
