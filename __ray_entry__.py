@@ -509,15 +509,13 @@ def _q_doc_reports(sf_dir: str):
         columns={"lang": "key"})
     dl.insert(0, "kind", "distinct_lang")
     dl["n_docs"] = 1
-    out = pd.concat([lang, src, top, dl], ignore_index=True)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
+    return pd.concat([lang, src, top, dl], ignore_index=True)
 
 
 def _q_event_time_rollups(sf_dir: str):
     """Date bucketing + two-key (type, day) rollups in one slot (merged
     from ``date_buckets`` + ``events_by_type_day``; both bounded-key
-    map-side-partial operators still run in full)."""
+    tallies still run in full)."""
     import pandas as pd
 
     from crawtext_ray.stages import relational as R
@@ -528,9 +526,7 @@ def _q_event_time_rollups(sf_dir: str):
     td = R.events_by_type_day(sf_dir).to_pandas().rename(
         columns={"event_type": "key"})
     td.insert(0, "kind", "type_day")
-    out = pd.concat([day, td], ignore_index=True)
-    out["n_events"] = out["n_events"].astype("int64")
-    return out[["kind", "key", "day", "n_events"]]
+    return pd.concat([day, td], ignore_index=True)
 
 
 def _q_dedup_paragraphs(sf_dir: str):

@@ -1,13 +1,16 @@
 """Text-analysis scalar functions (SURVEY.md §2.9 + the training-data
 operator set): language id, quality scoring, token counting, document
-fingerprinting. All are pure functions over one string, wrapped by
-vectorized ``map_batches`` stages in ``crawtext_ray.stages.textops``.
+fingerprinting. All but ``house_tokens`` (an Arrow column kernel) are
+pure functions over one string, wrapped by vectorized ``map_batches``
+stages in ``crawtext_ray.stages.textops``.
 
 Tokenization contracts are frozen ASCII regexes so the DuckDB oracle can
 reproduce them exactly (see __ray_entry__.oracle_sql):
 - word_count: runs of non-whitespace
 - token_count (BPE-ish): ``[A-Za-z0-9_]+|[^A-Za-z0-9_\\s]`` (a word run or
   a single punctuation mark)
+- house_tokens (the Arrow house tokenizer of the curation stages):
+  ``[a-z0-9]+`` runs of the lowercased text
 """
 
 from __future__ import annotations
@@ -20,6 +23,22 @@ _WS_TOKEN = re.compile(r"\S+")
 _BPE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^A-Za-z0-9_\s]")
 _WORD = re.compile(r"[a-z0-9]+")
 _PUNCT = re.compile(r"[^\w\s]")
+
+
+def house_tokens(texts):
+    """The house tokenizer over an Arrow string column: the non-empty
+    ``[a-z0-9]+`` runs of each lowercased text, flattened, and the row
+    index of each token (an int64 numpy array). Null text has no tokens."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    lists = pc.split_pattern_regex(pc.utf8_lower(texts), pattern="[^a-z0-9]+")
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    toks = pc.list_flatten(lists)
+    rows = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
+    keep = pc.utf8_length(toks).to_numpy(zero_copy_only=False) > 0
+    return toks.filter(pa.array(keep)), rows[keep]
 
 
 def word_count(text: str) -> int:

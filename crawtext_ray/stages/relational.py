@@ -9,14 +9,17 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..functions.text import house_tokens
 from .dedup import first_by
 from .partitioning import key_runs, run_ids, run_starts
+from .report import key_counts, ones, report_lang, tally
 
 
 def _docs(sf_dir: str, columns=None):
@@ -31,15 +34,13 @@ def _events(sf_dir: str, columns=None):
 
 
 def report_lang_docs(sf_dir: str):
-    """A1: per-language doc counts (crawtext report analog)."""
-    return _docs(sf_dir, ["lang"]).groupby("lang").aggregate(Count(alias_name="n_docs"))
+    """A1: per-language doc counts — the engine's ``report_lang``."""
+    return report_lang(_docs(sf_dir, ["lang"]))
 
 
 def report_source_docs(sf_dir: str):
-    """A2/A3: grouped counts on the source column."""
-    return _docs(sf_dir, ["source"]).groupby("source").aggregate(
-        Count(alias_name="n_docs")
-    )
+    """A2/A3: grouped counts on the source column (the same tally)."""
+    return key_counts(_docs(sf_dir, ["source"]), "source")
 
 
 def top_sources(sf_dir: str, k: int = 5):
@@ -49,9 +50,9 @@ def top_sources(sf_dir: str, k: int = 5):
 
 
 def distinct_langs(sf_dir: str):
-    """U2-adjacent: distinct values of one column."""
-    vals = sorted(v for v in _docs(sf_dir, ["lang"]).unique("lang"))
-    return pa.table({"lang": pa.array(vals, pa.string())})
+    """U2-adjacent: distinct values of one column (a tally with no sums;
+    a null lang sorts last)."""
+    return tally(_docs(sf_dir, ["lang"]), lambda t: t, ["lang"])
 
 
 # --- J2 dedup / filters ---------------------------------------------------
@@ -66,8 +67,6 @@ def dedup_events_first(sf_dir: str):
 
 def filter_events(sf_dir: str, event_type: str = "click", min_value: float = 50.0):
     """M2-analog vectorized filter (arrow compute predicate)."""
-    import pyarrow.compute as pc
-
     ds = _events(sf_dir, ["event_id", "event_type", "value"])
     return ds.map_batches(
         lambda t: t.filter(
@@ -91,25 +90,16 @@ def doc_stats_docs(sf_dir: str):
     stopword count is split_pattern_regex → is_in → bincount (RE2 has no
     lookarounds, so a boundary regex can't express it).
     Output (doc_id, n_chars_calc, n_words, n_tokens, n_punct, n_stop)."""
-    import pyarrow.compute as pc
-
     from ..extract.stopwords import stopword_set
 
     sw_arr = pa.array(sorted(stopword_set("en")))
 
     def fn(batch: pa.Table) -> pa.Table:
         col = batch["text"]
-        low = pc.utf8_lower(col)
-        toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-        arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        # null-slot-safe flatten/parent-index pairing (an offsets diff
-        # counts a null slot's range while flatten skips it)
-        hits = pc.is_in(pc.list_flatten(arr), value_set=sw_arr).to_numpy(
-            zero_copy_only=False
-        )
-        row_idx = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
+        toks, row_idx = house_tokens(col)
+        hits = pc.is_in(toks, value_set=sw_arr).to_numpy(zero_copy_only=False)
         n_stop = np.bincount(
-            row_idx, weights=hits, minlength=len(arr)
+            row_idx, weights=hits, minlength=batch.num_rows
         ).astype(np.int64)
         return pa.table(
             {
@@ -155,32 +145,16 @@ def json_extract_events(sf_dir: str):
     )
 
 
-def _bounded_partial_merge(ds, partial_fn, key_cols: list[str]):
-    """Grouped counts for BOUNDED key domains: map-side partials (one row
-    per key per block), merged on the driver — no all-to-all (the
-    sort-shuffle Aggregate carries a fixed multi-second tail even for
-    tiny key sets; see BASELINE.md note 5)."""
-    import collections
-
-    partials = ds.map_batches(partial_fn, batch_format="pandas").take_all()
-    cnt: collections.Counter = collections.Counter()
-    for r in partials:
-        cnt[tuple(r[k] for k in key_cols)] += r["partial_n"]
-    keys = sorted(cnt)
-    cols = {k: [t[i] for t in keys] for i, k in enumerate(key_cols)}
-    cols["n_events"] = [int(cnt[t]) for t in keys]
-    return rd.from_arrow(pa.table(cols))
+def _day(t: pa.Table):
+    return pc.strftime(t["ts"], format="%Y-%m-%d")
 
 
 def date_buckets_events(sf_dir: str):
-    """§2.9 date bucketing: events per day (~30 keys → partial counts per
-    batch, driver merge)."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["ts"].dt.strftime("%Y-%m-%d")
-        return day.value_counts().rename_axis("day").reset_index(name="partial_n")
-
-    return _bounded_partial_merge(_events(sf_dir, ["ts"]), partial, ["day"])
+    """§2.9 date bucketing: events per day (~30 keys → a ``tally``, no
+    exchange)."""
+    return tally(_events(sf_dir, ["ts"]),
+                 lambda t: pa.table({"day": _day(t), "n_events": ones(t)}),
+                 ["day"])
 
 
 def window_hourly_events(sf_dir: str):
@@ -190,7 +164,6 @@ def window_hourly_events(sf_dir: str):
     measured 5x faster than a two-key (user, hour-string) sort-shuffle
     aggregate (3.0s vs 16.5s on 100k events at 32 cpus), because the
     exchange keys are small ints and the bucketing stays vectorized."""
-    import pyarrow.compute as pc
 
     def per_shard(t: pa.Table, _starts: np.ndarray) -> pa.Table:
         hour = pc.floor_temporal(t["ts"], unit="hour")
@@ -224,30 +197,41 @@ def user_event_stats(sf_dir: str):
 # --- joins ----------------------------------------------------------------
 
 
-def orders_by_segment_broadcast(sf_dir: str):
-    """J3: broadcast small-side join (customer dim shipped once via
-    ray.put, dict lookup per batch — no shuffle), then grouped count."""
-    cust = (
-        rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-        .to_pandas()
-    )
-    lookup_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+def _lookup(keys, dim: pa.Table, key_col: str, val_col: str):
+    """A broadcast join's probe: ``dim[val_col]`` at each key's row of
+    ``dim[key_col]`` (dimension keys are unique), null for a key with no
+    row."""
+    return dim[val_col].take(pc.index_in(keys, value_set=dim[key_col]))
 
-    class Attach:
-        def __init__(self):
-            self.lookup = ray.get(lookup_ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            segs = [self.lookup.get(k) for k in batch["o_custkey"].to_pylist()]
-            t = pa.table({"c_mktsegment": pa.array(segs, pa.string())})
-            # inner-join semantics: drop orders with no matching customer
-            return t.filter(pa.compute.is_valid(t["c_mktsegment"]))
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+def _broadcast_join(ds, dims: tuple, attach):
+    """Broadcast small-side join: the small Arrow ``dims`` ship once via
+    ray.put and each batch maps through ``attach(batch, *dims)`` (Arrow
+    ``_lookup`` probes) — no shuffle."""
     from .fusion import map_stage
 
-    ds = map_stage(ds, Attach)
-    return ds.groupby("c_mktsegment").aggregate(Count(alias_name="n_orders"))
+    ref = ray.put(dims)
+
+    def factory():
+        got = ray.get(ref)
+        return lambda batch: attach(batch, *got)
+
+    return map_stage(ds, factory)
+
+
+def orders_by_segment_broadcast(sf_dir: str):
+    """J3: broadcast small-side join (customer dim), then grouped count."""
+    cust = pq.read_table(f"{sf_dir}/customer.parquet",
+                         columns=["c_custkey", "c_mktsegment"])
+
+    def attach_segment(batch: pa.Table, cust: pa.Table) -> pa.Table:
+        seg = _lookup(batch["o_custkey"], cust, "c_custkey", "c_mktsegment")
+        # inner-join semantics: drop orders with no matching customer
+        return pa.table({"c_mktsegment": seg}).filter(pc.is_valid(seg))
+
+    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+    return _broadcast_join(ds, (cust,), attach_segment).groupby(
+        "c_mktsegment").aggregate(Count(alias_name="n_orders"))
 
 
 def orders_join_native(sf_dir: str, num_partitions: int = 8):
@@ -278,40 +262,23 @@ def orders_join_native(sf_dir: str, num_partitions: int = 8):
 def q1_counts_lineitem(sf_dir: str):
     """TPC-H Q1-shaped grouped aggregate with integer-stable outputs:
     grouped row counts + exact quantity sums (l_quantity is
-    integer-valued in TPC-H)."""
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(sum_qty=("l_quantity", "sum"), count_order=("l_quantity", "size"))
-        )
-        g["sum_qty"] = g["sum_qty"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    # partial aggregate inside map_batches, then a tiny final groupby —
-    # the pre-aggregation pattern that keeps the shuffle at O(keys)
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("count_order", alias_name="count_order"),
-    )
+    integer-valued in TPC-H). A ``tally``: six keys, no exchange."""
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                         columns=keys + ["l_quantity"])
+    return tally(ds, lambda t: pa.table({
+        **{k: t[k] for k in keys},
+        "sum_qty": pc.cast(t["l_quantity"], pa.int64()),
+        "count_order": ones(t),
+    }), keys)
 
 
 def shipped_before(sf_dir: str, cutoff: str = "1996-01-01"):
     """Pruned + predicate-pushdown read: row-group filter at the scan."""
-    import pyarrow.compute as pc
-
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_shipdate"],
-        filter=(pc.field("l_shipdate") < pa.scalar(pd.Timestamp(cutoff))),
+        filter=(pc.field("l_shipdate") < pa.scalar(np.datetime64(cutoff, "us"))),
     )
     return ds.select_columns(["l_orderkey", "l_linenumber"])
 
@@ -325,53 +292,35 @@ def parts_by_brand_nation(sf_dir: str):
     three dimension tables are broadcast once (ray.put) and attached
     map-side while lineitem streams — the star-join pattern; the only
     exchange is the final bounded-key groupby."""
-    import pyarrow.parquet as pq
-
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
     supp = pq.read_table(f"{sf_dir}/supplier.parquet",
                          columns=["s_suppkey", "s_nationkey"])
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
-    brand_of = dict(zip(part["p_partkey"].to_pylist(),
-                        part["p_brand"].to_pylist()))
-    nkey_of = dict(zip(supp["s_suppkey"].to_pylist(),
-                       supp["s_nationkey"].to_pylist()))
-    name_of = dict(zip(nation["n_nationkey"].to_pylist(),
-                       nation["n_name"].to_pylist()))
-    nation_of = {sk: name_of.get(nk) for sk, nk in nkey_of.items()}
-    ref = ray.put((brand_of, nation_of))
 
-    class Attach:
-        def __init__(self):
-            self.brand_of, self.nation_of = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            brands = [self.brand_of.get(k) for k in batch["l_partkey"].to_pylist()]
-            nations = [self.nation_of.get(k) for k in batch["l_suppkey"].to_pylist()]
-            t = pa.table({
-                "p_brand": pa.array(brands, pa.string()),
-                "n_name": pa.array(nations, pa.string()),
-                "l_quantity": batch["l_quantity"],
-            })
-            # inner-join semantics: drop facts with no matching dim row
-            import pyarrow.compute as pc
-
-            return t.filter(pc.and_(pc.is_valid(t["p_brand"]),
-                                    pc.is_valid(t["n_name"])))
+    def attach_brand_nation(batch, part, supp, nation) -> pa.Table:
+        nk = _lookup(batch["l_suppkey"], supp, "s_suppkey", "s_nationkey")
+        t = pa.table({
+            "p_brand": _lookup(batch["l_partkey"], part, "p_partkey", "p_brand"),
+            "n_name": _lookup(nk, nation, "n_nationkey", "n_name"),
+            "l_quantity": batch["l_quantity"],
+        })
+        # inner-join semantics: drop facts with no matching dim row
+        return t.filter(pc.and_(pc.is_valid(t["p_brand"]),
+                                pc.is_valid(t["n_name"])))
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_suppkey", "l_quantity"])
-    from .fusion import map_stage
-
-    out = map_stage(ds, Attach).groupby(["p_brand", "n_name"]).aggregate(
+    out = _broadcast_join(ds, (part, supp, nation), attach_brand_nation)
+    out = out.groupby(["p_brand", "n_name"]).aggregate(
         Count(alias_name="n_items"), Sum("l_quantity", alias_name="sum_qty")
     )
     return out.map_batches(
         lambda t: t.set_column(
             t.schema.get_field_index("sum_qty"),
             "sum_qty",
-            pa.compute.cast(t["sum_qty"], pa.int64()),
+            pc.cast(t["sum_qty"], pa.int64()),
         ),
         batch_format="pyarrow", zero_copy_batch=True,
     )
@@ -420,8 +369,6 @@ def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
     event_id) (module-level so both the composite-key path and the
     per-segment fallback are directly unit-testable;
     ``use_composite=False`` forces the fallback)."""
-    import pyarrow.compute as pc
-
     empty = _int64_table(event_id=[], click_event_id=[])
     is_c = pc.equal(t["event_type"], "click").to_numpy(zero_copy_only=False)
     is_p = pc.equal(t["event_type"], "purchase").to_numpy(
@@ -542,7 +489,7 @@ def asof_click_before_purchase(sf_dir: str):
     ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
     keep = ds.map_batches(
         lambda t: t.filter(
-            pa.compute.is_in(t["event_type"],
+            pc.is_in(t["event_type"],
                              value_set=pa.array(["click", "purchase"]))
         ),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -576,17 +523,16 @@ def read_query_vectors(path: str, n_queries: int, dtype=np.float64) -> dict:
     """Driver-side query-vector pick with ROW-GROUP PUSHDOWN: only row
     groups whose vec_id stats overlap [0, n_queries) are read — never the
     whole table."""
-    import pyarrow.parquet as pq
+    from .similarity import _to_matrix
 
     qt = pq.read_table(
         path,
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", n_queries)],
-    )
-    qdf = qt.to_pandas().sort_values("vec_id")
+    ).sort_by("vec_id")
     return {
-        "query_id": qdf["vec_id"].tolist(),
-        "matrix": np.asarray(list(qdf["embedding"]), dtype=dtype),
+        "query_id": qt["vec_id"].to_pylist(),
+        "matrix": _to_matrix(qt["embedding"], dtype),
     }
 
 
@@ -635,53 +581,29 @@ def customers_per_region(sf_dir: str):
     """Star-schema rollup: customer ⋈ nation ⋈ region with BOTH dims
     broadcast (they are tiny); the fact table streams. Output
     (r_name, n_name, n_customers)."""
-    import pyarrow.parquet as pq
+    nation = pq.read_table(f"{sf_dir}/nation.parquet",
+                           columns=["n_nationkey", "n_regionkey", "n_name"])
+    region = pq.read_table(f"{sf_dir}/region.parquet",
+                           columns=["r_regionkey", "r_name"])
 
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    region = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    n2r = dict(zip(nation["n_nationkey"], nation["n_regionkey"]))
-    n2name = dict(zip(nation["n_nationkey"], nation["n_name"]))
-    r2name = dict(zip(region["r_regionkey"], region["r_name"]))
-    lookup_ref = ray.put((n2r, n2name, r2name))
-
-    class Attach:
-        def __init__(self):
-            self.n2r, self.n2name, self.r2name = ray.get(lookup_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            nk = batch["c_nationkey"].to_pylist()
-            rn = [self.r2name.get(self.n2r.get(k)) for k in nk]
-            nn = [self.n2name.get(k) for k in nk]
-            t = pa.table(
-                {
-                    "r_name": pa.array(rn, pa.string()),
-                    "n_name": pa.array(nn, pa.string()),
-                }
-            )
-            return t.filter(pa.compute.is_valid(t["r_name"]))
+    def attach_region(batch, nation, region) -> pa.Table:
+        nk = batch["c_nationkey"]
+        rk = _lookup(nk, nation, "n_nationkey", "n_regionkey")
+        t = pa.table({"r_name": _lookup(rk, region, "r_regionkey", "r_name"),
+                      "n_name": _lookup(nk, nation, "n_nationkey", "n_name")})
+        return t.filter(pc.is_valid(t["r_name"]))
 
     ds = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_nationkey"])
-    from .fusion import map_stage
-
-    ds = map_stage(ds, Attach)
+    ds = _broadcast_join(ds, (nation, region), attach_region)
     return ds.groupby(["r_name", "n_name"]).aggregate(Count(alias_name="n_customers"))
 
 
 def events_by_type_day(sf_dir: str):
-    """Two-key grouped counts; (type, day) is bounded (~150 keys) →
-    map-side partials, driver merge."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(day=df["ts"].dt.strftime("%Y-%m-%d"))
-        return (
-            df.groupby(["event_type", "day"], as_index=False)
-            .size()
-            .rename(columns={"size": "partial_n"})
-        )
-
-    return _bounded_partial_merge(
-        _events(sf_dir, ["event_type", "ts"]), partial, ["event_type", "day"]
-    )
+    """Two-key grouped counts; (type, day) is bounded (~150 keys) → a
+    ``tally``, no exchange."""
+    return tally(_events(sf_dir, ["event_type", "ts"]), lambda t: pa.table({
+        "event_type": t["event_type"], "day": _day(t), "n_events": ones(t),
+    }), ["event_type", "day"])
 
 
 def median_chars_by_lang(sf_dir: str):
@@ -708,8 +630,6 @@ def global_event_stats(sf_dir: str):
     count of groups; absorbed here from its own query slot). Two pruned
     scans — the count/min/max pass needs no shuffle, the distinct pass
     shuffles (user_id) keys only."""
-    from ray.data.aggregate import Count, Max, Min
-
     ds = _events(sf_dir, ["event_id"])
     row = ds.aggregate(
         Count(alias_name="n_events"),
@@ -726,8 +646,6 @@ def global_event_stats(sf_dir: str):
 def union_clicks_views(sf_dir: str):
     """U1: union of two filtered streams (disjoint predicates →
     UNION ALL semantics)."""
-    import pyarrow.compute as pc
-
     def keep(event_type):
         def fn(t: pa.Table) -> pa.Table:
             return t.filter(pc.equal(t["event_type"], pa.scalar(event_type)))
@@ -744,8 +662,6 @@ def users_click_and_purchase(sf_dir: str):
     """U2 INTERSECT: users appearing in BOTH event streams — union the
     flagged key sets, one keyed groupby keeps keys seen with both flags
     (the hash-partition intersect idiom; Ray has no native INTERSECT)."""
-    import pyarrow.compute as pc
-
     ds = _events(sf_dir, ["user_id", "event_type"])
 
     def flag(event_type, val):
@@ -767,8 +683,6 @@ def users_click_and_purchase(sf_dir: str):
     # instead of per-group Python (key cardinality = user cardinality;
     # the aggregate is ~fixed-cost while map_groups pays ~10s per 150k
     # groups on this host)
-    from ray.data.aggregate import Max, Min
-
     agg = a.union(b).groupby("user_id").aggregate(
         Min("flag", alias_name="f_min"), Max("flag", alias_name="f_max")
     )

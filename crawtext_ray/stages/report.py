@@ -2,62 +2,91 @@
 report.py — per-project counts by language / status / source exported to
 CSV/JSON).
 
-All of these are groupby aggregates over already-small key domains, so
-the shuffle moves one partial row per (block, key) — Ray pre-aggregates
-AggregateFn partials inside blocks before the exchange.
+Bounded-key counts (languages, statuses, the one-row global tally) run
+through ``tally``: each block is summed per key where it is produced and
+the driver folds the per-block sums as they stream in, so no exchange
+runs and the driver never holds more than one row per key. Per-domain
+counts have unbounded keys and stay a keyed groupby aggregate.
 """
 
 from __future__ import annotations
 
-from ray.data.aggregate import Count, Sum
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data as rd
+from ray.data.aggregate import Count
 
 from ..extract.urlnorm import domain_of
 
+_SUM = pc.ScalarAggregateOptions(min_count=0)  # an all-null sum is 0
 
-def _bounded_key_counts(articles, key: str, out_name: str = "n_docs"):
-    """Grouped count for a BOUNDED key domain (langs, statuses): map-side
-    partial value_counts (one row per key per block) merged on the driver
-    — no all-to-all at all. A sort-shuffle Aggregate on the same data
-    measured a fixed ~7s tail at 32 cpus; the partial rows here are
-    ≤ |keys| × |blocks|. For unbounded keys (domains) use the groupby
-    path (report_domain)."""
-    import collections
 
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
+def _fold(t: pa.Table, keys: list[str]) -> pa.Table:
+    """Sum every non-key column of ``t`` per distinct ``keys`` value (one
+    row for ``keys=[]``); a null key is a key of its own."""
+    sums = [c for c in t.column_names if c not in keys]
+    out = t.group_by(keys).aggregate([(c, "sum", _SUM) for c in sums])
+    return out.select(keys + [f"{c}_sum" for c in sums]).rename_columns(
+        keys + sums)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch[key])
-        return pa.table({key: vc.field("values"), "partial_n": vc.field("counts")})
 
-    partials = (
-        articles.select_columns([key])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )
-    cnt: collections.Counter = collections.Counter()
-    for r in partials:
-        cnt[r[key]] += r["partial_n"]
-    keys = sorted(cnt)
-    return rd.from_arrow(
-        pa.table({key: keys, out_name: [int(cnt[k]) for k in keys]})
-    )
+class _NoRows(dict):
+    """The batch of an input with no rows and no schema (a filter that
+    kept nothing): every column a partial reads is an empty string one."""
+
+    num_rows = 0
+
+    def __missing__(self, name: str) -> pa.Array:
+        return pa.array([], pa.string())
+
+
+def tally(ds, partial, keys: list[str]) -> pa.Table:
+    """Per-key sums over a Dataset with a bounded key domain, as one
+    Arrow table sorted by ``keys`` (nulls last). ``partial(batch)`` maps
+    an Arrow batch to its key columns plus int64 columns to sum (per row
+    or already summed). Each block is folded to one row per key in its
+    task; the driver folds each block into its running tally as it
+    streams in, so it holds O(distinct keys) rows, never keys × blocks.
+    ``keys=[]`` gives the one-row global tally."""
+    acc = None
+    for block in ds.map_batches(
+        lambda b: _fold(partial(b), keys), batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).iter_batches(batch_size=None, batch_format="pyarrow"):
+        acc = block if acc is None else _fold(
+            pa.concat_tables([acc, block], promote_options="default"), keys)
+    if acc is None:  # no block streamed in: the tally of zero rows
+        schema = ds.schema()
+        acc = _fold(partial(schema.base_schema.empty_table() if schema
+                            else _NoRows()), keys)
+    return acc.sort_by([(k, "ascending") for k in keys],
+                       null_placement="at_end") if keys else acc
+
+
+def ones(batch: pa.Table) -> pa.Array:
+    """One int64 1 per row: the per-row count column of a tally partial."""
+    return pa.array(np.ones(batch.num_rows, np.int64))
+
+
+def key_counts(ds, key: str):
+    """Rows per ``key`` value, as a Dataset of (key, n_docs)."""
+    return rd.from_arrow(tally(
+        ds.select_columns([key]),
+        lambda b: pa.table({key: b[key], "n_docs": ones(b)}), [key]))
 
 
 def report_lang(articles):
     """A1 (mandated by BASELINE.json:6): per-language doc counts."""
-    return _bounded_key_counts(articles, "lang")
+    return key_counts(articles, "lang")
 
 
 def report_status(articles):
     """A2: ok / empty / blocked / parse_error tallies."""
-    return _bounded_key_counts(articles, "status")
+    return key_counts(articles, "status")
 
 
 def _add_domain(batch):
-    import pyarrow as pa
-
     # domain_of is stdlib urlsplit (exact host semantics incl. ports,
     # userinfo, IPv6 — a regex kernel would drift on those); the batch
     # stays Arrow so the surrounding pipeline never leaves arrow blocks
@@ -84,28 +113,16 @@ def top_domains(articles, k: int = 10):
     return report_domain(articles).sort("n_docs", descending=True).limit(k)
 
 
-def global_counters(articles):
-    """A4: one-row global tally (pages, ok pages, words)."""
-    import pyarrow as pa
+def global_counters(articles) -> dict:
+    """A4: one-row global tally (pages, ok pages, relevant pages, words)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ok = sum(1 for s in batch["status"].to_pylist() if s == "ok")
-        rel = sum(1 for r in batch["relevant"].to_pylist() if r)
-        return pa.table(
-            {
-                "n_pages": [batch.num_rows],
-                "n_ok": [ok],
-                "n_relevant": [rel],
-                "n_words": [
-                    int(pa.compute.sum(batch["n_words"]).as_py() or 0)
-                ],
-            }
-        )
+    def partial(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "n_pages": ones(b),
+            "n_ok": pc.cast(pc.equal(b["status"], "ok"), pa.int64()),
+            "n_relevant": pc.cast(b["relevant"], pa.int64()),
+            "n_words": pc.cast(b["n_words"], pa.int64()),
+        })
 
-    partials = articles.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return partials.aggregate(
-        Sum("n_pages", alias_name="n_pages"),
-        Sum("n_ok", alias_name="n_ok"),
-        Sum("n_relevant", alias_name="n_relevant"),
-        Sum("n_words", alias_name="n_words"),
-    )
+    cols = ["status", "relevant", "n_words"]
+    return tally(articles.select_columns(cols), partial, []).to_pylist()[0]

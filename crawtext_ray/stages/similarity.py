@@ -146,10 +146,9 @@ class _LshBucket:
     """Sign-pattern LSH bucket id per vector (stateful: the hyperplane
     matrix is drawn once per actor from a fixed seed)."""
 
-    def __init__(self, dim: int, n_planes: int, seed: int, id_col: str, vec_col: str):
+    def __init__(self, dim: int, n_planes: int, seed: int, vec_col: str):
         rng = np.random.default_rng(seed)
         self.planes = rng.standard_normal((dim, n_planes)).astype(np.float32)
-        self.id_col = id_col
         self.vec_col = vec_col
 
     def bucket_of(self, m: np.ndarray) -> np.ndarray:
@@ -164,13 +163,10 @@ class _LshBucket:
         return batch.append_column("lsh_bucket", pa.array(buckets, pa.int64()))
 
 
-def add_lsh_bucket(ds, dim: int, n_planes: int = 8, seed: int = 11,
-                   id_col: str = "vec_id", vec_col: str = "embedding"):
+def add_lsh_bucket(ds, dim: int, n_planes: int, seed: int, vec_col: str):
     from .fusion import map_stage
 
-    return map_stage(
-        ds, lambda: _LshBucket(dim, n_planes, seed, id_col, vec_col)
-    )
+    return map_stage(ds, lambda: _LshBucket(dim, n_planes, seed, vec_col))
 
 
 def _probe_buckets(bucket: int, n_planes: int, multiprobe: int) -> list[int]:
@@ -202,8 +198,8 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
     but neighbors that flip a sign or two are found). At scale the bucket
     column doubles as the partition key so each query touches its probed
     partitions instead of the full corpus."""
-    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, id_col, vec_col)
-    hasher = _LshBucket(dim, n_planes, seed, id_col, vec_col)
+    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, vec_col)
+    hasher = _LshBucket(dim, n_planes, seed, vec_col)
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float32))
     probes = [np.asarray(_probe_buckets(int(b), n_planes, multiprobe),
                          dtype=np.int64) for b in hasher.bucket_of(qm)]
@@ -211,11 +207,14 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
                         "lsh_bucket", np.float32)
 
 
+# embedding_dedup's within-bucket matmul chunk (rows per matmul)
+CHUNK_ROWS = 1024
+
+
 def embedding_dedup(ds, dim: int, threshold: float = 0.97,
                     n_planes: int | None = None, target_bucket: int = 8192,
                     seed: int = 11, id_col: str = "vec_id",
-                    vec_col: str = "embedding", chunk_rows: int = 1024,
-                    canonical: bool = False):
+                    vec_col: str = "embedding", canonical: bool = False):
     """Embedding-cosine near-dup: LSH-bucket vectors, then inside each
     bucket link each id to the smallest similar-enough smaller id.
 
@@ -234,7 +233,7 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
       fixed partition count.
     - one key-run reduce on ``lsh_bucket`` sorted by id hands each
       bucket's rows over as one run; inside a bucket the pairwise scores
-      are computed in row chunks of ``chunk_rows`` against the bucket
+      are computed in row chunks of ``CHUNK_ROWS`` against the bucket
       matrix: memory is O(chunk × bucket) even when a clone-heavy bucket
       is huge (near-dup clusters all land in ONE bucket by design, so
       bucket size cannot be bounded by hashing alone); compute stays
@@ -244,8 +243,9 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
         n = ds.count()
         n_planes = int(np.clip(np.ceil(np.log2(max(1, n) / target_bucket)) + 2,
                                4, 30))
-    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, id_col, vec_col)
+    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, vec_col)
     none = np.iinfo(np.int64).max
+    chunk_rows = CHUNK_ROWS  # read on the driver; the closure ships it
 
     def bucket_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
         all_ids = np.asarray(t[id_col].to_numpy(), dtype=np.int64)

@@ -10,11 +10,11 @@ import pyarrow as pa
 
 from ..extract.query import Query
 from ..functions.text import (
+    house_tokens,
     language_id,
     quality_features,
     rolling_fingerprint,
     token_count,
-    word_count,
 )
 
 
@@ -81,22 +81,6 @@ def text_features(ds, text_col: str = "text", id_col: str = "doc_id",
         ds,
         lambda: TextFeatures(text_col=text_col, id_col=id_col, lang_col=lang_col),
     )
-
-
-def word_counts(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """M9 as a stand-alone stage: doc_id, n_words, n_tokens."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "n_words": pa.array([word_count(t or "") for t in texts], pa.int64()),
-                "n_tokens": pa.array([token_count(t or "") for t in texts], pa.int64()),
-            }
-        )
-
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # PII scrub patterns — RE2-compatible so the Arrow kernel, the Python
@@ -166,19 +150,14 @@ def vocabulary_topk(ds, text_col: str = "text", k: int = 100):
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(batch[text_col])
-        toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-        arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        vals = arr.flatten()
-        vals = vals.filter(pc.greater(pc.utf8_length(vals), 0))
-        vc = pc.value_counts(vals)
+        vc = pc.value_counts(house_tokens(batch[text_col])[0])
         return pa.table({
             "token": vc.field("values"),
             "partial_n": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    partials = ds.select_columns([text_col]).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
     totals = partials.groupby("token").aggregate(
         Sum("partial_n", alias_name="n")
     )
@@ -441,36 +420,28 @@ def unigram_lm_scores(docs, text_col: str = "text", id_col: str = "doc_id",
     Tokens = lowercased [a-z0-9]+ runs (the house tokenizer). Returns
     (id, n_tokens:int64, nll:float64) — nll = 0.0 for token-less docs.
     """
-    return _lm_score_stage(docs, text_col, id_col, vocab_size, alpha,
-                           model_docs)
+    train = model_docs if model_docs is not None else docs
+
+    def scores(batch: pa.Table, nlls: list) -> pa.Table:
+        n_toks, nll = nlls[0]
+        return pa.table({id_col: batch[id_col],
+                         "n_tokens": pa.array(n_toks, pa.int64()),
+                         "nll": pa.array(nll, pa.float64())})
+
+    model = _train_unigram_lm(train, text_col, vocab_size, alpha)
+    return _nll_map(docs.select_columns([id_col, text_col]), text_col,
+                    [model], scores)
 
 
 def _train_unigram_lm(train, text_col: str, vocab_size: int, alpha: float):
-    """Map-side-trained unigram model: returns (ray.put ref of
-    (vocab_arrow, logp_array), oov_logp). Shared by the scoring query
-    and the curation LM gate."""
+    """Unigram model over the corpus's top-``vocab_size`` tokens
+    (``vocabulary_topk``): returns (ray.put ref of (vocab_arrow,
+    logp_array), oov_logp). Shared by the scoring query, the curation LM
+    gate and DSIR."""
     import numpy as np
-    import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(batch[text_col])
-        toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-        arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        vals = pc.list_flatten(arr)
-        vals = vals.filter(pc.greater(pc.utf8_length(vals), 0))
-        vc = pc.value_counts(vals)
-        return pa.table({
-            "token": vc.field("values"),
-            "partial_n": pc.cast(vc.field("counts"), pa.int64()),
-        })
-
-    totals = train.select_columns([text_col]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("token").aggregate(Sum("partial_n", alias_name="n"))
-    top = totals.sort(["n", "token"], descending=[True, False]).limit(vocab_size)
-
+    top = vocabulary_topk(train, text_col, vocab_size)
     toks_list, counts_list = [], []
     for b in top.iter_batches(batch_format="pyarrow"):
         toks_list.extend(b["token"].to_pylist())
@@ -491,52 +462,42 @@ def _batch_nll(batch: pa.Table, text_col: str, vcb, lp, oov_logp: float):
     import numpy as np
     import pyarrow.compute as pc
 
-    low = pc.utf8_lower(batch[text_col])
-    toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-    arr = (toks.combine_chunks()
-           if isinstance(toks, pa.ChunkedArray) else toks)
-    vals = pc.list_flatten(arr)
-    row_idx = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
-    lens = pc.utf8_length(vals).to_numpy(zero_copy_only=False)
-    keep = lens > 0
+    vals, row_idx = house_tokens(batch[text_col])
     n = batch.num_rows
-    n_toks = np.bincount(row_idx[keep], minlength=n)
+    n_toks = np.bincount(row_idx, minlength=n)
     if len(vcb):
         # C-vectorized vocab lookup: index_in maps each token to its
         # vocab position (null = OOV); no Python per token
         idx = pc.fill_null(
             pc.index_in(vals, value_set=vcb), -1
-        ).to_numpy(zero_copy_only=False)[keep]
+        ).to_numpy(zero_copy_only=False)
         tok_lp = np.where(idx >= 0, lp[np.clip(idx, 0, None)], oov_logp)
     else:
-        tok_lp = np.full(int(keep.sum()), oov_logp)
-    sum_lp = np.bincount(row_idx[keep], weights=-tok_lp, minlength=n)
+        tok_lp = np.full(len(vals), oov_logp)
+    sum_lp = np.bincount(row_idx, weights=-tok_lp, minlength=n)
     nll = np.divide(sum_lp, n_toks, out=np.zeros(n), where=n_toks > 0)
     return n_toks, nll
 
 
-def _lm_score_stage(docs, text_col, id_col, vocab_size, alpha, model_docs):
+def _nll_map(ds, text_col: str, models: list, emit):
+    """The scoring pass of the LM scorer, the LM gate and DSIR: each
+    ``_train_unigram_lm`` model is fetched once per worker, and every
+    batch maps to ``emit(batch, nlls)`` with one ``_batch_nll``
+    (n_tokens, nll) pair per model. No shuffle; the corpus streams."""
     import ray
 
     from .fusion import map_stage
 
-    train = model_docs if model_docs is not None else docs
-    ref, oov_logp = _train_unigram_lm(train, text_col, vocab_size, alpha)
-
     def factory():
-        vcb, lp = ray.get(ref)
+        got = [(ray.get(ref), oov) for ref, oov in models]
 
         def stage(batch: pa.Table) -> pa.Table:
-            n_toks, nll = _batch_nll(batch, text_col, vcb, lp, oov_logp)
-            return pa.table({
-                id_col: batch[id_col],
-                "n_tokens": pa.array(n_toks, pa.int64()),
-                "nll": pa.array(nll, pa.float64()),
-            })
+            return emit(batch, [_batch_nll(batch, text_col, vcb, lp, oov)
+                                for (vcb, lp), oov in got])
 
         return stage
 
-    return map_stage(docs.select_columns([id_col, text_col]), factory)
+    return map_stage(ds, factory)
 
 
 def lm_gate(ds, max_nll: float, text_col: str = "text",
@@ -550,26 +511,14 @@ def lm_gate(ds, max_nll: float, text_col: str = "text",
     itself; token-less documents are kept (emptiness is the length
     gate's job). Scoring streams: broadcast-once model, vectorized
     probe, no shuffle — same scale shape as ``unigram_lm_scores``."""
-    import ray
-
-    from .fusion import map_stage
-
     train = model_docs if model_docs is not None else ds
-    ref, oov_logp = _train_unigram_lm(train, text_col, vocab_size, alpha)
 
-    def factory():
-        vcb, lp = ray.get(ref)
+    def keep(batch: pa.Table, nlls: list) -> pa.Table:
+        n_toks, nll = nlls[0]
+        return batch.filter(pa.array((nll <= max_nll) | (n_toks == 0)))
 
-        def stage(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            n_toks, nll = _batch_nll(batch, text_col, vcb, lp, oov_logp)
-            keep = (nll <= max_nll) | (n_toks == 0)
-            return batch.filter(pa.array(keep))
-
-        return stage
-
-    return map_stage(ds, factory)
+    model = _train_unigram_lm(train, text_col, vocab_size, alpha)
+    return _nll_map(ds, text_col, [model], keep)
 
 
 def dsir_weights(ds, target_docs, text_col: str = "text",
@@ -590,31 +539,16 @@ def dsir_weights(ds, target_docs, text_col: str = "text",
     scored corpus's (e.g. curated ``extracted_text`` vs a reference
     table's ``text``). Appends ``out_col`` (float64) streaming — no
     shuffle, two broadcast probes per batch."""
-    import ray
-
-    from .fusion import map_stage
-
-    tgt_ref, tgt_oov = _train_unigram_lm(
-        target_docs, target_text_col or text_col, vocab_size, alpha)
     bg = background_docs if background_docs is not None else ds
-    bg_ref, bg_oov = _train_unigram_lm(bg, text_col, vocab_size, alpha)
+    models = [_train_unigram_lm(target_docs, target_text_col or text_col,
+                                vocab_size, alpha),
+              _train_unigram_lm(bg, text_col, vocab_size, alpha)]
 
-    def factory():
-        tv, tl = ray.get(tgt_ref)
-        bv, bl = ray.get(bg_ref)
+    def logw(batch: pa.Table, nlls: list) -> pa.Table:
+        (_, nll_t), (_, nll_b) = nlls
+        return batch.append_column(out_col, pa.array(nll_b - nll_t, pa.float64()))
 
-        def fn(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch.append_column(
-                    out_col, pa.array([], pa.float64()))
-            _, nll_t = _batch_nll(batch, text_col, tv, tl, tgt_oov)
-            _, nll_b = _batch_nll(batch, text_col, bv, bl, bg_oov)
-            return batch.append_column(
-                out_col, pa.array(nll_b - nll_t, pa.float64()))
-
-        return fn
-
-    return map_stage(ds, factory)
+    return _nll_map(ds, text_col, models, logw)
 
 
 def dsir_select(ds, target_docs, keep_frac: float = 0.25,
@@ -727,86 +661,41 @@ def corpus_data_card(docs, text_col: str = "text", lang_col: str = "lang",
     """The corpus "data card" a training-mix planner reads: one row per
     language with document, token, and character totals (house
     tokenizer: [a-z0-9]+ runs on lowercased text) plus the mean
-    document length in tokens. ONE streaming pass — per-batch partials
-    (vectorized Arrow kernels) merged on the driver, no shuffle at all
-    (the key domain is languages; the report pattern of report_lang).
+    document length in tokens. ONE streaming pass — a ``report.tally``
+    over the language key, no shuffle at all. Returns a pandas DataFrame
+    sorted by language (a null language last).
 
     ``tokenizer``: an optional trained ``stages.bpe.BPETokenizer`` —
     when given, the card gains an ``n_bpe_tokens`` column (real subword
     counts, what a trainer actually consumes; computed in the same
     streaming pass via a per-worker word-memoized encoder). The default
     card stays tokenizer-free so its DuckDB oracle row is unchanged."""
-    import collections
-
+    import numpy as np
     import pyarrow.compute as pc
 
-    if tokenizer is not None:
+    from .report import ones, tally
+
+    docs = docs.select_columns([lang_col, text_col])
+    with_bpe = tokenizer is not None  # the partial ships without the model
+    if with_bpe:
         from .bpe import add_bpe_token_counts
 
-        docs = add_bpe_token_counts(
-            docs.select_columns([lang_col, text_col]), tokenizer,
-            text_col=text_col, out_col="_bpe_n",
-        )
+        docs = add_bpe_token_counts(docs, tokenizer, text_col=text_col,
+                                    out_col="_bpe_n")
 
     def partial(batch: pa.Table) -> pa.Table:
-        low = pc.utf8_lower(batch[text_col])
-        toks = pc.split_pattern_regex(low, pattern="[^a-z0-9]+")
-        arr = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        vals = pc.list_flatten(arr)
-        import numpy as np
+        rows = house_tokens(batch[text_col])[1]
+        cols = {
+            lang_col: batch[lang_col],
+            "n_docs": ones(batch),
+            "n_tokens": pa.array(np.bincount(rows, minlength=batch.num_rows),
+                                 pa.int64()),
+            "n_chars": pc.cast(pc.utf8_length(batch[text_col]), pa.int64()),
+        }
+        if with_bpe:
+            cols["n_bpe_tokens"] = pc.cast(batch["_bpe_n"], pa.int64())
+        return pa.table(cols)
 
-        row_idx = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
-        keep = pc.utf8_length(vals).to_numpy(zero_copy_only=False) > 0
-        n_toks = np.bincount(row_idx[keep], minlength=batch.num_rows)
-        n_chars = pc.utf8_length(batch[text_col]).to_numpy(
-            zero_copy_only=False
-        )
-        langs = batch[lang_col].to_pylist()
-        bpe = (batch["_bpe_n"].to_numpy(zero_copy_only=False)
-               if "_bpe_n" in batch.column_names else None)
-        agg: dict[str, list[int]] = {}
-        for i, lg in enumerate(langs):
-            a = agg.setdefault(lg, [0, 0, 0, 0])
-            a[0] += 1
-            a[1] += int(n_toks[i])
-            a[2] += int(n_chars[i])
-            if bpe is not None:
-                a[3] += int(bpe[i])
-        keys = sorted(agg)
-        t = pa.table({
-            lang_col: pa.array(keys, pa.string()),
-            "p_docs": pa.array([agg[k][0] for k in keys], pa.int64()),
-            "p_tokens": pa.array([agg[k][1] for k in keys], pa.int64()),
-            "p_chars": pa.array([agg[k][2] for k in keys], pa.int64()),
-        })
-        if bpe is not None:
-            t = t.append_column(
-                "p_bpe", pa.array([agg[k][3] for k in keys], pa.int64())
-            )
-        return t
-
-    src = docs if tokenizer is not None \
-        else docs.select_columns([lang_col, text_col])
-    parts = src.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    tot: dict[str, list[int]] = collections.defaultdict(lambda: [0, 0, 0, 0])
-    for r in parts:
-        t = tot[r[lang_col]]
-        t[0] += r["p_docs"]
-        t[1] += r["p_tokens"]
-        t[2] += r["p_chars"]
-        t[3] += r.get("p_bpe", 0)
-    import pandas as pd
-
-    keys = sorted(tot)
-    df = pd.DataFrame({
-        lang_col: keys,
-        "n_docs": [tot[k][0] for k in keys],
-        "n_tokens": [tot[k][1] for k in keys],
-        "n_chars": [tot[k][2] for k in keys],
-    })
-    if tokenizer is not None:
-        df["n_bpe_tokens"] = [tot[k][3] for k in keys]
+    df = tally(docs, partial, [lang_col]).to_pandas()
     df["mean_doc_tokens"] = df["n_tokens"] / df["n_docs"]
     return df

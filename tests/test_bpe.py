@@ -172,33 +172,6 @@ def test_pack_sequences_consumes_bpe_counts(ray_session):
         assert (g["pack_offset"].to_numpy() == prev % 64).all()
 
 
-def test_data_card_gains_bpe_column(ray_session):
-    import ray.data as rd
-
-    from crawtext_ray.stages.bpe import train_bpe
-    from crawtext_ray.stages.textops import corpus_data_card
-
-    ds = rd.from_items(
-        [{"text": t, "lang": ("en" if i % 2 else "fr")}
-         for i, t in enumerate(CORPUS)]
-    )
-    tok = train_bpe(ds, vocab_size=256 + 30)
-    plain = corpus_data_card(ds)
-    card = corpus_data_card(ds, tokenizer=tok)
-    assert "n_bpe_tokens" not in plain.columns  # oracle row unchanged
-    assert set(card["lang"]) == {"en", "fr"}
-    # totals equal an explicit per-doc count
-    exp: Counter = Counter()
-    for i, t in enumerate(CORPUS):
-        exp[("en" if i % 2 else "fr")] += len(tok.encode(t))
-    for _, r in card.iterrows():
-        assert r["n_bpe_tokens"] == exp[r["lang"]]
-        assert r["n_bpe_tokens"] > 0
-    # the untouched columns match the tokenizer-free card
-    assert card[["lang", "n_docs", "n_tokens", "n_chars"]].equals(
-        plain[["lang", "n_docs", "n_tokens", "n_chars"]])
-
-
 def test_truncated_word_stream_flag(ray_session):
     import ray.data as rd
 

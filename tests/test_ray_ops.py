@@ -329,7 +329,7 @@ def test_embedding_dedup_canonical_chain(ray_session):
     assert can_links == {(1, 0), (2, 0)}  # transitive: both collapse to a
 
 
-def test_embedding_dedup_skewed_bucket(ray_session):
+def test_embedding_dedup_skewed_bucket(ray_session, monkeypatch):
     """A clone-heavy corpus puts every vector in ONE bucket — the chunked
     within-bucket matmul must bound memory and still link every clone to
     the min id."""
@@ -337,12 +337,13 @@ def test_embedding_dedup_skewed_bucket(ray_session):
 
     from crawtext_ray.stages.similarity import embedding_dedup
 
+    monkeypatch.setattr("crawtext_ray.stages.similarity.CHUNK_ROWS", 7)
     rng = np.random.default_rng(8)
     base = rng.standard_normal(8).astype(np.float32)
     rows = [{"vec_id": i, "embedding": (base + rng.standard_normal(8) * 1e-4)
              .tolist()} for i in range(60)]
-    got = embedding_dedup(rd.from_items(rows), dim=8, threshold=0.99,
-                          chunk_rows=7).to_pandas()
+    got = embedding_dedup(rd.from_items(rows), dim=8,
+                          threshold=0.99).to_pandas()
     assert len(got) == 59  # everyone but vec 0 links
     assert (got["rep_id"] == 0).all()
     assert sorted(got["vec_id"]) == list(range(1, 60))
@@ -1174,7 +1175,7 @@ def test_lsh_multiprobe_topk_matches_reference(ray_session):
     )
     qids = [3, 50, 111, 200, 239]
     queries = {"query_id": qids, "matrix": vecs[qids]}
-    hasher = _LshBucket(16, 8, 11, "vec_id", "embedding")
+    hasher = _LshBucket(16, 8, 11, "embedding")
     vb = hasher.bucket_of(vecs)
     qm = _normalize(vecs[qids].astype(np.float64))
     sims = qm @ _normalize(vecs).T
