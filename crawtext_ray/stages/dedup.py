@@ -15,9 +15,8 @@ Per-batch sketching is vectorized and every shuffle only ever sees
 (key, id) rows — never full text — so the exchange volume is O(rows),
 not O(bytes). Every per-key reduce (exact content dedup, paragraph
 dedup, the LSH bucket pass, per-id min and candidate-pair distinct, the
-component rounds) is the shared key-run reduce
-(``partitioning.key_runs``); only the candidate verifier groups per
-participant id (candidate-bounded).
+candidate verifier's two routing passes, the component rounds) is the
+shared key-run reduce (``partitioning.key_runs``).
 
 LSH buckets and connected components have one form each, with no driver
 state. Every other small side (verification participants, the
@@ -42,8 +41,8 @@ def first_by(ds, key: str, order_col: str, tiebreak: str):
     """J2: keep exactly one row per ``key`` — the minimal ``order_col``,
     ties broken by ``tiebreak`` (required, and it must be unique within
     a key so reruns pick the same row; keys must be non-null). Each
-    key-run's first row after the shard sort (``partitioning.key_runs``)
-    — Python calls = shards, not keys."""
+    key-run's first row after the key sort (``partitioning.key_runs``)
+    — Python calls = sorted blocks, not keys."""
     from .partitioning import key_runs
 
     return key_runs(ds, key, [order_col, tiebreak],
@@ -64,7 +63,7 @@ def _sha_column(batch: pa.Table, text_col: str) -> pa.Table:
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Exact content dedup: content-hash per batch (vectorized pass), then
     ``first_by`` on the hash keeps the smallest id per hash — one key-run
-    reduce, so Python calls scale with the shard count, not the (mostly
+    reduce, so Python calls scale with the block count, not the (mostly
     unique) hash count. Only (hash, id) crosses the shuffle."""
     hashed = ds.map_batches(
         _sha_column, batch_format="pyarrow", zero_copy_batch=True,
@@ -121,10 +120,6 @@ def _shingle_array(text: str, k: int) -> np.ndarray:
         for j in range(k):
             acc = acc * _SHINGLE_BASE + th[j : j + n]
     return np.unique(acc)
-
-
-def _shingles(text: str, k: int) -> set[int]:
-    return set(int(x) for x in _shingle_array(text, k))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -373,50 +368,32 @@ def _verify_candidates(cands, ds_docs, text_col: str, id_col: str,
                        k: int, threshold: float):
     """(a, b) candidate pairs → exact-Jaccard-verified
     (``{id}_a``, ``{id}_b``, jaccard) rows via the routed verifier."""
-    a_col, b_col = f"{id_col}_a", f"{id_col}_b"
-
     import ray.data as rd
 
-    # id-type-generic: string doc ids must survive like the rest of the
-    # dedup family (exact_dedup, banded_lsh_pairs) — derive from the corpus
-    try:
-        id_type = ds_docs.schema().base_schema.field(id_col).type
-    except Exception:
-        id_type = pa.int64()
-    empty = pa.table({
-        a_col: pa.array([], id_type),
-        b_col: pa.array([], id_type),
-        "jaccard": pa.array([], pa.float64()),
-    })
+    a_col, b_col = f"{id_col}_a", f"{id_col}_b"
     oriented = cands.map_batches(
         lambda t: pa.table({id_col: t[b_col], "rep_id": t[a_col]}),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
     if oriented.count() == 0:
-        return rd.from_arrow(empty)
-    verified = verify_pairs_jaccard_distributed(
+        # a typed empty result (a schemaless empty Dataset would
+        # to_pandas() into a column-less frame downstream); the id type
+        # comes from the corpus, so string doc ids survive (int64 for a
+        # corpus without a schema)
+        schema = ds_docs.schema()
+        id_type = (schema.base_schema.field(id_col).type if schema
+                   else pa.int64())
+        return rd.from_arrow(pa.table({
+            a_col: pa.array([], id_type), b_col: pa.array([], id_type),
+            "jaccard": pa.array([], pa.float64())}))
+    return verify_pairs_jaccard_distributed(
         oriented, ds_docs, text_col=text_col, id_col=id_col, k=k,
         threshold=threshold,
+    ).map_batches(
+        lambda t: pa.table({a_col: t["rep_id"], b_col: t[id_col],
+                            "jaccard": t["jaccard"]}),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
-    # normalize every block to the fixed output schema: upstream grouped
-    # stages emit empty column-less pandas blocks, which would upcast the
-    # id columns to float64 when to_pandas() concatenates mixed blocks
-    def norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return empty
-        return pa.table({
-            a_col: t["rep_id"].cast(id_type),
-            b_col: t[id_col].cast(id_type),
-            "jaccard": t["jaccard"].cast(pa.float64()),
-        })
-
-    # output is O(verified pairs) — materializing it is cheap and lets the
-    # all-filtered-out case keep a typed schema (a schemaless empty
-    # Dataset would to_pandas() into a column-less frame downstream)
-    out = verified.map_batches(
-        norm, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    return rd.from_arrow(empty) if out.count() == 0 else out
 
 
 # ------------------------------------------------------------ simhash ----
@@ -427,31 +404,13 @@ class _SimHash:
         self.text_col = text_col
         self.id_col = id_col
 
-    @staticmethod
-    def simhash64(text: str) -> int:
-        toks = _TOKEN_RE.findall(text.lower())
-        if not toks:
-            return 0
-        th = np.fromiter((_token_hash(t) for t in toks), dtype=np.uint64,
-                         count=len(toks))
-        # (n_tokens, 64) bit matrix via vectorized shifts; classic Charikar
-        # majority vote per bit position
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = ((th[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
-        v = (2 * bits - 1).sum(axis=0)
-        out = np.uint64(0)
-        out |= np.bitwise_or.reduce(
-            (v > 0).astype(np.uint64) << shifts
-        )
-        return int(out)
-
     # cap the transient (tokens × 64) bit matrix at ~32 MB
     CHUNK_TOKENS = 1 << 17
 
     def _batch_simhash(self, texts: list) -> np.ndarray:
         """Vectorized Charikar simhash for a whole batch: one
         concatenated (tokens × 64) bit matrix per chunk, per-doc bit
-        sums via add.reduceat — bit-identical to simhash64 per doc."""
+        sums via add.reduceat."""
         n = len(texts)
         out = np.zeros(n, dtype=np.uint64)
         shifts = np.arange(64, dtype=np.uint64)
@@ -561,13 +520,11 @@ def simhash_verified_duplicates(ds, text_col: str = "text",
 # -------------------------------------------- n-gram jaccard verify ----
 
 
-def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
-    sa, sb = _shingles(a, k), _shingles(b, k)
-    if not sa and not sb:
-        return 1.0
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)
+def _jaccard(sa: set, sb: set) -> float:
+    """Exact set Jaccard: 1.0 when both sets are empty, so 0.0 when only
+    one is — the one scoring rule of the brute finder and the verifier."""
+    union = len(sa | sb)
+    return len(sa & sb) / union if union else 1.0
 
 
 def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -623,13 +580,7 @@ def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
             for a_pos in t["pos"].to_pylist():
                 sa = self.sets[a_pos]
                 for b_pos in range(a_pos + 1, len(self.ids)):
-                    sb = self.sets[b_pos]
-                    if not sa and not sb:
-                        j = 1.0
-                    elif not sa or not sb:
-                        j = 0.0
-                    else:
-                        j = len(sa & sb) / len(sa | sb)
+                    j = _jaccard(sa, self.sets[b_pos])
                     if j >= threshold:
                         out_a.append(self.ids[a_pos])
                         out_b.append(self.ids[b_pos])
@@ -680,121 +631,75 @@ def semi_join_on_ids(ds, ids_ds, ds_col: str, ids_col: str):
 def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
                                      id_col: str = "doc_id", k: int = 5,
                                      threshold: float = 0.8):
-    """Broadcast-free candidate verification: texts are ROUTED to their
-    pairs through two keyed exchanges instead of shipping an {id: text}
-    dict to every worker.
+    """Broadcast-free candidate verification: shingles are ROUTED to their
+    pairs through two key-run reduces (``partitioning.key_runs``) instead
+    of shipping an {id: text} dict to every worker.
 
     The corpus is candidate-bounded FIRST: only pair participants are
     ever scored, so ``ds_docs`` is semi-joined down to the left-id set
-    (exchange 1) and the rep-id set (exchange 2) before any shingling —
-    both exchanges carry O(candidate shingles), not O(corpus shingles)
+    (reduce 1) and the rep-id set (reduce 2) before any shingling — both
+    reduces carry O(candidate shingles), not O(corpus shingles)
     (post-LSH candidates are a small constant fraction of the corpus).
 
-    Exchange 1 groups pair rows with doc rows on the pair's left id and
-    attaches the left shingle set (as a uint64 array column — text never
-    leaves its first groupby); exchange 2 does the same on rep_id and
-    computes the exact n-gram Jaccard in-group. Hash-partitioned, nothing
+    Both reduces run over one row shape, (key, other, kind int8, sh
+    list<uint64>): a doc row (kind 0, its id and shingles) and pair rows
+    (kind 1), sorted by kind so a run's doc row comes first. Reduce 1,
+    keyed on the left id, gives each pair row its run's doc shingles and
+    re-keys it on rep_id; reduce 2 scores each pair row's shingles
+    against its run's doc. A missing doc is an empty shingle set. Nothing
     driver- or worker-resident beyond the participant value-set/Bloom."""
-    docs_left = semi_join_on_ids(ds_docs, ds_pairs, id_col, id_col)
-    docs_right = semi_join_on_ids(ds_docs, ds_pairs, id_col, "rep_id")
+    import pyarrow.compute as pc
+
+    from .partitioning import key_runs, run_ids
+
+    sh_type = pa.list_(pa.uint64())
 
     def doc_rows(t: pa.Table) -> pa.Table:
         sh = [_shingle_array(x or "", k) for x in t[text_col].to_pylist()]
         return pa.table({
             "key": t[id_col],
-            "rep_id": pa.nulls(t.num_rows, t.schema.field(id_col).type),
-            "sh": pa.array(sh, pa.list_(pa.uint64())),
-            "sh_left": pa.nulls(t.num_rows, pa.list_(pa.uint64())),
+            "other": pa.nulls(t.num_rows, t.schema.field(id_col).type),
+            "kind": pa.array(np.zeros(t.num_rows, np.int8)),
+            "sh": pa.array(sh, sh_type),
         })
 
     def pair_rows(t: pa.Table) -> pa.Table:
         return pa.table({
-            "key": t[id_col],
-            "rep_id": t["rep_id"],
-            "sh": pa.nulls(t.num_rows, pa.list_(pa.uint64())),
-            "sh_left": pa.nulls(t.num_rows, pa.list_(pa.uint64())),
+            "key": t[id_col], "other": t["rep_id"],
+            "kind": pa.array(np.ones(t.num_rows, np.int8)),
+            "sh": pa.nulls(t.num_rows, sh_type),
         })
 
-    docs1 = docs_left.map_batches(doc_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    pairs1 = ds_pairs.map_batches(pair_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)
+    def run_doc(t: pa.Table, starts: np.ndarray):
+        # the pair rows and, per pair row, its run's doc shingles (null
+        # when the run has no doc row)
+        kind = t["kind"].to_numpy()
+        pair = np.flatnonzero(kind == 1)
+        lead = starts[run_ids(starts, t.num_rows)][pair]
+        return t.take(pair), t["sh"].take(pa.array(lead, mask=kind[lead] != 0))
 
-    def attach_left(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def attach_left(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        pairs, left = run_doc(t, starts)
+        return pa.table({"key": pairs["other"], "other": pairs["key"],
+                         "kind": pairs["kind"], "sh": left})
 
-        doc = g.filter(pc.is_valid(g["sh"]))
-        prs = g.filter(pc.invert(pc.is_valid(g["sh"])))
-        id_type = g.schema.field("key").type
-        if prs.num_rows == 0:
-            return pa.table({
-                "key": pa.array([], id_type),
-                "left_id": pa.array([], id_type),
-                "sh": pa.array([], pa.list_(pa.uint64())),
-                "sh_left": pa.array([], pa.list_(pa.uint64())),
-            })
-        sh_py = doc["sh"][0].as_py() if doc.num_rows else []
-        return pa.table({
-            # re-key on rep_id for exchange 2
-            "key": prs["rep_id"],
-            "left_id": prs["key"],
-            "sh": pa.nulls(prs.num_rows, pa.list_(pa.uint64())),
-            "sh_left": pa.array([sh_py] * prs.num_rows, pa.list_(pa.uint64())),
-        })
+    def score(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        pairs, right = run_doc(t, starts)
+        j = pa.array([_jaccard(set(a or ()), set(b or ())) for a, b in
+                      zip(pairs["sh"].to_pylist(), right.to_pylist())],
+                     pa.float64())
+        return pa.table({id_col: pairs["other"], "rep_id": pairs["key"],
+                         "jaccard": j}).filter(pc.greater_equal(j, threshold))
 
-    routed = docs1.union(pairs1).groupby("key").map_groups(
-        attach_left, batch_format="pyarrow"
-    )
+    def rows(ds, fn):
+        return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
-    def docs_for_right(t: pa.Table) -> pa.Table:
-        sh = [_shingle_array(x or "", k) for x in t[text_col].to_pylist()]
-        return pa.table({
-            "key": t[id_col],
-            "left_id": pa.nulls(t.num_rows, t.schema.field(id_col).type),
-            "sh": pa.array(sh, pa.list_(pa.uint64())),
-            "sh_left": pa.nulls(t.num_rows, pa.list_(pa.uint64())),
-        })
-
-    docs2 = docs_right.map_batches(docs_for_right, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-
-    def score(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        doc = g.filter(pc.is_valid(g["sh"]))
-        prs = g.filter(pc.is_valid(g["sh_left"]))
-        id_type = g.schema.field("key").type
-        empty = pa.table({
-            id_col: pa.array([], id_type),
-            "rep_id": pa.array([], id_type),
-            "jaccard": pa.array([], pa.float64()),
-        })
-        if prs.num_rows == 0:
-            return empty
-        sb = set(doc["sh"][0].as_py()) if doc.num_rows else set()
-        out_i, out_r, out_j = [], [], []
-        for left, sha in zip(prs["left_id"].to_pylist(),
-                             prs["sh_left"].to_pylist()):
-            sa = set(sha)
-            if not sa and not sb:
-                j = 1.0
-            elif not sa or not sb:
-                j = 0.0
-            else:
-                j = len(sa & sb) / len(sa | sb)
-            if j >= threshold:
-                out_i.append(left)
-                out_r.append(g["key"][0].as_py())
-                out_j.append(j)
-        return pa.table({
-            id_col: pa.array(out_i, id_type),
-            "rep_id": pa.array(out_r, id_type),
-            "jaccard": pa.array(out_j, pa.float64()),
-        })
-
-    return docs2.union(routed).groupby("key").map_groups(
-        score, batch_format="pyarrow"
-    )
+    docs_left = semi_join_on_ids(ds_docs, ds_pairs, id_col, id_col)
+    docs_right = semi_join_on_ids(ds_docs, ds_pairs, id_col, "rep_id")
+    routed = key_runs(rows(docs_left, doc_rows).union(
+        rows(ds_pairs, pair_rows)), "key", ["kind"], attach_left)
+    return key_runs(rows(docs_right, doc_rows).union(routed), "key",
+                    ["kind"], score)
 
 
 # ------------------------------------------- connected components ----
@@ -810,7 +715,7 @@ def connected_components(pairs, id_col: str = "doc_id",
     stream of (node, kind, value) rows — kind 0 = the node's label,
     kind 1 = an edge (value = neighbor), kind 2 = a label message. Each
     round is ONE key-run reduce on node (``partitioning.key_runs``,
-    segment-vectorized per shard): a node's new label is the min of its
+    segment-vectorized per sorted block): a node's new label is the min of its
     id, its label and its messages, and a node whose label dropped (every
     node in the first round, which starts from the edge rows alone) sends
     it to each neighbor. Rounds run to the fixpoint, when no message is

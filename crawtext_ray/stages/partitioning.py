@@ -14,10 +14,11 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 
 ``key_runs`` is the one per-key reduce: every operator that works on
 "all rows of one key" (first-by, exact content and paragraph dedup,
-LSH buckets, connected-components rounds, the user-window family)
-hashes its key into ``SHARDS`` coarse shards and reduces each shard's
-sorted key runs with vectorized code, so Python calls scale with the
-shard count, never the key count.
+LSH buckets, connected-components rounds, candidate verification,
+similarity top-k, the user-window family) range-partitions its rows by
+key with ONE Ray sort and reduces each output block's sorted key runs
+with vectorized code, so Python calls scale with the block count, never
+the key count.
 
 ``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
 with a small-side and a scale form counts its small side on the driver
@@ -105,8 +106,6 @@ def size_hash_shuffle(ctx) -> None:
             )
 
 
-SHARDS = 256
-
 # Largest small side any operator ships to every worker. Read at call
 # time (``partitioning.BROADCAST_ROWS``), so setting it to 0 forces every
 # scale form.
@@ -170,18 +169,8 @@ def run_ids(starts: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
 
 
-def shard_of(col) -> np.ndarray:
-    """Coarse shard in [0, SHARDS) per key: integer keys by modulo
-    (negative keys included), string/binary keys by the first 8 md5
-    bytes of their text form — driver- and worker-independent."""
-    if pa.types.is_integer(col.type):
-        return col.to_numpy(zero_copy_only=False).astype(np.int64) % SHARDS
-    return (md5_prefix_array(col.to_pylist(), 8)
-            % np.uint64(SHARDS)).astype(np.int64)
-
-
 def shard_runs(table: pa.Table, key: str, sort_keys: list, fn):
-    """One shard's reduce: ONE arrow sort by ``[key, *sort_keys]``, then
+    """One block's reduce: ONE arrow sort by ``[key, *sort_keys]``, then
     ``fn(sorted_table, run_starts)``. ``sort_keys`` entries are column
     names (ascending) or ``(column, "ascending"|"descending")`` pairs."""
     order = [(key, "ascending")] + [
@@ -193,21 +182,16 @@ def shard_runs(table: pa.Table, key: str, sort_keys: list, fn):
 
 
 def key_runs(ds, key: str, sort_keys: list, fn):
-    """Per-key reduce over a Dataset without a Python call per key: hash
-    ``key`` into ``SHARDS`` coarse shards (:func:`shard_of`), ONE
-    ``groupby(shard).map_groups`` and, per shard, :func:`shard_runs`.
-    All rows of one key land in one shard, so ``fn`` sees whole key runs;
-    it returns a pyarrow table (empty shards reach it as empty tables).
-    A hot key costs nothing extra — it is one run inside one shard's
-    single sort."""
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_shard", pa.array(shard_of(batch[key]), pa.int64()))
-
-    def per_shard(g: pa.Table) -> pa.Table:
-        return shard_runs(g.drop_columns(["_shard"]), key, sort_keys, fn)
-
-    return ds.map_batches(
-        add_shard, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("_shard").map_groups(per_shard, batch_format="pyarrow")
+    """Per-key reduce over a Dataset without a Python call per key: ONE
+    Ray sort on ``key`` alone, then :func:`shard_runs` over each output
+    block whole. The sort range-partitions rows by key value, so all rows
+    of one key land in one block (Ray's own per-group map rests on the
+    same guarantee) and ``fn`` sees whole key runs; the secondary order
+    is the per-block Arrow sort, since a range boundary on
+    ``[key, *sort_keys]`` could split a key. ``fn`` returns a pyarrow
+    table (empty blocks reach it as empty tables). Keys must be
+    non-null. A hot key costs nothing extra — it is one run inside one
+    block's sort."""
+    return ds.sort(key).map_batches(
+        shard_runs, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True, fn_args=(key, sort_keys, fn))

@@ -165,7 +165,7 @@ def window_hourly_events(sf_dir: str):
     aggregate (3.0s vs 16.5s on 100k events at 32 cpus), because the
     exchange keys are small ints and the bucketing stays vectorized."""
 
-    def per_shard(t: pa.Table, _starts: np.ndarray) -> pa.Table:
+    def per_block(t: pa.Table, _starts: np.ndarray) -> pa.Table:
         hour = pc.floor_temporal(t["ts"], unit="hour")
         s = run_starts(t["user_id"], hour)
         idx = pa.array(s)
@@ -178,7 +178,7 @@ def window_hourly_events(sf_dir: str):
         })
 
     return key_runs(_events(sf_dir, ["user_id", "ts"]), "user_id", ["ts"],
-                    per_shard)
+                    per_block)
 
 
 def user_event_stats(sf_dir: str):
@@ -331,19 +331,19 @@ def parts_by_brand_nation(sf_dir: str):
 # SCALE SHAPE (VERDICT r03 wrong #3): a groupby(user_id).map_groups pays
 # one Python/pandas call per GROUP, and group count scales with user
 # cardinality (measured ~10 s per 150k groups on this host). These ops
-# instead run on ``partitioning.key_runs``: coarse user shards, each
-# sorted once by (user_id, ...), every per-user window computed with
-# SEGMENT-VECTORIZED numpy over the user runs (run starts + cumsum bases
-# + composite-key searchsorted): Python calls = shards, never user
-# cardinality. The partitioning assumption is unchanged — all rows of
-# one user co-locate (one shard instead of one group).
+# instead run on ``partitioning.key_runs``: one sort on user_id, each
+# sorted block re-sorted once by (user_id, ...), every per-user window
+# computed with SEGMENT-VECTORIZED numpy over the user runs (run starts
+# + cumsum bases + composite-key searchsorted): Python calls = blocks,
+# never user cardinality. The partitioning assumption is unchanged —
+# all rows of one user co-locate (one block instead of one group).
 
 
 def _composite_key(uidx: np.ndarray, off: np.ndarray) -> np.ndarray | None:
     """Monotonic int64 composite of (segment index, in-segment offset),
     making ONE searchsorted serve every segment at once. None when the
     product would overflow int64 (callers fall back to a per-segment
-    loop — only reachable when users/shard x time-span exceeds ~2^62 µs)."""
+    loop — only reachable when users/block x time-span exceeds ~2^62 µs)."""
     span = int(off.max()) + 2 if len(off) else 2
     n_seg = int(uidx.max()) + 1 if len(uidx) else 1
     if n_seg * span >= (1 << 62):
@@ -365,7 +365,7 @@ def _int64_table(**cols) -> pa.Table:
 
 def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
                       use_composite: bool = True) -> pa.Table:
-    """One shard's as-of merge over user runs sorted by (user_id, ts,
+    """One sorted block's as-of merge over user runs sorted by (user_id, ts,
     event_id) (module-level so both the composite-key path and the
     per-segment fallback are directly unit-testable;
     ``use_composite=False`` forces the fallback)."""
@@ -401,7 +401,7 @@ def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
 
 def _window_funcs_frame(t: pa.Table, starts: np.ndarray,
                         use_composite: bool = True) -> pa.Table:
-    """One shard's ROW_NUMBER + LAG + RANGE-count pass over user runs
+    """One sorted block's ROW_NUMBER + LAG + RANGE-count pass over user runs
     sorted by (user_id, ts, event_id) (module-level for direct unit
     tests of both the composite path and the fallback)."""
     hour_us = 3_600_000_000
@@ -482,8 +482,8 @@ def asof_click_before_purchase(sf_dir: str):
     Ray Data lacks a native as-of join; this is the canonical
     composition — co-partition both streams on the join key (one
     key-run reduce) and merge with ONE composite-key searchsorted across
-    all users in the shard, relying ONLY on key co-location (the
-    partitioning assumption: all rows of one user fit one shard — the
+    all users in the block, relying ONLY on key co-location (the
+    partitioning assumption: all rows of one user fit one block — the
     standard event-log contract)."""
 
     ds = _events(sf_dir, ["event_id", "user_id", "ts", "event_type"])
@@ -558,7 +558,7 @@ def window_funcs_events(sf_dir: str):
     Segment-vectorized over the user runs of ``key_runs``: row numbers
     from run starts, lag from a shifted array with run-start resets, and
     the RANGE window from ONE composite-key searchsorted covering every
-    user in the shard (kernel: _window_funcs_frame) — no per-user Python."""
+    user in the block (kernel: _window_funcs_frame) — no per-user Python."""
     return key_runs(_events(sf_dir, ["user_id", "event_id", "ts"]),
                     "user_id", _BY_TIME, _window_funcs_frame)
 

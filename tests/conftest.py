@@ -25,6 +25,19 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture()
+def no_map_groups(monkeypatch):
+    """Make Ray's ``GroupedData.map_groups`` raise: the test's per-key
+    reduces must all run on ``partitioning.key_runs`` (one sort on the
+    key, then one map over the sorted blocks)."""
+    from ray.data.grouped_data import GroupedData
+
+    def refuse(*_a, **_k):
+        raise AssertionError("GroupedData.map_groups called")
+
+    monkeypatch.setattr(GroupedData, "map_groups", refuse)
+
+
 @pytest.fixture(scope="session")
 def pages_small(tmp_path_factory):
     """Deterministic 1000-row pages fixture (FIXTURES.md §B), cached in

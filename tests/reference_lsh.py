@@ -3,11 +3,47 @@
 ``banded_lsh_candidate_pairs``): a bucket is a (band, key) pair, its
 members a set of ids. Linking maps each doc to the min id sharing any of
 its buckets; enumeration lists every id pair (a < b) sharing one. Tests
-check the Ray forms against these over the same band keys."""
+check the Ray forms against these over the same band keys. Also the
+scalar simhash (the batch simhash's reference) and the per-pair n-gram
+Jaccard (the verifiers' reference)."""
 
 from itertools import combinations
 
-from crawtext_ray.stages.dedup import _MinHashBands, _SimHash
+import numpy as np
+
+from crawtext_ray.stages.dedup import (
+    _TOKEN_RE,
+    _MinHashBands,
+    _shingle_array,
+    _token_hash,
+)
+
+
+def simhash64(text: str) -> int:
+    """One doc's 64-bit Charikar simhash: per bit position, the majority
+    vote of its token hashes."""
+    toks = _TOKEN_RE.findall(text.lower())
+    if not toks:
+        return 0
+    th = np.fromiter((_token_hash(t) for t in toks), dtype=np.uint64,
+                     count=len(toks))
+    shifts = np.arange(64, dtype=np.uint64)
+    bits = ((th[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
+    v = (2 * bits - 1).sum(axis=0)
+    return int(np.bitwise_or.reduce((v > 0).astype(np.uint64) << shifts))
+
+
+def shingles(text: str, k: int) -> set[int]:
+    return set(int(x) for x in _shingle_array(text, k))
+
+
+def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
+    sa, sb = shingles(a, k), shingles(b, k)
+    if not sa and not sb:
+        return 1.0
+    if not sa or not sb:
+        return 0.0
+    return len(sa & sb) / len(sa | sb)
 
 
 def minhash_band_keys(texts, num_perm=128, bands=32, shingle_k=5):
@@ -19,7 +55,7 @@ def minhash_band_keys(texts, num_perm=128, bands=32, shingle_k=5):
 
 def simhash_band_keys(texts):
     """Per doc, the four 16-bit quarters of its scalar simhash."""
-    return [[(_SimHash.simhash64(t) >> (16 * b)) & 0xFFFF for b in range(4)]
+    return [[(simhash64(t) >> (16 * b)) & 0xFFFF for b in range(4)]
             for t in texts]
 
 

@@ -1,16 +1,16 @@
-"""The shared key-run reduce (stages/partitioning.key_runs) at kernel
-level: shard assignment and the per-shard sort + run-start function run
-in-process on hand-built arrow tables, no Ray."""
+"""The shared key-run reduce (stages/partitioning.key_runs): the
+per-block sort + run-start function in-process on hand-built arrow
+tables, and the Ray form's contract — every key reaches ``fn`` whole, in
+exactly one call."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from crawtext_ray.stages.partitioning import (
-    SHARDS,
+    key_runs,
     run_ids,
     run_starts,
-    shard_of,
     shard_runs,
 )
 
@@ -81,17 +81,57 @@ def test_run_starts_multi_column():
     assert run_starts(pa.chunked_array([[1], [1, 2]])).tolist() == [0, 2]
 
 
-def test_shard_of_ranges_and_stability():
-    ints = pa.array([-1, -256, -257, 0, 255, 256, 10**12], pa.int64())
-    sh = shard_of(ints)
-    assert ((sh >= 0) & (sh < SHARDS)).all()
-    assert sh.tolist() == [255, 0, 255, 0, 255, 0, 10**12 % SHARDS]
-    strs = pa.array(["u1", "u2", "u1", ""])
-    ss = shard_of(strs)
-    assert ((ss >= 0) & (ss < SHARDS)).all()
-    assert ss[0] == ss[2]
-    assert ss.tolist() == shard_of(pa.chunked_array([["u1", "u2"],
-                                                     ["u1", ""]])).tolist()
+def run_lengths():
+    """``fn`` emitting one row per run: its key, its length and its first
+    row's ``v`` (built in a function so Ray workers get it by value)."""
+
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return pa.table({"k": t["k"].take(pa.array(starts)),
+                         "n": np.diff(np.append(starts, t.num_rows)),
+                         "v": t["v"].take(pa.array(starts))})
+
+    return fn
+
+
+def test_key_runs_hot_key_is_one_run(ray_session, monkeypatch):
+    """A hot key far above the target block size (140k rows, about
+    15 MB, against 1 MiB blocks) still reaches ``fn`` as ONE run: the
+    sort keeps one key's rows in one output block."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        1 << 20)
+    hot, cold = 140_000, 20_000
+    pad = "x" * 100
+    tables = [pa.table({
+        "k": ["hot"] * (hot // 8) + [f"c{i % 500}" for i in range(cold // 8)],
+        "v": np.arange(b * 20_000, (b + 1) * 20_000),
+        "pad": [pad] * 20_000,
+    }) for b in range(8)]
+    got = key_runs(rd.from_arrow(tables), "k", ["v"],
+                   run_lengths()).to_pandas()
+    assert got["k"].is_unique
+    assert got.loc[got["k"] == "hot", "n"].tolist() == [hot]
+    assert got["n"].sum() == hot + cold
+
+
+def test_key_runs_every_key_in_one_call(ray_session):
+    """Over a 24-block input with string keys, each key reaches ``fn``
+    in exactly one call (one output row per run), and the rows equal one
+    ``sort_by`` + ``run_starts`` pass over the whole table."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 700, 24_000)
+    whole = pa.table({"k": [f"u{int(x)}" for x in keys],
+                      "v": rng.permutation(24_000)})
+    ds = rd.from_arrow([whole.slice(i * 1000, 1000) for i in range(24)])
+    got = key_runs(ds, "k", [("v", "descending")], run_lengths())
+    want = shard_runs(whole, "k", [("v", "descending")], run_lengths())
+    got = pa.Table.from_pandas(got.to_pandas(), preserve_index=False)
+    assert got.sort_by("k").equals(want.cast(got.schema))
+    assert got.num_rows == len(set(whole["k"].to_pylist()))
 
 
 def test_first_by_requires_tiebreak():

@@ -58,7 +58,8 @@ def test_blocked_pages_blocked(articles_df, truth_small):
     assert len(got) == len(blocked_urls.intersection(set(articles_df["url"])))
 
 
-def test_dedup_first_by_ts(ray_session, pages_small, truth_small):
+def test_dedup_first_by_ts(ray_session, pages_small, truth_small,
+                           no_map_groups):
     import ray.data as rd
 
     from crawtext_ray.stages.dedup import first_by
@@ -605,10 +606,10 @@ def first_by_pandas(ds, key: str, order_col: str, tiebreak: str):
 
 
 def test_first_by_sharded_equals_pandas_reference(ray_session):
-    """The coarse-shard vectorized first_by (one arrow sort per shard)
-    returns exactly the per-group pandas reference's rows, for integer
-    AND string keys, with a unique tiebreak pinning the pick; 900 keys
-    over the 256 shards put several keys in every shard."""
+    """The vectorized first_by (one Ray sort on the key, one arrow sort
+    per sorted block) returns exactly the per-group pandas reference's
+    rows, for integer AND string keys, with a unique tiebreak pinning
+    the pick; 900 keys put several keys in every block."""
     import numpy as np
     import ray.data as rd
 

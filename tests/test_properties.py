@@ -140,12 +140,13 @@ def test_minhash_band_keys_batch_invariant(texts):
 @given(st.lists(st.text(alphabet="abcdef ", max_size=100), min_size=1,
                 max_size=8))
 def test_simhash_batch_invariant(texts):
+    from reference_lsh import simhash64
+
     from crawtext_ray.stages.dedup import _SimHash
 
-    sh = _SimHash("text", "doc_id")
-    whole = sh._batch_simhash(texts)
+    whole = _SimHash("text", "doc_id")._batch_simhash(texts)
     for t, got in zip(texts, whole):
-        assert int(got) == sh.simhash64(t)
+        assert int(got) == simhash64(t)
 
 
 def test_bloom_int_key_paths():

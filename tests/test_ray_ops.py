@@ -27,37 +27,21 @@ def docs_with_dups(ray_session):
     return rd.from_items(rows)
 
 
-def verify_pairs_jaccard(ds_pairs, docs_lookup, text_col: str = "text",
-                         id_col: str = "doc_id", k: int = 5,
+def verify_pairs_jaccard(ds_pairs, docs_lookup, k: int = 5,
                          threshold: float = 0.8):
-    """Reference for ``verify_pairs_jaccard_distributed``: verify
-    candidate (id, rep_id) pairs with exact n-gram Jaccard against a
-    broadcast {id: text} dict (ray.put once)."""
-    import pyarrow as pa
-    import ray
+    """Reference for ``verify_pairs_jaccard_distributed``: score each
+    candidate (doc_id, rep_id) pair on the driver with the per-pair
+    n-gram Jaccard over an {id: text} dict."""
+    import pandas as pd
 
-    from crawtext_ray.stages.dedup import ngram_jaccard
-    from crawtext_ray.stages.fusion import map_stage
-
-    ref = ray.put(docs_lookup)
-
-    class Verify:
-        def __init__(self):
-            self.docs = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].to_pylist()
-            reps = batch["rep_id"].to_pylist()
-            sims = [
-                ngram_jaccard(self.docs.get(i, ""), self.docs.get(r, ""), k)
-                for i, r in zip(ids, reps)
-            ]
-            out = batch.append_column("jaccard", pa.array(sims, pa.float64()))
-            return out.filter(
-                pa.compute.greater_equal(out["jaccard"], pa.scalar(threshold))
-            )
-
-    return map_stage(ds_pairs, Verify)
+    rows = []
+    for r in ds_pairs.take_all():
+        i, rep = r["doc_id"], r["rep_id"]
+        j = reference_lsh.ngram_jaccard(docs_lookup.get(i, ""),
+                                        docs_lookup.get(rep, ""), k)
+        if j >= threshold:
+            rows.append({"doc_id": i, "rep_id": rep, "jaccard": j})
+    return pd.DataFrame(rows, columns=["doc_id", "rep_id", "jaccard"])
 
 
 def test_exact_dedup(docs_with_dups):
@@ -79,12 +63,12 @@ def test_minhash_lsh_finds_planted_pair(docs_with_dups):
 
 
 def test_jaccard_verify(ray_session, docs_with_dups):
-    from crawtext_ray.stages.dedup import minhash_lsh_duplicates, ngram_jaccard
+    from crawtext_ray.stages.dedup import minhash_lsh_duplicates
 
-    assert ngram_jaccard("a b c d e f", "a b c d e f", 3) == 1.0
+    assert reference_lsh.ngram_jaccard("a b c d e f", "a b c d e f", 3) == 1.0
     docs = {r["doc_id"]: r["text"] for r in docs_with_dups.take_all()}
     pairs = minhash_lsh_duplicates(docs_with_dups, shingle_k=3)
-    verified = verify_pairs_jaccard(pairs, docs, k=3, threshold=0.8).to_pandas()
+    verified = verify_pairs_jaccard(pairs, docs, k=3, threshold=0.8)
     vids = set(verified["doc_id"])
     assert 102 in vids and 101 in vids
 
@@ -101,7 +85,7 @@ def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dup
 
     docs = {r["doc_id"]: r["text"] for r in docs_with_dups.take_all()}
     pairs = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).materialize()
-    a = verify_pairs_jaccard(pairs, docs, k=3, threshold=0.8).to_pandas()
+    a = verify_pairs_jaccard(pairs, docs, k=3, threshold=0.8)
     b = verify_pairs_jaccard_distributed(
         pairs, docs_with_dups, k=3, threshold=0.8
     ).to_pandas()
@@ -179,7 +163,7 @@ def test_batch_simhash_matches_scalar():
              "einzigartige wörter überall", "x"]
     batch = sh._batch_simhash(texts)
     for t, got in zip(texts, batch):
-        assert int(got) == sh.simhash64(t)
+        assert int(got) == reference_lsh.simhash64(t)
 
 
 def test_brute_force_topk_matches_numpy(ray_session):
@@ -524,7 +508,7 @@ def test_connected_components_matches_union_find(ray_session):
 
 def test_connected_components_distributed_random_forest(ray_session):
     """The segment-vectorized Pregel rounds label a random forest — many
-    components per key-run shard, negative and large ids — with each
+    components per sorted block, negative and large ids — with each
     component's min id, like a union-find does."""
     import ray.data as rd
 
@@ -710,10 +694,11 @@ def test_lsh_plans_run_nothing_on_driver(ray_session, docs_with_dups,
 
 def test_lsh_and_components_run_no_ray_aggregate(ray_session,
                                                  docs_with_dups,
-                                                 monkeypatch):
-    """The LSH operators and connected components are built and run with
-    Ray's GroupedData.aggregate disabled: every per-key reduce is the
-    key-run reduce, and the planted pairs come out."""
+                                                 monkeypatch, no_map_groups):
+    """The LSH operators, the verified form and connected components are
+    built and run with Ray's GroupedData.aggregate and map_groups
+    disabled: every per-key reduce is the key-run reduce, and the
+    planted pairs come out."""
     import ray.data as rd
     from ray.data.grouped_data import GroupedData
 
@@ -870,14 +855,13 @@ def test_ivf_topk_matches_reference(ray_session):
 
 def test_similarity_and_median_run_no_pandas_map_groups(ray_session,
                                                         tmp_path,
-                                                        monkeypatch):
+                                                        no_map_groups):
     """The top-k forms, embedding dedup and the discrete median are built
-    and run with pandas-format ``GroupedData.map_groups`` disabled: every
-    per-key reduce there is the key-run reduce (pyarrow groups)."""
+    and run with ``GroupedData.map_groups`` disabled: every per-key
+    reduce there is the key-run reduce."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
-    from ray.data.grouped_data import GroupedData
 
     from crawtext_ray.stages.relational import median_chars_by_lang
     from crawtext_ray.stages.similarity import (
@@ -887,15 +871,6 @@ def test_similarity_and_median_run_no_pandas_map_groups(ray_session,
         lsh_bucket_topk,
         train_ivf_centroids,
     )
-
-    map_groups = GroupedData.map_groups
-
-    def arrow_only(self, fn, *a, **kw):
-        if kw.get("batch_format") == "pandas":
-            raise AssertionError("pandas map_groups called")
-        return map_groups(self, fn, *a, **kw)
-
-    monkeypatch.setattr(GroupedData, "map_groups", arrow_only)
 
     rng = np.random.default_rng(2)
     vecs = rng.standard_normal((60, 8)).astype(np.float32)
@@ -951,7 +926,8 @@ def test_minhash_verified_equals_brute_truth(ray_session, docs_with_dups):
     assert any(a == 100 and b == 101 and 0.8 < j < 1.0 for a, b, j in fg)
 
 
-def test_simhash_verified_finds_planted_pairs(ray_session, docs_with_dups):
+def test_simhash_verified_finds_planted_pairs(ray_session, docs_with_dups,
+                                              no_map_groups):
     """simhash_verified = simhash band candidates ∩ exact Jaccard ≥ t;
     output is a subset of the brute truth and contains the planted
     exact-copy pair (identical simhash ⇒ candidate in every band)."""
@@ -989,6 +965,9 @@ def test_candidate_pairs_no_dups_and_empty_ok(ray_session):
     # schema is the stable contract (query wrappers pandas-fix it up)
     assert out.schema().names == ["doc_id_a", "doc_id_b", "jaccard"]
     assert out.count() == 0
+    # a corpus without a schema gets int64 ids
+    none = minhash_verified_duplicates(rd.from_items([]))
+    assert str(none.schema().base_schema.field("doc_id_a").type) == "int64"
 
 
 def test_minhash_verified_string_ids(ray_session):

@@ -29,7 +29,7 @@ def test_curate_chain(ray_session, pages_small, tmp_path):
     assert sum(r["rows"] for r in res) == len(df)
 
 
-def test_drop_near_dups_verified_keeps_non_dups(ray_session):
+def test_drop_near_dups_verified_keeps_non_dups(ray_session, no_map_groups):
     """With verify_threshold set, only candidates that pass exact Jaccard
     are dropped — a planted true near-dup goes, distinct docs stay."""
     import ray.data as rd
@@ -196,10 +196,12 @@ def test_drop_exact_dups_rejects_duplicate_row_identity(ray_session):
         drop_exact_dups(arts).materialize()
 
 
-def test_exact_dedups_run_no_ray_aggregate(ray_session, monkeypatch):
+def test_exact_dedups_run_no_ray_aggregate(ray_session, monkeypatch,
+                                           no_map_groups):
     """drop_exact_dups, exact_dedup and dedup_paragraphs are built and
-    run with Ray's GroupedData.aggregate/count disabled: each reduces on
-    the key-run reduce alone, and the planted survivors come out."""
+    run with Ray's GroupedData.aggregate/count/map_groups disabled: each
+    reduces on the key-run reduce alone, and the planted survivors come
+    out."""
     import ray.data as rd
     from ray.data.grouped_data import GroupedData
 
