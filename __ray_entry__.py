@@ -229,7 +229,7 @@ def _q_chunk_docs(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    return chunk_documents(docs, width=64, stride=48)
+    return chunk_documents(docs)
 
 
 def _q_relevance(sf_dir: str):
@@ -277,7 +277,7 @@ def _q_minhash_dups(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    out = minhash_verified_duplicates(docs, shingle_k=3, threshold=0.5)
+    out = minhash_verified_duplicates(docs)
     got = out.to_pandas()
     if got.empty:
         got = pd.DataFrame({
@@ -286,7 +286,7 @@ def _q_minhash_dups(sf_dir: str):
             "jaccard": pd.Series([], dtype="float64"),
         })
     if docs.count() <= 2_000:  # the diagnostic is O(n²) by design
-        brute = jaccard_dups_brute(docs, k=3, threshold=0.5).to_pandas()
+        brute = jaccard_dups_brute(docs, threshold=0.5).to_pandas()
         lsh_pairs = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
                      for _, r in got.iterrows()}
         brute_pairs = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
@@ -310,7 +310,7 @@ def _q_simhash_dups(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    return simhash_verified_duplicates(docs, shingle_k=3, threshold=0.8)
+    return simhash_verified_duplicates(docs)
 
 
 def _q_embedding_dedup(sf_dir: str):
@@ -472,7 +472,7 @@ def _q_approx_distinct_users(sf_dir: str):
     from crawtext_ray.state.hll import build_hll
 
     events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    h = build_hll(events, "user_id", p=12)
+    h = build_hll(events, "user_id")
     est = float(h.estimate())
     exact = (
         rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
@@ -649,7 +649,7 @@ def _q_decontaminate(sf_dir: str):
     bench_rows = docs.map_batches(pick, batch_format="pyarrow",
                                   zero_copy_batch=True).take_all()
     benchmark = [(r["text"] or "")[:200] for r in bench_rows]
-    return contamination_flags(docs, benchmark, n=8)
+    return contamination_flags(docs, benchmark)
 
 
 def _q_repetition_stats(sf_dir: str):
@@ -693,7 +693,7 @@ def _q_unigram_lm(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
-    df = unigram_lm_scores(docs, vocab_size=1000, alpha=0.5).to_pandas()
+    df = unigram_lm_scores(docs, vocab_size=1000).to_pandas()
     df["nll"] = df["nll"].round(4)
     return df
 
@@ -719,7 +719,7 @@ def _q_dsir_weights(sf_dir: str):
         lambda t: t.filter(pa.array(
             t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0)),
         batch_format="pyarrow", zero_copy_batch=True)
-    df = dsir_weights(docs, target, vocab_size=1000, alpha=0.5).select_columns(
+    df = dsir_weights(docs, target, vocab_size=1000).select_columns(
         ["doc_id", "dsir_logw"]).to_pandas()
     df["dsir_logw"] = np.round(df["dsir_logw"], 4)
     return df

@@ -98,10 +98,11 @@ _FP_BASE = 1_000_003
 _FP_MOD = (1 << 61) - 1
 
 
-def rolling_fingerprint(text: str, window: int = 16) -> int:
+def rolling_fingerprint(text: str) -> int:
     """Deterministic document fingerprint: min of a Rabin-Karp rolling
-    hash over character windows (a winnowing-style content id that is
+    hash over 16-character windows (a winnowing-style content id that is
     stable under small appends, unlike a whole-document hash)."""
+    window = 16
     if not text:
         return 0
     if len(text) <= window:

@@ -28,7 +28,7 @@ import pyarrow as pa
 from ..sources.pages import read_pages
 from ..stages.extract_stage import ARTICLES_SCHEMA, extract_articles
 from ..stages.partitioning import url_buckets
-from ..state.lineage import completed_partitions, read_lineage
+from ..state.lineage import read_lineage, resumable_partitions
 
 # The extraction stage touches exactly these page columns
 # (extract_stage.ExtractArticles.__call__); pruning the scan to them drops
@@ -81,13 +81,15 @@ def run_extract_job(
 ) -> dict:
     """Resume-aware job: extract all not-yet-completed url-hash partitions
     and write part-/lineage- pairs under ``out_dir``. Returns a summary.
+    Raises ValueError, before any Dataset is built, when ``out_dir``
+    holds partitions written under another ``num_partitions``.
 
     Called by ``python -m crawtext_ray.run`` (the ``ray job submit``
     entrypoint, SURVEY.md §3.1)."""
     from ..state.lineage import write_partitioned
 
     t0 = time.time()
-    done = completed_partitions(out_dir)
+    done = resumable_partitions(out_dir, num_partitions)
 
     ds = read_pages(input_path, columns=PAGES_EXTRACT_COLUMNS)
     if incremental_from:

@@ -81,21 +81,16 @@ def quality_gate_mask(texts_col, langs_col, n_words_col,
     return pa.array(keep, pa.bool_())
 
 
-def quality_gate(
-    articles,
-    min_words: int = 20,
-    min_stop_ratio: float = 0.1,
-    max_mean_word_len: float = 14.0,
-):
+def quality_gate(articles, min_words: int = 20):
     """Vectorized quality filter over extracted articles (the classic
-    pretraining-corpus gates: too-short, too-little-function-words,
-    gibberish-long-tokens)."""
+    pretraining-corpus gates: fewer than ``min_words`` words, a stopword
+    ratio under 0.1, a mean word length over 14)."""
 
     def gate(batch: pa.Table) -> pa.Table:
         return batch.filter(
             quality_gate_mask(
                 batch["extracted_text"], batch["lang"], batch["n_words"],
-                min_words, min_stop_ratio, max_mean_word_len,
+                min_words, 0.1, 14.0,
             )
         )
 
@@ -169,17 +164,17 @@ def drop_exact_dups(articles):
     return first_by(articles, "content_sha256", *by_age)
 
 
-def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,
-                   shingle_k: int = 5, fp_rate: float = 1e-4,
+def drop_near_dups(articles, shingle_k: int = 5,
                    verify_threshold: float | None = None):
-    """MinHash-LSH near-dup removal over extracted text, keyed by url.
+    """MinHash-LSH near-dup removal over extracted text (64 permutations
+    in 16 bands), keyed by url.
 
     The dup-url set is folded into a Bloom filter built DISTRIBUTED
     (per-block partial filters ORed on the driver — driver memory is
     O(filter), never O(dup urls)), then applied as a streaming
     anti-join. A Bloom false positive drops a non-dup article; near-dup
-    removal is already approximate, so ``fp_rate`` only needs to keep
-    that loss negligible (default 1e-4).
+    removal is already approximate, so the filter's 1e-4 false-positive
+    rate only needs to keep that loss negligible.
 
     ``verify_threshold``: when set, LSH candidate pairs are verified
     with the exact n-gram Jaccard (broadcast-free routed verifier) and
@@ -191,8 +186,8 @@ def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,
         articles.select_columns(["url", "extracted_text"]),
         text_col="extracted_text",
         id_col="url",
-        num_perm=num_perm,
-        bands=bands,
+        num_perm=64,
+        bands=16,
         shingle_k=shingle_k,
     ).materialize()  # small: one row per near-dup candidate
     if verify_threshold is not None and pairs.count() > 0:
@@ -209,7 +204,7 @@ def drop_near_dups(articles, num_perm: int = 64, bands: int = 16,
     n_dups = pairs.count()
     if n_dups == 0:
         return articles
-    bloom = build_bloom(pairs, "url", capacity=n_dups, fp_rate=fp_rate)
+    bloom = build_bloom(pairs, "url", capacity=n_dups, fp_rate=1e-4)
     return member_filter(articles, "url", bloom, keep=False)
 
 
@@ -223,13 +218,10 @@ def curate(
     min_words: int = 20,
     verify_dups: float | None = None,
     benchmark=None,
-    benchmark_ngram: int = 8,
     max_dup_line_frac: float | None = None,
     max_nll: float | None = None,
-    lm_model_docs=None,
     rates: dict | None = None,
     dedup_paras: bool = False,
-    para_min_chars: int = 30,
     dsir_target=None,
     dsir_keep: float = 0.25,
 ):
@@ -237,18 +229,17 @@ def curate(
     to ``out_dir`` when given). ``verify_dups``: exact-Jaccard threshold
     for verifying LSH near-dup candidates before dropping (None = drop
     all candidates). ``benchmark``: optional eval-set texts (list[str] or
-    a Dataset with a ``text`` column) — documents sharing any
-    ``benchmark_ngram``-gram with it are dropped (decontamination)
-    between the quality gate and dedup, while the corpus is smallest
-    upstream of the shuffle-bearing stages. ``max_nll``: optional
-    perplexity filter — drop articles whose unigram-LM cross-entropy
-    (trained on ``lm_model_docs`` or on the gated corpus itself) exceeds
-    the threshold. ``rates``: optional per-language quota sampling
+    a Dataset with a ``text`` column) — documents sharing any 8-gram
+    with it are dropped (decontamination) between the quality gate and
+    dedup, while the corpus is smallest upstream of the shuffle-bearing
+    stages. ``max_nll``: optional perplexity filter — drop articles
+    whose unigram-LM cross-entropy (trained on the gated corpus itself)
+    exceeds the threshold. ``rates``: optional per-language quota sampling
     applied LAST (after dedup — sampling first would bias which
     duplicate survives), e.g. ``{"en": 0.3}`` to downsample English.
     ``dedup_paras``: corpus-wide paragraph-level exact dedup (C4/Dolma
     boilerplate removal) applied to the checkpointed corpus — every
-    paragraph of >= ``para_min_chars`` chars keeps one occurrence
+    paragraph of >= 30 chars keeps one occurrence
     corpus-wide; n_words and content_sha256 are recomputed so the
     downstream exact dedup sees the cleaned text. ``dsir_target``:
     optional target-domain corpus (Dataset with a ``text`` column or
@@ -284,8 +275,7 @@ def curate(
     if benchmark is not None:
         from ..stages.textops import decontaminate
 
-        gate = decontaminate(gate, benchmark, n=benchmark_ngram,
-                             text_col="extracted_text")
+        gate = decontaminate(gate, benchmark, text_col="extracted_text")
     ckpt_dirs = []
 
     def checkpoint(ds, suffix: str):
@@ -313,7 +303,7 @@ def curate(
         # operator's pair-emission pass and the downstream dedup scans
         # then re-read cheap parquet, never re-run extraction
         gated = dedup_paragraphs(gated, text_col="extracted_text",
-                                 id_col="url", min_chars=para_min_chars,
+                                 id_col="url", min_chars=30,
                                  output="replace")
 
         def refresh(t: pa.Table) -> pa.Table:
@@ -351,15 +341,13 @@ def curate(
     if max_nll is not None:
         from ..stages.textops import lm_gate
 
-        # AFTER the checkpoint/materialize on purpose: with no reference
-        # corpus, LM training pulls the whole upstream stream to count
-        # tokens — doing that on the lazy gate chain would run the
+        # AFTER the checkpoint/materialize on purpose: LM training pulls
+        # the whole upstream stream to count tokens — doing that on the lazy gate chain would run the
         # entire extraction twice (once for training, once for the
         # checkpoint write). Against the checkpoint both the training
         # pass and the per-pass re-scoring in the dedup scans are cheap
         # vectorized reads, never extraction.
-        gated = lm_gate(gated, max_nll, text_col="extracted_text",
-                        model_docs=lm_model_docs)
+        gated = lm_gate(gated, max_nll, text_col="extracted_text")
     deduped = drop_exact_dups(gated)
     curated = drop_near_dups(deduped, verify_threshold=verify_dups)
     if dsir_target is not None:
@@ -379,21 +367,23 @@ def curate(
     if rates is not None:
         from ..stages.textops import stratified_sample
 
-        curated = stratified_sample(curated, rates, strata_col="lang",
-                                    id_col="url")
+        curated = stratified_sample(curated, rates, id_col="url")
     if out_dir:
         # same partitioned sink + lineage sidecars as the extract job:
         # url-hash partition files with checksums, auditable by
         # `python -m crawtext_ray.audit`. NOTE: unlike extraction,
         # curation dedup is GLOBAL, so lineage here gives atomic
         # completion + integrity auditing, not partial-rerun reuse — a
-        # rerun recomputes the whole chain (winners can change).
+        # rerun recomputes the whole chain (winners can change), so the
+        # partitions of an earlier run go first: the sink writes only the
+        # partitions that have rows and would leave the others stale.
         import shutil
 
         import ray.data as rd
 
-        from ..state.lineage import write_partitioned
+        from ..state.lineage import clear_partitions, write_partitioned
 
+        clear_partitions(out_dir)
         write_partitioned(curated, out_dir, num_partitions).take_all()
         # the gated checkpoints served their purpose once the audited
         # sink is complete; the returned Dataset re-reads the SINK

@@ -161,6 +161,15 @@ def main(argv: list[str] | None = None) -> int:
         except QueryError as e:
             print(f"error: invalid --query: {e}", file=sys.stderr)
             return 2
+    if not args.curate:
+        # a resume under another partition count would skip other urls
+        from crawtext_ray.state.lineage import resumable_partitions
+
+        try:
+            resumable_partitions(args.out, args.partitions)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     import ray
 

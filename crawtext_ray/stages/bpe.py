@@ -65,10 +65,11 @@ def _merge_word(sym: tuple, pair: tuple, merged: bytes) -> tuple:
     return tuple(out)
 
 
-def train_merges(word_counts: dict[str, int], n_merges: int,
-                 min_count: int = 2) -> list[tuple[bytes, bytes]]:
+def train_merges(word_counts: dict[str, int],
+                 n_merges: int) -> list[tuple[bytes, bytes]]:
     """The BPE merge loop over a bounded (word, count) dict — pure
-    driver-side compute, no corpus access. A pair→words index makes
+    driver-side compute, no corpus access; a pair seen fewer than 2
+    times is never merged. A pair→words index makes
     each merge touch only the words containing the pair, and selection
     pops a LAZY max-heap (entries re-pushed on every count change,
     stale ones discarded at pop) instead of rescanning every distinct
@@ -100,7 +101,7 @@ def train_merges(word_counts: dict[str, int], n_merges: int,
                 pair_words.get(p, set()).discard(i)
         for p in set(zip(w, w[1:])):
             n = pair_count.get(p, 0)
-            if n >= min_count:
+            if n >= 2:
                 heapq.heappush(heap, (-n, p))
 
     for i in range(len(words)):
@@ -176,11 +177,11 @@ class BPETokenizer:
 
 
 def train_bpe(ds, text_col: str = "text", vocab_size: int = 512,
-              max_distinct_words: int = 200_000,
-              min_count: int = 2) -> BPETokenizer:
+              max_distinct_words: int = 200_000) -> BPETokenizer:
     """Distributed training front-end: map-side Counter partials, one
     keyed Sum exchange over distinct words, driver-side top-N selection
-    (deterministic order: count desc, word asc), then the merge loop.
+    (deterministic order: count desc, word asc), then the merge loop
+    (pairs seen fewer than 2 times are never merged).
     Driver memory is O(max_distinct_words), never O(corpus)."""
     import heapq
 
@@ -221,8 +222,7 @@ def train_bpe(ds, text_col: str = "text", vocab_size: int = 512,
                 if key > heap[0]:
                     heapq.heapreplace(heap, key)
     wc = {w: n for n, _, w in sorted(heap, reverse=True)}
-    merges = train_merges(wc, n_merges=vocab_size - 256,
-                          min_count=min_count)
+    merges = train_merges(wc, n_merges=vocab_size - 256)
     return BPETokenizer(merges, truncated=truncated)
 
 
@@ -275,9 +275,10 @@ def add_bpe_token_counts(ds, tokenizer, text_col: str = "text",
 
 
 def bpe_encode_docs(ds, tokenizer, text_col: str = "text",
-                    out_col: str = "bpe_ids", with_counts: bool = False):
-    """Full encode: append the token-id sequence (list<int32>) per
-    document — the materialized form a tokenized-shard export writes.
+                    with_counts: bool = False):
+    """Full encode: append the token-id sequence (``bpe_ids``,
+    list<int32>) per document — the materialized form a tokenized-shard
+    export writes.
     ``with_counts=True`` also emits ``n_bpe_tokens`` from the SAME
     encode pass (one tokenization, one broadcast — the --bpe-ids CLI
     path, instead of stacking this on add_bpe_token_counts)."""
@@ -298,7 +299,7 @@ def bpe_encode_docs(ds, tokenizer, text_col: str = "text",
             ids = [tok.encode(t, _cache=cache)
                    for t in batch[text_col].to_pylist()]
             out = batch.append_column(
-                out_col, pa.array(ids, pa.list_(pa.int32()))
+                "bpe_ids", pa.array(ids, pa.list_(pa.int32()))
             )
             if with_counts:
                 out = out.append_column(

@@ -52,25 +52,25 @@ def first_by(ds, key: str, order_col: str, tiebreak: str):
 # ------------------------------------------------- exact content dedup ----
 
 
-def _sha_column(batch: pa.Table, text_col: str) -> pa.Table:
+def _sha_column(batch: pa.Table) -> pa.Table:
     hs = [
         hashlib.sha256((t or "").encode("utf-8")).hexdigest()
-        for t in batch[text_col].to_pylist()
+        for t in batch["text"].to_pylist()
     ]
     return batch.append_column("content_hash", pa.array(hs, pa.string()))
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Exact content dedup: content-hash per batch (vectorized pass), then
-    ``first_by`` on the hash keeps the smallest id per hash — one key-run
-    reduce, so Python calls scale with the block count, not the (mostly
-    unique) hash count. Only (hash, id) crosses the shuffle."""
+def exact_dedup(ds):
+    """Exact content dedup of (``doc_id``, ``text``) rows: content-hash per
+    batch (vectorized pass), then ``first_by`` on the hash keeps the
+    smallest doc_id per hash — one key-run reduce, so Python calls scale
+    with the block count, not the (mostly unique) hash count. Only
+    (hash, id) crosses the shuffle."""
     hashed = ds.map_batches(
         _sha_column, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"text_col": text_col},
-    ).select_columns(["content_hash", id_col])
-    return first_by(hashed, "content_hash", id_col,
-                    id_col).select_columns([id_col])
+    ).select_columns(["content_hash", "doc_id"])
+    return first_by(hashed, "content_hash", "doc_id",
+                    "doc_id").select_columns(["doc_id"])
 
 
 # ----------------------------------------------------- minhash + LSH ----
@@ -335,33 +335,24 @@ def banded_lsh_candidate_pairs(banded, bands: int, id_col: str):
         pa.array(run_starts(t[a_col], t[b_col]))))
 
 
-def minhash_verified_duplicates(
-    ds,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 128,
-    bands: int = 32,
-    shingle_k: int = 3,
-    threshold: float = 0.5,
-):
-    """MinHash-LSH candidate pairs verified by EXACT n-gram Jaccard —
-    deterministic output (doc_id_a < doc_id_b, jaccard ≥ threshold),
-    SQL-oracle-checkable against the brute cross join whenever LSH
-    recall is total (pairs far above the threshold, the planted-dup
-    regime; band count picks the recall). The scale shape: vectorized
-    signatures → one key-run bucket pass enumerating pairs → routed
-    exact verification (no broadcast of texts)."""
+def minhash_verified_duplicates(ds):
+    """MinHash-LSH candidate pairs of (``doc_id``, ``text``) rows verified
+    by EXACT 3-gram Jaccard — deterministic output (doc_id_a < doc_id_b,
+    jaccard ≥ 0.5), SQL-oracle-checkable against the brute cross join
+    whenever LSH recall is total (pairs far above the threshold, the
+    planted-dup regime; 128 permutations in 32 bands pick the recall).
+    The scale shape: vectorized signatures → one key-run bucket pass
+    enumerating pairs → routed exact verification (no broadcast of
+    texts)."""
     from .fusion import map_stage
 
     banded = map_stage(
         ds,
-        lambda: _MinHashBands(num_perm=num_perm, bands=bands,
-                              shingle_k=shingle_k, text_col=text_col,
-                              id_col=id_col),
+        lambda: _MinHashBands(num_perm=128, bands=32, shingle_k=3,
+                              text_col="text", id_col="doc_id"),
     )
-    cands = banded_lsh_candidate_pairs(banded, bands, id_col)
-    return _verify_candidates(cands, ds, text_col, id_col, shingle_k,
-                              threshold)
+    cands = banded_lsh_candidate_pairs(banded, 32, "doc_id")
+    return _verify_candidates(cands, ds, "text", "doc_id", 3, 0.5)
 
 
 def _verify_candidates(cands, ds_docs, text_col: str, id_col: str,
@@ -498,23 +489,22 @@ def _simhash_banded(ds, text_col: str, id_col: str):
     )
 
 
-def simhash_duplicates(ds, text_col: str = "text", id_col: str = "doc_id"):
+def simhash_duplicates(ds, id_col: str = "doc_id"):
     """Near-dup candidates: docs sharing any of the four 16-bit simhash
-    bands → (id, rep_id) pairs, via the shared banded-LSH machinery."""
-    banded = _simhash_banded(ds, text_col, id_col)
+    bands of their ``text`` → (id, rep_id) pairs, via the shared
+    banded-LSH machinery."""
+    banded = _simhash_banded(ds, "text", id_col)
     return banded_lsh_pairs(banded, 4, id_col)
 
 
-def simhash_verified_duplicates(ds, text_col: str = "text",
-                                id_col: str = "doc_id", shingle_k: int = 3,
-                                threshold: float = 0.8):
-    """SimHash band candidates verified by EXACT n-gram Jaccard — the
-    simhash counterpart of ``minhash_verified_duplicates`` (same
-    deterministic, oracle-checkable output contract)."""
-    banded = _simhash_banded(ds, text_col, id_col)
-    cands = banded_lsh_candidate_pairs(banded, 4, id_col)
-    return _verify_candidates(cands, ds, text_col, id_col, shingle_k,
-                              threshold)
+def simhash_verified_duplicates(ds):
+    """SimHash band candidates verified by EXACT 3-gram Jaccard
+    (jaccard ≥ 0.8) — the simhash counterpart of
+    ``minhash_verified_duplicates`` (same deterministic, oracle-checkable
+    output contract over (``doc_id``, ``text``) rows)."""
+    banded = _simhash_banded(ds, "text", "doc_id")
+    cands = banded_lsh_candidate_pairs(banded, 4, "doc_id")
+    return _verify_candidates(cands, ds, "text", "doc_id", 3, 0.8)
 
 
 # -------------------------------------------- n-gram jaccard verify ----
@@ -527,14 +517,15 @@ def _jaccard(sa: set, sb: set) -> float:
     return len(sa & sb) / union if union else 1.0
 
 
-def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
-                       k: int = 3, threshold: float = 0.5):
-    """Exact O(n²) n-gram-Jaccard pair finder — the BRUTE-FORCE VERIFIER
+def jaccard_dups_brute(ds, threshold: float = 0.5):
+    """Exact O(n²) 3-gram-Jaccard pair finder over (``doc_id``, ``text``)
+    rows — the BRUTE-FORCE VERIFIER
     for the LSH paths (and the SQL-oracle-checkable near-dup query: a
     DuckDB cross join over string shingles computes the identical
     jaccard, since both sides divide the same set-size integers).
 
-    Emits (id_a, id_b, jaccard) for id_a < id_b with jaccard ≥ threshold.
+    Emits (doc_id_a, doc_id_b, jaccard) for doc_id_a < doc_id_b with
+    jaccard ≥ threshold.
     The shingle-set table is collected once on the driver and broadcast
     (O(corpus shingles) driver memory) while the n² pair loop runs
     distributed over id partitions — deliberately a small-corpus
@@ -547,16 +538,16 @@ def jaccard_dups_brute(ds, text_col: str = "text", id_col: str = "doc_id",
 
     shingled = ds.map_batches(
         lambda t: pa.table({
-            id_col: t[id_col],
+            "doc_id": t["doc_id"],
             "sh": pa.array(
-                [_shingle_array(x or "", k) for x in t[text_col].to_pylist()]
+                [_shingle_array(x or "", 3) for x in t["text"].to_pylist()]
             ),
         }),
         batch_format="pyarrow", zero_copy_batch=True,
     )
     ids, sets = [], []
     for b in shingled.iter_batches(batch_format="pyarrow"):
-        ids.extend(b[id_col].to_pylist())
+        ids.extend(b["doc_id"].to_pylist())
         col = b["sh"].combine_chunks()
         # .values (not flatten): offsets index the raw child array, and
         # these lists are never null so the pairing is exact
@@ -705,9 +696,8 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
 # ------------------------------------------- connected components ----
 
 
-def connected_components(pairs, id_col: str = "doc_id",
-                         rep_col: str = "rep_id"):
-    """Transitive dup clusters from candidate (id, rep) edges — the
+def connected_components(pairs, id_col: str = "doc_id"):
+    """Transitive dup clusters from candidate (id, ``rep_id``) edges — the
     distributed union-find substitute the LSH bucket-rep output needs
     when chains occur (a~b, b~c ⇒ {a,b,c}).
 
@@ -730,7 +720,7 @@ def connected_components(pairs, id_col: str = "doc_id",
 
     def edge_rows(batch: pa.Table) -> pa.Table:
         a = batch[id_col].combine_chunks().cast(pa.int64())
-        b = batch[rep_col].combine_chunks().cast(pa.int64())
+        b = batch["rep_id"].combine_chunks().cast(pa.int64())
         return pa.table({
             "node": pa.concat_arrays([a, b]),
             "kind": pa.array(np.ones(2 * len(a), dtype=np.int64)),

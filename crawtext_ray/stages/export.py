@@ -19,12 +19,12 @@ def _to_records(report) -> list[dict]:
     return report.to_dict(orient="records")
 
 
-def export_report(report, out_path: str, fmt: str | None = None) -> str:
+def export_report(report, out_path: str) -> str:
     """Write a small aggregate Dataset/Table/DataFrame as csv or json
-    (inferred from the extension when ``fmt`` is None). Atomic
-    (tmp+rename), matching the lineage sink conventions."""
+    (the format of ``out_path``'s extension). Atomic (tmp+rename),
+    matching the lineage sink conventions."""
     recs = _to_records(report)
-    fmt = fmt or os.path.splitext(out_path)[1].lstrip(".").lower()
+    fmt = os.path.splitext(out_path)[1].lstrip(".").lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported export format: {fmt!r}")
     tmp = out_path + ".tmp"

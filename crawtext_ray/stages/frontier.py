@@ -22,9 +22,9 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def anti_join_grouped(new_ds, seen_ds, key: str = "url"):
-    """Keys of ``new_ds`` not present in ``seen_ds``; both sides large.
-    union with a side flag -> groupby(key) -> keep flagless groups."""
+def anti_join_grouped(new_ds, seen_ds):
+    """Urls of ``new_ds`` not present in ``seen_ds``; both sides large.
+    union with a side flag -> groupby("url") -> keep flagless groups."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Max
 
@@ -39,11 +39,11 @@ def anti_join_grouped(new_ds, seen_ds, key: str = "url"):
     # "keep groups with no seen flag, one row each" is a Max AGGREGATE
     # (max flag 0 == never seen), not a per-group Python pass — the
     # group count here is the url cardinality, i.e. the corpus
-    agg = flag_new.select_columns([key, "__seen"]).union(
-        flag_seen.select_columns([key, "__seen"])
-    ).groupby(key).aggregate(Max("__seen"))
+    agg = flag_new.select_columns(["url", "__seen"]).union(
+        flag_seen.select_columns(["url", "__seen"])
+    ).groupby("url").aggregate(Max("__seen"))
     return agg.map_batches(
-        lambda t: t.filter(pc.equal(t["max(__seen)"], 0)).select([key]),
+        lambda t: t.filter(pc.equal(t["max(__seen)"], 0)).select(["url"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -78,13 +78,10 @@ def outlinks_frontier(articles, depth: int):
     return articles.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
-              extract_fn=None, num_partitions: int = 16):
-    """T2: strict depth-by-depth BFS inside a pre-crawled corpus.
-
-    ``extract_fn(pages_subset) -> articles`` defaults to the flagship
-    extraction stage. Returns (articles_per_depth: list[Dataset],
-    seen_urls: set).
+def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
+    """T2: strict depth-by-depth BFS inside a pre-crawled corpus, each
+    round's pages run through the flagship extraction stage. Returns
+    (articles_per_depth: list[Dataset], seen_urls: set).
 
     Frontier handling is two-mode BY ROUND, picked against
     ``partitioning.BROADCAST_ROWS``:
@@ -104,7 +101,6 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
     from . import partitioning
     from .extract_stage import extract_articles
 
-    extract_fn = extract_fn or (lambda ds: extract_articles(ds))
     small = len(seed_urls) <= partitioning.BROADCAST_ROWS
     seen_set: set[str] = set()
     frontier_urls = list(dict.fromkeys(seed_urls))
@@ -133,7 +129,7 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
                 anti_join_grouped(frontier_ds, seen_ds)
                 .map_batches(lambda t: t, batch_format="pyarrow",
                              zero_copy_batch=True)
-                .repartition(num_partitions)
+                .repartition(16)
                 .materialize()
             )
             if frontier_ds.count() == 0:
@@ -141,14 +137,14 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2,
             subset = pages_ds.join(
                 frontier_ds,
                 join_type="inner",
-                num_partitions=num_partitions,
+                num_partitions=16,
                 on=("url",),
             )
             # the join's aggregator actors must fit the session, else it
             # waits forever for placement (the context is shared with
             # pages_ds's lineage; the sizing only affects hash shuffles)
             partitioning.size_hash_shuffle(subset.context)
-        articles = extract_fn(subset).materialize()
+        articles = extract_articles(subset).materialize()
         rounds.append(articles)
         if small:
             seen_set.update(frontier_urls)

@@ -11,19 +11,17 @@ from ..extract.pdf import extract_pdf_text
 
 
 class ExtractPdfText:
-    def __init__(self, payload_col: str = "payload", id_col: str = "doc_id"):
-        self.payload_col = payload_col
-        self.id_col = id_col
+    """(``doc_id``, ``payload``) rows → doc_id + extracted text and page
+    metadata."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
-        for i, p in zip(
-            batch[self.id_col].to_pylist(), batch[self.payload_col].to_pylist()
-        ):
+        for i, p in zip(batch["doc_id"].to_pylist(),
+                        batch["payload"].to_pylist()):
             res = extract_pdf_text(p or b"")
             rows.append(
                 {
-                    self.id_col: i,
+                    "doc_id": i,
                     "pdf_text": res["text"],
                     "n_pages": res["n_pages"],
                     "pdf_status": res["status"],
@@ -33,13 +31,8 @@ class ExtractPdfText:
         return pa.Table.from_pylist(rows)
 
 
-def extract_pdf_texts(ds, payload_col: str = "payload", id_col: str = "doc_id",
-                      batch_size: int = 32):
-    """Small batches: PDFs can be MB-scale rows."""
+def extract_pdf_texts(ds):
+    """Batches of 32 rows: PDFs can be MB-scale rows."""
     from .fusion import map_stage
 
-    return map_stage(
-        ds,
-        lambda: ExtractPdfText(payload_col=payload_col, id_col=id_col),
-        batch_size=batch_size,
-    )
+    return map_stage(ds, ExtractPdfText, batch_size=32)

@@ -43,10 +43,10 @@ def report_source_docs(sf_dir: str):
     return key_counts(_docs(sf_dir, ["source"]), "source")
 
 
-def top_sources(sf_dir: str, k: int = 5):
-    """T1: top-k sources by count; deterministic tie-break on source."""
+def top_sources(sf_dir: str):
+    """T1: top-5 sources by count; deterministic tie-break on source."""
     agg = report_source_docs(sf_dir)
-    return agg.sort(["n_docs", "source"], descending=[True, False]).limit(k)
+    return agg.sort(["n_docs", "source"], descending=[True, False]).limit(5)
 
 
 def distinct_langs(sf_dir: str):
@@ -65,14 +65,15 @@ def dedup_events_first(sf_dir: str):
     return out.select_columns(["user_id", "event_id", "event_type"])
 
 
-def filter_events(sf_dir: str, event_type: str = "click", min_value: float = 50.0):
-    """M2-analog vectorized filter (arrow compute predicate)."""
+def filter_events(sf_dir: str):
+    """M2-analog vectorized filter (arrow compute predicate): the click
+    events of value at least 50."""
     ds = _events(sf_dir, ["event_id", "event_type", "value"])
     return ds.map_batches(
         lambda t: t.filter(
             pc.and_(
-                pc.equal(t["event_type"], pa.scalar(event_type)),
-                pc.greater_equal(t["value"], pa.scalar(min_value)),
+                pc.equal(t["event_type"], pa.scalar("click")),
+                pc.greater_equal(t["value"], pa.scalar(50.0)),
             )
         ),
         batch_format="pyarrow",
@@ -234,10 +235,11 @@ def orders_by_segment_broadcast(sf_dir: str):
         "c_mktsegment").aggregate(Count(alias_name="n_orders"))
 
 
-def orders_join_native(sf_dir: str, num_partitions: int = 8):
-    """Large-side hash join via Dataset.join (Ray 2.49 native), grouped by
-    (priority, segment). The broadcast variant above is the scale path for
-    small dims; this exercises the shuffling join."""
+def orders_join_native(sf_dir: str):
+    """Large-side hash join via Dataset.join (Ray 2.49 native, 8
+    partitions), grouped by (priority, segment). The broadcast variant
+    above is the scale path for small dims; this exercises the shuffling
+    join."""
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
     )
@@ -247,7 +249,7 @@ def orders_join_native(sf_dir: str, num_partitions: int = 8):
     joined = orders.join(
         cust,
         join_type="inner",
-        num_partitions=num_partitions,
+        num_partitions=8,
         on=("o_custkey",),
         right_on=("c_custkey",),
     )
@@ -273,12 +275,14 @@ def q1_counts_lineitem(sf_dir: str):
     }), keys)
 
 
-def shipped_before(sf_dir: str, cutoff: str = "1996-01-01"):
-    """Pruned + predicate-pushdown read: row-group filter at the scan."""
+def shipped_before(sf_dir: str):
+    """Pruned + predicate-pushdown read: row-group filter at the scan
+    (lines shipped before 1996)."""
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_linenumber", "l_shipdate"],
-        filter=(pc.field("l_shipdate") < pa.scalar(np.datetime64(cutoff, "us"))),
+        filter=(pc.field("l_shipdate")
+                < pa.scalar(np.datetime64("1996-01-01", "us"))),
     )
     return ds.select_columns(["l_orderkey", "l_linenumber"])
 
@@ -334,25 +338,25 @@ def parts_by_brand_nation(sf_dir: str):
 # instead run on ``partitioning.key_runs``: one sort on user_id, each
 # sorted block re-sorted once by (user_id, ...), every per-user window
 # computed with SEGMENT-VECTORIZED numpy over the user runs (run starts
-# + cumsum bases + composite-key searchsorted): Python calls = blocks,
-# never user cardinality. The partitioning assumption is unchanged —
-# all rows of one user co-locate (one block instead of one group).
+# + cumsum bases + ONE composite-key searchsorted): Python calls =
+# blocks, never user cardinality. The composite key is (user run, dense
+# rank of ts within the block), so it is below n² for n rows and cannot
+# overflow int64 for any block under 2^31 rows, whatever the time span.
+# The partitioning assumption is unchanged — all rows of one user
+# co-locate (one block instead of one group).
 
 
-def _composite_key(uidx: np.ndarray, off: np.ndarray) -> np.ndarray | None:
-    """Monotonic int64 composite of (segment index, in-segment offset),
-    making ONE searchsorted serve every segment at once. None when the
-    product would overflow int64 (callers fall back to a per-segment
-    loop — only reachable when users/block x time-span exceeds ~2^62 µs)."""
-    span = int(off.max()) + 2 if len(off) else 2
-    n_seg = int(uidx.max()) + 1 if len(uidx) else 1
-    if n_seg * span >= (1 << 62):
-        return None
-    return uidx * np.int64(span) + off
+def _composite_key(uidx: np.ndarray, ts: np.ndarray):
+    """(C, U): ``C = uidx * len(U) + rank of ts in U``, with ``U`` the
+    block's distinct ts values. Over rows sorted by (user, ts) ``C`` is
+    non-decreasing, so ONE searchsorted serves every user run at once;
+    equal ``C`` means same user and same ts."""
+    u = np.unique(ts)
+    return uidx * len(u) + np.searchsorted(u, ts), u
 
 
-def _ts_us(t: pa.Table, col: str = "ts") -> np.ndarray:
-    return t[col].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+def _ts_us(t: pa.Table) -> np.ndarray:
+    return t["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
 
 
 def _int64_table(**cols) -> pa.Table:
@@ -363,12 +367,10 @@ def _int64_table(**cols) -> pa.Table:
     })
 
 
-def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
-                      use_composite: bool = True) -> pa.Table:
+def _asof_merge_frame(t: pa.Table, starts: np.ndarray) -> pa.Table:
     """One sorted block's as-of merge over user runs sorted by (user_id, ts,
-    event_id) (module-level so both the composite-key path and the
-    per-segment fallback are directly unit-testable;
-    ``use_composite=False`` forces the fallback)."""
+    event_id): each purchase takes the last click at or before it in
+    composite-key order (module-level so it is directly unit-testable)."""
     empty = _int64_table(event_id=[], click_event_id=[])
     is_c = pc.equal(t["event_type"], "click").to_numpy(zero_copy_only=False)
     is_p = pc.equal(t["event_type"], "purchase").to_numpy(
@@ -378,20 +380,7 @@ def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
     ts = _ts_us(t)
     eid = t["event_id"].to_numpy()
     uidx = run_ids(starts, len(ts))
-    off = ts - ts.min()
-    C = _composite_key(uidx, off) if use_composite else None
-    if C is None:  # overflow fallback: per-user loop
-        out_e, out_c = [], []
-        for s, e in zip(starts, np.append(starts[1:], len(ts))):
-            cts, cid = ts[s:e][is_c[s:e]], eid[s:e][is_c[s:e]]
-            pts, pid = ts[s:e][is_p[s:e]], eid[s:e][is_p[s:e]]
-            if not len(cts) or not len(pts):
-                continue
-            pos = np.searchsorted(cts, pts, side="right") - 1
-            ok = pos >= 0
-            out_e.extend(pid[ok])
-            out_c.extend(cid[pos[ok]])
-        return _int64_table(event_id=out_e, click_event_id=out_c)
+    C, _ = _composite_key(uidx, ts)
     Cc, cu, cid = C[is_c], uidx[is_c], eid[is_c]
     pos = np.searchsorted(Cc, C[is_p], side="right") - 1
     ok = pos >= 0
@@ -399,11 +388,10 @@ def _asof_merge_frame(t: pa.Table, starts: np.ndarray,
     return _int64_table(event_id=eid[is_p][ok], click_event_id=cid[pos[ok]])
 
 
-def _window_funcs_frame(t: pa.Table, starts: np.ndarray,
-                        use_composite: bool = True) -> pa.Table:
+def _window_funcs_frame(t: pa.Table, starts: np.ndarray) -> pa.Table:
     """One sorted block's ROW_NUMBER + LAG + RANGE-count pass over user runs
     sorted by (user_id, ts, event_id) (module-level for direct unit
-    tests of both the composite path and the fallback)."""
+    tests)."""
     hour_us = 3_600_000_000
     ts = _ts_us(t)
     eid = t["event_id"].to_numpy()
@@ -413,22 +401,12 @@ def _window_funcs_frame(t: pa.Table, starts: np.ndarray,
     prev = np.empty(n, dtype=np.int64)
     prev[1:] = eid[:-1]
     prev[starts] = -1
-    off = ts - ts.min() if n else ts
-    C = _composite_key(uidx, off) if use_composite else None
-    if C is None:  # overflow fallback: per-segment searchsorted
-        n_last = np.empty(n, dtype=np.int64)
-        for s, e in zip(starts, np.append(starts[1:], n)):
-            seg = ts[s:e]
-            lo = np.searchsorted(seg, seg - hour_us, side="left")
-            hi = np.searchsorted(seg, seg, side="right")
-            n_last[s:e] = hi - lo
-    else:
-        # (C - off) is the segment floor in composite space; clipping
-        # the window start at it keeps the probe inside the segment
-        qlo = (C - off) + np.maximum(off - hour_us, 0)
-        lo = np.searchsorted(C, qlo, side="left")
-        hi = np.searchsorted(C, C, side="right")
-        n_last = hi - lo
+    C, u = _composite_key(uidx, ts)
+    # the window start in composite space: the user's first row with
+    # ts >= ts - 1 h (the rank of ts - 1 h among the block's ts values)
+    qlo = uidx * len(u) + np.searchsorted(u, ts - hour_us, side="left")
+    n_last = (np.searchsorted(C, C, side="right")
+              - np.searchsorted(C, qlo, side="left"))
     return _int64_table(event_id=eid, event_seq=event_seq,
                         prev_event_id=prev, n_last_hour=n_last)
 
@@ -436,13 +414,13 @@ def _window_funcs_frame(t: pa.Table, starts: np.ndarray,
 _BY_TIME = ["ts", "event_id"]
 
 
-def sessionize_events(sf_dir: str, gap_minutes: int = 30):
+def sessionize_events(sf_dir: str):
     """Gap-based sessionization (streaming-shaped windowed operator): per
-    user, order events by (ts, event_id); a gap strictly greater than
-    ``gap_minutes`` starts a new session. Output (event_id, session_seq)
-    with session_seq 1-based per user. One key-run reduce on user_id —
-    the same partitioning key as every other per-user window op."""
-    gap_us = gap_minutes * 60_000_000
+    user, order events by (ts, event_id); a gap strictly greater than 30
+    minutes starts a new session. Output (event_id, session_seq) with
+    session_seq 1-based per user. One key-run reduce on user_id — the
+    same partitioning key as every other per-user window op."""
+    gap_us = 30 * 60_000_000
 
     def sess(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = _ts_us(t)
@@ -458,13 +436,13 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30):
                     "user_id", _BY_TIME, sess)
 
 
-def top_events_per_user(sf_dir: str, k: int = 3):
-    """Grouped top-k: each user's k highest-value events (ties broken by
-    event_id asc), ranked 1..k — rank = row index minus run start."""
+def top_events_per_user(sf_dir: str):
+    """Grouped top-k: each user's 3 highest-value events (ties broken by
+    event_id asc), ranked 1..3 — rank = row index minus run start."""
 
     def topk(t: pa.Table, starts: np.ndarray) -> pa.Table:
         rank = np.arange(t.num_rows) - starts[run_ids(starts, t.num_rows)] + 1
-        keep = np.flatnonzero(rank <= k)
+        keep = np.flatnonzero(rank <= 3)
         t = t.take(pa.array(keep))
         return _int64_table(user_id=t["user_id"], event_id=t["event_id"],
                             rank=rank[keep])
@@ -497,16 +475,16 @@ def asof_click_before_purchase(sf_dir: str):
     return key_runs(keep, "user_id", _BY_TIME, _asof_merge_frame)
 
 
-def sample_docs_deterministic(sf_dir: str, pct: int = 10):
+def sample_docs_deterministic(sf_dir: str):
     """T3 sampling, the reproducible form: keep a doc iff its id hash
-    falls in the lowest ``pct``% of the range — a deterministic hash
+    falls in the lowest 10% of the range — a deterministic hash
     sample that every rerun selects identically. Use Ray-native
     ``ds.random_sample`` when statistical (non-reproducible) sampling is
     wanted. The hash is the first byte of md5(str(doc_id)): one md5
     call per row, and DuckDB reproduces it bit-for-bit."""
     from .partitioning import md5_prefix_array
 
-    cut = 256 * pct // 100
+    cut = 256 * 10 // 100
 
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -536,14 +514,15 @@ def read_query_vectors(path: str, n_queries: int, dtype=np.float64) -> dict:
     }
 
 
-def embedding_topk_exact(sf_dir: str, k: int = 10, n_queries: int = 3):
-    """Brute-force cosine top-k (float64 to match the DuckDB oracle);
-    output (query_id, vec_id, rank) — ints only, ties broken by vec_id."""
+def embedding_topk_exact(sf_dir: str):
+    """Brute-force cosine top-10 of the first 3 vectors (float64 to match
+    the DuckDB oracle); output (query_id, vec_id, rank) — ints only, ties
+    broken by vec_id."""
     from .similarity import brute_force_topk
 
     emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
-    queries = read_query_vectors(f"{sf_dir}/embeddings.parquet", n_queries)
-    out = brute_force_topk(emb, queries, k=k)
+    queries = read_query_vectors(f"{sf_dir}/embeddings.parquet", 3)
+    out = brute_force_topk(emb, queries)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 
@@ -566,11 +545,11 @@ def window_funcs_events(sf_dir: str):
 # --- sort / top-k over a fact table ---------------------------------------
 
 
-def top_events_by_value(sf_dir: str, k: int = 100):
-    """Global ORDER BY ... LIMIT k (distributed sort + tiny take):
+def top_events_by_value(sf_dir: str):
+    """Global ORDER BY ... LIMIT 100 (distributed sort + tiny take):
     deterministic tie-break on event_id."""
     ds = _events(sf_dir, ["event_id", "value"])
-    out = ds.sort(["value", "event_id"], descending=[True, False]).limit(k)
+    out = ds.sort(["value", "event_id"], descending=[True, False]).limit(100)
     return out.select_columns(["event_id"])
 
 

@@ -74,12 +74,12 @@ def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, finish):
     return hashed.groupby("shard").map_groups(order, batch_format="pyarrow")
 
 
-def shuffle_shards(ds, n_shards: int = 64, key: str = "doc_id",
-                   seed: int = 0):
+def shuffle_shards(ds, n_shards: int = 64, seed: int = 0):
     """Assign every row a ``shard`` and its deterministic ``pos`` within
-    that shard; rows come back grouped by shard and ordered by position.
-    Columns are preserved; ``shard``/``pos`` are appended (int64)."""
-    return _grouped_shuffle(ds, n_shards, key, seed, lambda g: g)
+    that shard (hashing ``doc_id``); rows come back grouped by shard and
+    ordered by position. Columns are preserved; ``shard``/``pos`` are
+    appended (int64)."""
+    return _grouped_shuffle(ds, n_shards, "doc_id", seed, lambda g: g)
 
 
 def _resolve_fs(out_dir: str):
@@ -200,11 +200,10 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
     ]
 
 
-def pack_sequences(ds, seq_len: int, key: str = "doc_id",
-                   n_tokens_col: str = "n_tokens", n_shards: int = 64,
-                   seed: int = 0):
+def pack_sequences(ds, seq_len: int, n_tokens_col: str = "n_tokens",
+                   n_shards: int = 64, seed: int = 0):
     """GPT-style sequence packing assignment: documents are laid out in
-    the deterministic shuffle order (``shuffle_shards``) and the token
+    the deterministic ``doc_id`` shuffle order (``shuffle_shards``) and the token
     stream is cut into fixed ``seq_len`` windows; every document gets
     the pack it STARTS in and its offset inside that pack —
     ``pack_id = floor(prev_cumsum / seq_len)``,
@@ -220,5 +219,5 @@ def pack_sequences(ds, seq_len: int, key: str = "doc_id",
     shard — loaders consume one shard each, which is the point."""
 
     return _grouped_shuffle(
-        ds, n_shards, key, seed,
+        ds, n_shards, "doc_id", seed,
         lambda g: _pack_table(g, seq_len, n_tokens_col))

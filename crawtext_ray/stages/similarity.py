@@ -1,4 +1,5 @@
-"""Similarity search over an embedding column (``list<float>``).
+"""Similarity search over (``vec_id`` int64, ``embedding`` list<float>)
+rows.
 
 One scorer, ``_TopK``, serves every top-k form: the query matrix is
 broadcast once, each batch does one matmul against it and keeps each
@@ -65,8 +66,7 @@ class _TopK:
     dropped). ``dtype`` is the vector side's matmul precision; the query
     side is float64."""
 
-    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str,
-                 probe_col: str | None, dtype):
+    def __init__(self, queries_ref, k: int, probe_col: str | None, dtype):
         import ray
 
         q = ray.get(queries_ref)
@@ -74,16 +74,14 @@ class _TopK:
         self.qm = _normalize(np.asarray(q["matrix"], dtype=np.float64))
         self.probes = q.get("probes")
         self.k = k
-        self.id_col = id_col
-        self.vec_col = vec_col
         self.probe_col = probe_col
         self.dtype = dtype
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _SCORES.empty_table()
-        ids = np.asarray(batch[self.id_col].to_numpy(), dtype=np.int64)
-        m = _normalize(_to_matrix(batch[self.vec_col], self.dtype))
+        ids = np.asarray(batch["vec_id"].to_numpy(), dtype=np.int64)
+        m = _normalize(_to_matrix(batch["embedding"], self.dtype))
         sims = self.qm @ m.T  # (nq, nb)
         if self.probe_col is not None:
             # one query row at a time: (nq, nb), never (nq, probes, nb)
@@ -98,8 +96,7 @@ class _TopK:
         return pa.table([qids[hit], ids[idx][hit], top[hit]], schema=_SCORES)
 
 
-def _topk(ds, queries: dict, k: int, id_col: str, vec_col: str,
-          probe_col: str | None, dtype):
+def _topk(ds, queries: dict, k: int, probe_col: str | None, dtype):
     """The one top-k plan: ``_TopK`` partials per batch (nq×k rows per
     batch cross the exchange, never the vectors), then one key-run
     reduce on ``query_id`` keeps each query's best ``k`` and ranks them."""
@@ -109,7 +106,7 @@ def _topk(ds, queries: dict, k: int, id_col: str, vec_col: str,
 
     ref = ray.put(queries)
     partials = map_stage(
-        ds, lambda: _TopK(ref, k, id_col, vec_col, probe_col, dtype)
+        ds, lambda: _TopK(ref, k, probe_col, dtype)
     )
 
     def best_k(t: pa.Table, starts: np.ndarray) -> pa.Table:
@@ -122,8 +119,8 @@ def _topk(ds, queries: dict, k: int, id_col: str, vec_col: str,
                     [("cosine", "descending"), "vec_id"], best_k)
 
 
-def _probed_topk(ds, queries: dict, probes: list, k: int, id_col: str,
-                 vec_col: str, probe_col: str, dtype):
+def _probed_topk(ds, queries: dict, probes: list, k: int, probe_col: str,
+                 dtype):
     """``_topk`` over only the rows whose ``probe_col`` value some query
     probes; query ``i`` scores only its own ``probes[i]``."""
     wanted = np.unique(np.concatenate(probes))
@@ -131,15 +128,15 @@ def _probed_topk(ds, queries: dict, probes: list, k: int, id_col: str,
                              keep=True)
     q = {"query_id": queries["query_id"], "matrix": queries["matrix"],
          "probes": probes}
-    return _topk(filtered, q, k, id_col, vec_col, probe_col, dtype)
+    return _topk(filtered, q, k, probe_col, dtype)
 
 
-def brute_force_topk(ds, queries: dict, k: int = 10,
-                     id_col: str = "vec_id", vec_col: str = "embedding"):
-    """Exact cosine top-k. ``queries`` = {"query_id": [...], "matrix":
-    ndarray (nq, dim)}; float64 on both sides so it bit-matches a
-    double-precision oracle. Output (query_id, vec_id, cosine, rank)."""
-    return _topk(ds, queries, k, id_col, vec_col, None, np.float64)
+def brute_force_topk(ds, queries: dict, k: int = 10):
+    """Exact cosine top-k over (``vec_id``, ``embedding``) rows.
+    ``queries`` = {"query_id": [...], "matrix": ndarray (nq, dim)};
+    float64 on both sides so it bit-matches a double-precision oracle.
+    Output (query_id, vec_id, cosine, rank)."""
+    return _topk(ds, queries, k, None, np.float64)
 
 
 class _LshBucket:
@@ -163,10 +160,11 @@ class _LshBucket:
         return batch.append_column("lsh_bucket", pa.array(buckets, pa.int64()))
 
 
-def add_lsh_bucket(ds, dim: int, n_planes: int, seed: int, vec_col: str):
+def add_lsh_bucket(ds, dim: int, n_planes: int):
+    """Append each ``embedding``'s ``lsh_bucket`` (planes from seed 11)."""
     from .fusion import map_stage
 
-    return map_stage(ds, lambda: _LshBucket(dim, n_planes, seed, vec_col))
+    return map_stage(ds, lambda: _LshBucket(dim, n_planes, 11, "embedding"))
 
 
 def _probe_buckets(bucket: int, n_planes: int, multiprobe: int) -> list[int]:
@@ -187,24 +185,23 @@ def _probe_buckets(bucket: int, n_planes: int, multiprobe: int) -> list[int]:
 
 
 def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
-                    n_planes: int = 8, seed: int = 11,
-                    id_col: str = "vec_id", vec_col: str = "embedding",
                     multiprobe: int = 0):
-    """Approximate top-k: only vectors whose LSH bucket matches one of
-    the query's probed buckets are scored (float32 vector side). Recall
-    trades off with n_planes and back up with ``multiprobe`` (Hamming
-    radius of probed buckets: 0 = the classic single-bucket probe; 2 at
-    8 planes scores 37/256 bucket patterns — still a ~7x corpus prune,
+    """Approximate top-k over (``vec_id``, ``embedding``) rows: only
+    vectors whose LSH bucket (8 sign planes, seed 11) matches one of the
+    query's probed buckets are scored (float32 vector side). Recall
+    trades off with the plane count and back up with ``multiprobe``
+    (Hamming radius of probed buckets: 0 = the classic single-bucket
+    probe; 2 scores 37/256 bucket patterns — still a ~7x corpus prune,
     but neighbors that flip a sign or two are found). At scale the bucket
     column doubles as the partition key so each query touches its probed
     partitions instead of the full corpus."""
-    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, vec_col)
-    hasher = _LshBucket(dim, n_planes, seed, vec_col)
+    bucketed = add_lsh_bucket(ds, dim, 8)
+    hasher = _LshBucket(dim, 8, 11, "embedding")
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float32))
-    probes = [np.asarray(_probe_buckets(int(b), n_planes, multiprobe),
+    probes = [np.asarray(_probe_buckets(int(b), 8, multiprobe),
                          dtype=np.int64) for b in hasher.bucket_of(qm)]
-    return _probed_topk(bucketed, queries, probes, k, id_col, vec_col,
-                        "lsh_bucket", np.float32)
+    return _probed_topk(bucketed, queries, probes, k, "lsh_bucket",
+                        np.float32)
 
 
 # embedding_dedup's within-bucket matmul chunk (rows per matmul)
@@ -212,25 +209,24 @@ CHUNK_ROWS = 1024
 
 
 def embedding_dedup(ds, dim: int, threshold: float = 0.97,
-                    n_planes: int | None = None, target_bucket: int = 8192,
-                    seed: int = 11, id_col: str = "vec_id",
-                    vec_col: str = "embedding", canonical: bool = False):
-    """Embedding-cosine near-dup: LSH-bucket vectors, then inside each
-    bucket link each id to the smallest similar-enough smaller id.
+                    canonical: bool = False):
+    """Embedding-cosine near-dup over (``vec_id``, ``embedding``) rows:
+    LSH-bucket vectors, then inside each bucket link each id to the
+    smallest similar-enough smaller id.
 
     ``canonical=False`` (default) returns the raw PER-PAIR links
-    (id → smallest similar smaller id in its bucket, with the cosine):
-    on a chain a≈b, b≈c with a̸≈c, c links to b, not a. Pass
+    (vec_id → smallest similar smaller id in its bucket, with the
+    cosine): on a chain a≈b, b≈c with a̸≈c, c links to b, not a. Pass
     ``canonical=True`` to pipe the pairs through
     ``dedup.connected_components`` — every non-representative id then
-    maps to the min id of its transitive cluster (columns (id, rep_id),
-    no cosine: a transitive rep has no single pair score).
+    maps to the min id of its transitive cluster (columns (vec_id,
+    rep_id), no cosine: a transitive rep has no single pair score).
 
     Scale handling (the O(b²) bucket matmul is the hazard):
-    - ``n_planes`` derives from the corpus size when not given —
-      2^n_planes buckets sized for ~``target_bucket`` EXPECTED vectors
-      each, so bucket count grows with the corpus instead of being a
-      fixed partition count.
+    - the plane count (seed 11) derives from the corpus size —
+      2^n_planes buckets sized for ~8,192 EXPECTED vectors each, so
+      bucket count grows with the corpus instead of being a fixed
+      partition count.
     - one key-run reduce on ``lsh_bucket`` sorted by id hands each
       bucket's rows over as one run; inside a bucket the pairwise scores
       are computed in row chunks of ``CHUNK_ROWS`` against the bucket
@@ -239,17 +235,15 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
       bucket size cannot be bounded by hashing alone); compute stays
       O(b²) but each chunk is one vectorized matmul + masked argmin, no
       per-row Python."""
-    if n_planes is None:
-        n = ds.count()
-        n_planes = int(np.clip(np.ceil(np.log2(max(1, n) / target_bucket)) + 2,
-                               4, 30))
-    bucketed = add_lsh_bucket(ds, dim, n_planes, seed, vec_col)
+    n = ds.count()
+    n_planes = int(np.clip(np.ceil(np.log2(max(1, n) / 8192)) + 2, 4, 30))
+    bucketed = add_lsh_bucket(ds, dim, n_planes)
     none = np.iinfo(np.int64).max
     chunk_rows = CHUNK_ROWS  # read on the driver; the closure ships it
 
     def bucket_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        all_ids = np.asarray(t[id_col].to_numpy(), dtype=np.int64)
-        vecs = _to_matrix(t[vec_col])
+        all_ids = np.asarray(t["vec_id"].to_numpy(), dtype=np.int64)
+        vecs = _to_matrix(t["embedding"])
         bounds = np.append(starts, t.num_rows)
         links = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
         for b0, b1 in zip(bounds[:-1], bounds[1:]):
@@ -268,23 +262,24 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
                 rows = np.flatnonzero(rep < none)
                 links.append((ids[s:e][rows], rep[rows], sims[rows, pos[rows]]))
         link, rep, cos = (np.concatenate(c) for c in zip(*links))
-        return pa.table({id_col: link, "rep_id": rep,
+        return pa.table({"vec_id": link, "rep_id": rep,
                          "cosine": cos.astype(np.float64)})
 
-    pairs = key_runs(bucketed, "lsh_bucket", [id_col], bucket_pairs)
+    pairs = key_runs(bucketed, "lsh_bucket", ["vec_id"], bucket_pairs)
     if not canonical:
         return pairs
     from .dedup import connected_components
 
-    comp = connected_components(pairs, id_col=id_col, rep_col="rep_id")
+    comp = connected_components(pairs, id_col="vec_id")
 
     def to_rep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         # drop the representatives themselves (cluster_id == id): the
         # output lists only the rows a dedup pass would remove
-        keep = t.filter(pc.not_equal(t[id_col], t["cluster_id"]))
-        return pa.table({id_col: keep[id_col], "rep_id": keep["cluster_id"]})
+        keep = t.filter(pc.not_equal(t["vec_id"], t["cluster_id"]))
+        return pa.table({"vec_id": keep["vec_id"],
+                         "rep_id": keep["cluster_id"]})
 
     return comp.map_batches(to_rep, batch_format="pyarrow",
                             zero_copy_batch=True)
@@ -293,16 +288,16 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
 # ------------------------------------------------------------- IVF ----
 
 
-def train_ivf_centroids(sample: np.ndarray, n_clusters: int = 16,
-                        n_iters: int = 8, seed: int = 13) -> np.ndarray:
-    """Deterministic mini k-means (numpy, fixed seed) over a driver-side
-    sample — the IVF coarse quantizer. At 100 TB the sample is a
-    ``ds.random_sample`` pulled once; training is O(sample), not corpus."""
-    rng = np.random.default_rng(seed)
+def train_ivf_centroids(sample: np.ndarray, n_clusters: int = 16) -> np.ndarray:
+    """Deterministic mini k-means (numpy, seed 13, 8 iterations) over a
+    driver-side sample — the IVF coarse quantizer. At 100 TB the sample
+    is a ``ds.random_sample`` pulled once; training is O(sample), not
+    corpus."""
+    rng = np.random.default_rng(13)
     m = _normalize(sample.astype(np.float64))
     idx = rng.choice(len(m), size=min(n_clusters, len(m)), replace=False)
     cents = m[np.sort(idx)].copy()
-    for _ in range(n_iters):
+    for _ in range(8):
         assign = np.argmax(m @ cents.T, axis=1)
         for c in range(len(cents)):
             members = m[assign == c]
@@ -314,10 +309,9 @@ def train_ivf_centroids(sample: np.ndarray, n_clusters: int = 16,
     return cents
 
 
-def add_ivf_cluster(ds, centroids: np.ndarray, id_col: str = "vec_id",
-                    vec_col: str = "embedding"):
-    """Assign each vector to its nearest centroid (one matmul per batch
-    against the broadcast centroid matrix)."""
+def add_ivf_cluster(ds, centroids: np.ndarray):
+    """Assign each ``embedding`` to its nearest centroid (one matmul per
+    batch against the broadcast centroid matrix)."""
     import ray
 
     ref = ray.put(np.asarray(centroids, dtype=np.float64))
@@ -329,7 +323,7 @@ def add_ivf_cluster(ds, centroids: np.ndarray, id_col: str = "vec_id",
         def __call__(self, batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
                 return batch.append_column("ivf_cluster", pa.array([], pa.int64()))
-            m = _normalize(_to_matrix(batch[vec_col], np.float64))
+            m = _normalize(_to_matrix(batch["embedding"], np.float64))
             assign = np.argmax(m @ self.cents.T, axis=1)
             return batch.append_column(
                 "ivf_cluster", pa.array(assign.astype(np.int64), pa.int64())
@@ -341,15 +335,15 @@ def add_ivf_cluster(ds, centroids: np.ndarray, id_col: str = "vec_id",
 
 
 def ivf_topk(ds, queries: dict, centroids: np.ndarray, k: int = 10,
-             nprobe: int = 4, id_col: str = "vec_id",
-             vec_col: str = "embedding"):
-    """IVF approximate top-k: score only vectors whose cluster is among
-    each query's ``nprobe`` nearest centroids. The cluster column doubles
+             nprobe: int = 4):
+    """IVF approximate top-k over (``vec_id``, ``embedding``) rows: score
+    only vectors whose cluster is among each query's ``nprobe`` nearest
+    centroids. The cluster column doubles
     as the partition key at scale (one partition per cluster → a query
     touches nprobe partitions, not the corpus)."""
     cents = np.asarray(centroids, dtype=np.float64)
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float64))
     probes = list(np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe])
-    clustered = add_ivf_cluster(ds, cents, id_col, vec_col)
-    return _probed_topk(clustered, queries, probes, k, id_col, vec_col,
-                        "ivf_cluster", np.float64)
+    clustered = add_ivf_cluster(ds, cents)
+    return _probed_topk(clustered, queries, probes, k, "ivf_cluster",
+                        np.float64)

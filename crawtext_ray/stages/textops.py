@@ -20,24 +20,22 @@ from ..functions.text import (
 
 class TextFeatures:
     """Batch stage: stopword tables loaded once per worker; per batch
-    emits doc_id + the feature columns."""
+    emits doc_id + the feature columns of the ``text`` column (quality
+    features in the row's ``lang``, English when there is no such
+    column)."""
 
-    def __init__(self, text_col: str = "text", id_col: str = "doc_id",
-                 lang_col: str | None = "lang"):
+    def __init__(self):
         from ..extract.stopwords import KNOWN_LANGUAGES, stopword_set
 
         for lang in KNOWN_LANGUAGES:
             stopword_set(lang)
-        self.text_col = text_col
-        self.id_col = id_col
-        self.lang_col = lang_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        ids = batch[self.id_col].to_pylist()
+        texts = batch["text"].to_pylist()
+        ids = batch["doc_id"].to_pylist()
         langs = (
-            batch[self.lang_col].to_pylist()
-            if self.lang_col and self.lang_col in batch.column_names
+            batch["lang"].to_pylist()
+            if "lang" in batch.column_names
             else ["en"] * len(texts)
         )
         # columnar accumulation: the per-doc kernels (language_id,
@@ -60,7 +58,7 @@ class TextFeatures:
             fingerprint.append(rolling_fingerprint(t))
         return pa.table(
             {
-                self.id_col: pa.array(ids, pa.int64()),
+                "doc_id": pa.array(ids, pa.int64()),
                 "n_chars_calc": pa.array(n_chars, pa.int64()),
                 "n_words": pa.array(n_words, pa.int64()),
                 "n_tokens": pa.array(n_tokens, pa.int64()),
@@ -73,14 +71,10 @@ class TextFeatures:
         )
 
 
-def text_features(ds, text_col: str = "text", id_col: str = "doc_id",
-                  lang_col: str | None = "lang"):
+def text_features(ds):
     from .fusion import map_stage
 
-    return map_stage(
-        ds,
-        lambda: TextFeatures(text_col=text_col, id_col=id_col, lang_col=lang_col),
-    )
+    return map_stage(ds, TextFeatures)
 
 
 # PII scrub patterns — RE2-compatible so the Arrow kernel, the Python
@@ -89,36 +83,37 @@ EMAIL_RE = r"[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
 PHONE_RE = r"\+?[0-9][0-9\-\s]{7,}[0-9]"
 
 
-def redact_pii(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Training-corpus PII scrub: emails then phone-number shapes replaced
-    with placeholder tokens. Pure Arrow RE2 kernels
+def redact_pii(ds):
+    """Training-corpus PII scrub of the ``text`` column: emails then
+    phone-number shapes replaced with placeholder tokens, keyed by
+    ``doc_id``. Pure Arrow RE2 kernels
     (replace_substring_regex) — vectorized, zero Python per row."""
     import pyarrow.compute as pc
 
     def fn(batch: pa.Table) -> pa.Table:
         col = pc.replace_substring_regex(
-            batch[text_col], pattern=EMAIL_RE, replacement="[EMAIL]"
+            batch["text"], pattern=EMAIL_RE, replacement="[EMAIL]"
         )
         col = pc.replace_substring_regex(
             col, pattern=PHONE_RE, replacement="[PHONE]"
         )
-        return pa.table({id_col: batch[id_col], "clean_text": col})
+        return pa.table({"doc_id": batch["doc_id"], "clean_text": col})
 
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def chunk_documents(ds, text_col: str = "text", id_col: str = "doc_id",
-                    width: int = 64, stride: int = 48):
+def chunk_documents(ds):
     """Sliding-window document chunking (the tokenize-and-pack precursor):
-    whitespace tokens, windows of ``width`` tokens every ``stride`` (the
+    whitespace tokens of ``text``, windows of 64 tokens every 48 (the
     final window may be short; docs with zero tokens emit nothing).
-    flat_map shape — one input row fans out to ceil(n/stride) chunk rows;
-    chunk_id is 1-based per doc."""
+    flat_map shape — one input row fans out to ceil(n/48) chunk rows
+    keyed by ``doc_id``; chunk_id is 1-based per doc."""
+    width, stride = 64, 48
 
     def fn(batch: pa.Table) -> pa.Table:
         out_id, out_chunk, out_text = [], [], []
-        for i, t in zip(batch[id_col].to_pylist(),
-                        batch[text_col].to_pylist()):
+        for i, t in zip(batch["doc_id"].to_pylist(),
+                        batch["text"].to_pylist()):
             toks = (t or "").split()
             k = 0
             while k * stride < len(toks):
@@ -128,7 +123,7 @@ def chunk_documents(ds, text_col: str = "text", id_col: str = "doc_id",
                 out_text.append(" ".join(toks[s:s + width]))
                 k += 1
         return pa.table({
-            id_col: pa.array(out_id, pa.int64()),
+            "doc_id": pa.array(out_id, pa.int64()),
             "chunk_id": pa.array(out_chunk, pa.int64()),
             "chunk_text": pa.array(out_text, pa.large_string()),
         })
@@ -164,17 +159,16 @@ def vocabulary_topk(ds, text_col: str = "text", k: int = 100):
     return totals.sort(["n", "token"], descending=[True, False]).limit(k)
 
 
-def relevance_filter(ds, expression: str, text_col: str = "text",
-                     id_col: str = "doc_id"):
+def relevance_filter(ds, expression: str):
     """M7 over a documents table: compile the boolean query once per
-    actor, emit matching ids."""
+    actor, keep the rows whose ``text`` matches."""
 
     class Match:
         def __init__(self):
             self.q = Query(expression)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            texts = batch[text_col].to_pylist()
+            texts = batch["text"].to_pylist()
             mask = [self.q.match(t or "") for t in texts]
             return batch.filter(pa.array(mask, pa.bool_()))
 
@@ -183,17 +177,21 @@ def relevance_filter(ds, expression: str, text_col: str = "text",
     return map_stage(ds, Match)
 
 
-def benchmark_ngram_hashes(texts, n: int = 8):
+# the word n-gram length decontamination matches on
+BENCHMARK_NGRAM = 8
+
+
+def benchmark_ngram_hashes(texts):
     """Sorted unique uint64 hashes of a benchmark/eval set's word
-    n-grams, using the exact shingle scheme of the dedup stages
-    (dedup._shingle_array: [a-z0-9]+ tokens, cached md5 token hashes,
-    polynomial rolling combine). Texts shorter than ``n`` tokens
+    ``BENCHMARK_NGRAM``-grams, using the exact shingle scheme of the
+    dedup stages (dedup._shingle_array: [a-z0-9]+ tokens, cached md5
+    token hashes, polynomial rolling combine). Texts shorter than that
     contribute their whole-text gram, matching the shingler."""
     import numpy as np
 
     from .dedup import _shingle_array
 
-    parts = [_shingle_array((t or ""), n) for t in texts]
+    parts = [_shingle_array((t or ""), BENCHMARK_NGRAM) for t in texts]
     parts = [p for p in parts if p.size]
     if not parts:
         return np.empty(0, dtype=np.uint64)
@@ -231,7 +229,7 @@ def _benchmark_texts(benchmark, text_col: str) -> list:
     return texts
 
 
-def _contamination_hits_factory(benchmark, n: int, text_col: str):
+def _contamination_hits_factory(benchmark, text_col: str):
     """Shared scaffolding for the decontamination stages: collect the
     small benchmark side, hash its n-grams, broadcast once via
     ``ray.put``, and return a factory whose product maps a batch to a
@@ -239,7 +237,7 @@ def _contamination_hits_factory(benchmark, n: int, text_col: str):
     import numpy as np
     import ray
 
-    bench = benchmark_ngram_hashes(_benchmark_texts(benchmark, text_col), n)
+    bench = benchmark_ngram_hashes(_benchmark_texts(benchmark, text_col))
     ref = ray.put(bench)
 
     from .dedup import _shingle_array
@@ -252,7 +250,7 @@ def _contamination_hits_factory(benchmark, n: int, text_col: str):
                 return None
             hits = np.zeros(batch.num_rows, dtype=np.int64)
             for i, t in enumerate(batch[text_col].to_pylist()):
-                sh = _shingle_array(t or "", n)
+                sh = _shingle_array(t or "", BENCHMARK_NGRAM)
                 if sh.size:
                     hits[i] = int(np.isin(sh, bset, assume_unique=True).sum())
             return hits
@@ -262,11 +260,10 @@ def _contamination_hits_factory(benchmark, n: int, text_col: str):
     return factory
 
 
-def contamination_flags(docs, benchmark, n: int = 8,
-                        text_col: str = "text", id_col: str = "doc_id"):
+def contamination_flags(docs, benchmark):
     """Benchmark decontamination (standard LLM-training-data step): flag
-    documents that share at least one word ``n``-gram with an eval/
-    benchmark set, so they can be dropped before training.
+    documents that share at least one word 8-gram (``BENCHMARK_NGRAM``)
+    with an eval/benchmark set, so they can be dropped before training.
 
     Scale shape: the benchmark side is SMALL by construction (eval sets
     are thousands of documents, not corpora), so its n-gram hash set is
@@ -277,14 +274,15 @@ def contamination_flags(docs, benchmark, n: int = 8,
     training doc, never keeps a contaminated one). Differential test vs
     a hash-free string-set oracle: tests/test_training_data.py.
 
-    ``benchmark``: list[str], or a Dataset carrying ``text_col``.
-    Returns (id, n_hits:int64, contaminated:bool) — one row per doc.
+    ``benchmark``: list[str], or a Dataset carrying ``text``.
+    Returns (doc_id, n_hits:int64, contaminated:bool) — one row per doc
+    of ``docs`` (``doc_id``, ``text``).
     """
     import numpy as np
 
     from .fusion import map_stage
 
-    hits_factory = _contamination_hits_factory(benchmark, n, text_col)
+    hits_factory = _contamination_hits_factory(benchmark, "text")
 
     def factory():
         hits_of = hits_factory()
@@ -295,7 +293,7 @@ def contamination_flags(docs, benchmark, n: int = 8,
                 hits = np.zeros(batch.num_rows, dtype=np.int64)
             return pa.table(
                 {
-                    id_col: batch[id_col],
+                    "doc_id": batch["doc_id"],
                     "n_hits": pa.array(hits, pa.int64()),
                     "contaminated": pa.array(hits > 0, pa.bool_()),
                 }
@@ -303,16 +301,16 @@ def contamination_flags(docs, benchmark, n: int = 8,
 
         return stage
 
-    return map_stage(docs.select_columns([id_col, text_col]), factory)
+    return map_stage(docs.select_columns(["doc_id", "text"]), factory)
 
 
-def decontaminate(docs, benchmark, n: int = 8, text_col: str = "text"):
+def decontaminate(docs, benchmark, text_col: str = "text"):
     """Drop contaminated documents: ``contamination_flags`` folded into a
     per-batch mask (single pass, no second scan — the flags stage and
     the filter fuse into the same streaming map)."""
     from .fusion import map_stage
 
-    hits_factory = _contamination_hits_factory(benchmark, n, text_col)
+    hits_factory = _contamination_hits_factory(benchmark, text_col)
 
     def factory():
         hits_of = hits_factory()
@@ -337,9 +335,9 @@ def _line_repetition(text):
     return lines, counts, (1.0 - len(counts) / len(lines) if lines else 0.0)
 
 
-def repetition_stats(docs, text_col: str = "text", id_col: str = "doc_id"):
+def repetition_stats(docs):
     """Within-document repetition measures (the Gopher/C4-style quality
-    gates): per doc, over non-empty lines —
+    gates): per doc (``doc_id``), over the non-empty lines of ``text`` —
 
       n_lines        total non-empty lines
       dup_line_frac  1 - distinct/total (0.0 when no lines)
@@ -353,7 +351,7 @@ def repetition_stats(docs, text_col: str = "text", id_col: str = "doc_id"):
 
     def stage(batch: pa.Table) -> pa.Table:
         n_lines_c, dup_line_c, dup_char_c = [], [], []
-        for t in batch[text_col].to_pylist():
+        for t in batch["text"].to_pylist():
             lines, counts, dup_line = _line_repetition(t)
             chars = sum(len(ln) for ln in lines)
             dup_chars = sum(
@@ -364,14 +362,14 @@ def repetition_stats(docs, text_col: str = "text", id_col: str = "doc_id"):
             dup_char_c.append(dup_chars / chars if chars else 0.0)
         return pa.table(
             {
-                id_col: batch[id_col],
+                "doc_id": batch["doc_id"],
                 "n_lines": pa.array(n_lines_c, pa.int64()),
                 "dup_line_frac": pa.array(dup_line_c, pa.float64()),
                 "dup_char_frac": pa.array(dup_char_c, pa.float64()),
             }
         )
 
-    return docs.select_columns([id_col, text_col]).map_batches(
+    return docs.select_columns(["doc_id", "text"]).map_batches(
         stage, batch_format="pyarrow", zero_copy_batch=True
     )
 
@@ -395,12 +393,10 @@ def repetition_gate(ds, text_col: str = "text",
                           zero_copy_batch=True)
 
 
-def unigram_lm_scores(docs, text_col: str = "text", id_col: str = "doc_id",
-                      vocab_size: int = 50_000, alpha: float = 0.5,
-                      model_docs=None):
+def unigram_lm_scores(docs, vocab_size: int = 50_000, model_docs=None):
     """Model-based quality scoring, CCNet/C4-shape: train a unigram
-    language model on the corpus (or on ``model_docs`` — e.g. a clean
-    reference corpus), then score every document by its mean token
+    language model on the corpus's ``text`` (or on ``model_docs`` — e.g.
+    a clean reference corpus), then score every document by its mean token
     negative log-likelihood (cross-entropy; LOWER = more like the
     training distribution, high = gibberish/outlier, the classic
     perplexity-filter signal).
@@ -408,7 +404,7 @@ def unigram_lm_scores(docs, text_col: str = "text", id_col: str = "doc_id",
     Two phases, both scale-shaped:
       1. TRAIN — map-side `value_counts` partials per block, one Sum
          groupby over O(block-vocabulary) rows, top-``vocab_size`` kept
-         (ties lexicographic). Lidstone ``alpha`` smoothing with one
+         (ties lexicographic). Lidstone smoothing (alpha 0.5) with one
          shared OOV bucket.
       2. SCORE — the model (≤ vocab_size rows) is broadcast once via
          ``ray.put``; each batch builds its token list-array, probes
@@ -418,28 +414,30 @@ def unigram_lm_scores(docs, text_col: str = "text", id_col: str = "doc_id",
          corpus streams.
 
     Tokens = lowercased [a-z0-9]+ runs (the house tokenizer). Returns
-    (id, n_tokens:int64, nll:float64) — nll = 0.0 for token-less docs.
+    (doc_id, n_tokens:int64, nll:float64) — nll = 0.0 for token-less docs.
     """
     train = model_docs if model_docs is not None else docs
 
     def scores(batch: pa.Table, nlls: list) -> pa.Table:
         n_toks, nll = nlls[0]
-        return pa.table({id_col: batch[id_col],
+        return pa.table({"doc_id": batch["doc_id"],
                          "n_tokens": pa.array(n_toks, pa.int64()),
                          "nll": pa.array(nll, pa.float64())})
 
-    model = _train_unigram_lm(train, text_col, vocab_size, alpha)
-    return _nll_map(docs.select_columns([id_col, text_col]), text_col,
+    model = _train_unigram_lm(train, "text", vocab_size)
+    return _nll_map(docs.select_columns(["doc_id", "text"]), "text",
                     [model], scores)
 
 
-def _train_unigram_lm(train, text_col: str, vocab_size: int, alpha: float):
+def _train_unigram_lm(train, text_col: str, vocab_size: int):
     """Unigram model over the corpus's top-``vocab_size`` tokens
-    (``vocabulary_topk``): returns (ray.put ref of (vocab_arrow,
-    logp_array), oov_logp). Shared by the scoring query, the curation LM
-    gate and DSIR."""
+    (``vocabulary_topk``), Lidstone-smoothed with alpha 0.5: returns
+    (ray.put ref of (vocab_arrow, logp_array), oov_logp). Shared by the
+    scoring query, the curation LM gate and DSIR."""
     import numpy as np
     import ray
+
+    alpha = 0.5
 
     top = vocabulary_topk(train, text_col, vocab_size)
     toks_list, counts_list = [], []
@@ -501,8 +499,7 @@ def _nll_map(ds, text_col: str, models: list, emit):
 
 
 def lm_gate(ds, max_nll: float, text_col: str = "text",
-            vocab_size: int = 50_000, alpha: float = 0.5,
-            model_docs=None):
+            vocab_size: int = 50_000, model_docs=None):
     """Perplexity filter (CCNet shape): drop documents whose mean token
     negative log-likelihood under the unigram LM exceeds ``max_nll``
     (high nll = far from the training distribution — gibberish,
@@ -517,14 +514,12 @@ def lm_gate(ds, max_nll: float, text_col: str = "text",
         n_toks, nll = nlls[0]
         return batch.filter(pa.array((nll <= max_nll) | (n_toks == 0)))
 
-    model = _train_unigram_lm(train, text_col, vocab_size, alpha)
+    model = _train_unigram_lm(train, text_col, vocab_size)
     return _nll_map(ds, text_col, [model], keep)
 
 
 def dsir_weights(ds, target_docs, text_col: str = "text",
-                 background_docs=None, vocab_size: int = 10_000,
-                 alpha: float = 0.5, out_col: str = "dsir_logw",
-                 target_text_col: str | None = None):
+                 vocab_size: int = 10_000, target_text_col: str | None = None):
     """DSIR-shape importance weights (public knowledge: Xie et al.
     2023, "Data Selection for Language Models via Importance
     Resampling" — the n-gram/unigram proxy-LM variant): per-document
@@ -533,27 +528,26 @@ def dsir_weights(ds, target_docs, text_col: str = "text",
     (``logw = nll_bg − nll_target``; positive = the document looks
     more like the target distribution than like the background).
     Both models are the house map-side-trained Lidstone unigram LMs
-    (the CCNet/LM-gate machinery reused), broadcast once; the
-    background defaults to the corpus itself. ``target_text_col``
-    names the target corpus's text column when it differs from the
-    scored corpus's (e.g. curated ``extracted_text`` vs a reference
-    table's ``text``). Appends ``out_col`` (float64) streaming — no
-    shuffle, two broadcast probes per batch."""
-    bg = background_docs if background_docs is not None else ds
+    (the CCNet/LM-gate machinery reused), broadcast once;
+    the background is the corpus itself. ``target_text_col`` names the
+    target corpus's text column when it differs from the scored
+    corpus's (e.g. curated ``extracted_text`` vs a reference table's
+    ``text``). Appends ``dsir_logw`` (float64) streaming — no shuffle,
+    two broadcast probes per batch."""
     models = [_train_unigram_lm(target_docs, target_text_col or text_col,
-                                vocab_size, alpha),
-              _train_unigram_lm(bg, text_col, vocab_size, alpha)]
+                                vocab_size),
+              _train_unigram_lm(ds, text_col, vocab_size)]
 
     def logw(batch: pa.Table, nlls: list) -> pa.Table:
         (_, nll_t), (_, nll_b) = nlls
-        return batch.append_column(out_col, pa.array(nll_b - nll_t, pa.float64()))
+        return batch.append_column("dsir_logw",
+                                   pa.array(nll_b - nll_t, pa.float64()))
 
     return _nll_map(ds, text_col, models, logw)
 
 
 def dsir_select(ds, target_docs, keep_frac: float = 0.25,
-                text_col: str = "text", background_docs=None,
-                vocab_size: int = 10_000, alpha: float = 0.5,
+                text_col: str = "text", vocab_size: int = 10_000,
                 n_bins: int = 2048, clip: float = 20.0,
                 target_text_col: str | None = None):
     """Keep (approximately) the top ``keep_frac`` of documents by DSIR
@@ -575,8 +569,7 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
     if not 0.0 < keep_frac <= 1.0:
         raise ValueError("keep_frac must be in (0, 1]")
     weighted = dsir_weights(ds, target_docs, text_col=text_col,
-                            background_docs=background_docs,
-                            vocab_size=vocab_size, alpha=alpha,
+                            vocab_size=vocab_size,
                             target_text_col=target_text_col)
 
     edges = np.linspace(-clip, clip, n_bins + 1)
@@ -622,14 +615,13 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
     )
 
 
-def stratified_sample(docs, rates: dict, strata_col: str = "lang",
-                      id_col: str = "doc_id",
+def stratified_sample(docs, rates: dict, id_col: str = "doc_id",
                       default_rate: float = 1.0):
-    """Per-stratum quota sampling (e.g. language rebalancing of a
+    """Per-language quota sampling (language rebalancing of a
     pretraining mix): keep a row iff the row's id hash falls under its
-    stratum's rate — deterministic, so every rerun selects the identical
-    rows. Pure streaming per-batch filter: no shuffle, no per-stratum
-    pass; strata not in ``rates`` use ``default_rate``. Rates are
+    ``lang``'s rate — deterministic, so every rerun selects the identical
+    rows. Pure streaming per-batch filter: no shuffle, no per-language
+    pass; languages not in ``rates`` use ``default_rate``. Rates are
     fractions in [0, 1], quantized to 1/65536.
 
     The hash is the first two bytes of md5(str(id)) (the same scheme as
@@ -645,7 +637,7 @@ def stratified_sample(docs, rates: dict, strata_col: str = "lang",
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch
-        strata = batch[strata_col].to_pylist()
+        strata = batch["lang"].to_pylist()
         cut = np.fromiter(
             (cuts.get(s, default_cut) for s in strata),
             dtype=np.int64, count=len(strata),
@@ -656,10 +648,9 @@ def stratified_sample(docs, rates: dict, strata_col: str = "lang",
     return docs.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def corpus_data_card(docs, text_col: str = "text", lang_col: str = "lang",
-                     tokenizer=None):
+def corpus_data_card(docs, tokenizer=None):
     """The corpus "data card" a training-mix planner reads: one row per
-    language with document, token, and character totals (house
+    ``lang`` with document, token, and character totals of ``text`` (house
     tokenizer: [a-z0-9]+ runs on lowercased text) plus the mean
     document length in tokens. ONE streaming pass — a ``report.tally``
     over the language key, no shuffle at all. Returns a pandas DataFrame
@@ -675,27 +666,26 @@ def corpus_data_card(docs, text_col: str = "text", lang_col: str = "lang",
 
     from .report import ones, tally
 
-    docs = docs.select_columns([lang_col, text_col])
+    docs = docs.select_columns(["lang", "text"])
     with_bpe = tokenizer is not None  # the partial ships without the model
     if with_bpe:
         from .bpe import add_bpe_token_counts
 
-        docs = add_bpe_token_counts(docs, tokenizer, text_col=text_col,
-                                    out_col="_bpe_n")
+        docs = add_bpe_token_counts(docs, tokenizer, out_col="_bpe_n")
 
     def partial(batch: pa.Table) -> pa.Table:
-        rows = house_tokens(batch[text_col])[1]
+        rows = house_tokens(batch["text"])[1]
         cols = {
-            lang_col: batch[lang_col],
+            "lang": batch["lang"],
             "n_docs": ones(batch),
             "n_tokens": pa.array(np.bincount(rows, minlength=batch.num_rows),
                                  pa.int64()),
-            "n_chars": pc.cast(pc.utf8_length(batch[text_col]), pa.int64()),
+            "n_chars": pc.cast(pc.utf8_length(batch["text"]), pa.int64()),
         }
         if with_bpe:
             cols["n_bpe_tokens"] = pc.cast(batch["_bpe_n"], pa.int64())
         return pa.table(cols)
 
-    df = tally(docs, partial, [lang_col]).to_pandas()
+    df = tally(docs, partial, ["lang"]).to_pandas()
     df["mean_doc_tokens"] = df["n_tokens"] / df["n_docs"]
     return df

@@ -21,11 +21,10 @@ import numpy as np
 
 
 class HyperLogLog:
-    def __init__(self, p: int = 12):
-        if not 4 <= p <= 18:
-            raise ValueError("p out of range")
-        self.p = p
-        self.m = 1 << p
+    p = 12  # 2^p registers: ~1.6% standard error
+    m = 1 << p
+
+    def __init__(self):
         self.registers = np.zeros(self.m, dtype=np.uint8)
 
     @staticmethod
@@ -48,7 +47,6 @@ class HyperLogLog:
             self.add(k)
 
     def merge(self, other: "HyperLogLog") -> None:
-        assert other.p == self.p
         np.maximum(self.registers, other.registers, out=self.registers)
 
     def estimate(self) -> float:
@@ -64,13 +62,13 @@ class HyperLogLog:
         return float(est)
 
 
-def build_hll(ds, key: str, p: int = 12) -> HyperLogLog:
-    """Distributed HLL build: per-block partial sketches, register-max
-    merge on the driver (O(2^p) driver memory)."""
+def build_hll(ds, key: str) -> HyperLogLog:
+    """Distributed HLL build (p = 12): per-block partial sketches,
+    register-max merge on the driver (O(2^p) driver memory)."""
     import pyarrow as pa
 
     def block_regs(batch: pa.Table) -> pa.Table:
-        h = HyperLogLog(p)
+        h = HyperLogLog()
         for k in batch[key].to_pylist():
             h.add(k)
         return pa.table(
@@ -80,7 +78,7 @@ def build_hll(ds, key: str, p: int = 12) -> HyperLogLog:
     parts = ds.select_columns([key]).map_batches(
         block_regs, batch_format="pyarrow", zero_copy_batch=True
     )
-    out = HyperLogLog(p)
+    out = HyperLogLog()
     for row in parts.iter_rows():
         np.maximum(
             out.registers,

@@ -15,7 +15,10 @@ never leaves a half-visible partition.
 Partition identity = url-hash bucket (``stages.partitioning.url_buckets``
 mod the job's partition count), assigned here in the sink — so a rerun
 lists lineage files, skips urls whose bucket is complete, and only
-reprocesses the rest: resume cost is the failed partitions only.
+reprocesses the rest: resume cost is the failed partitions only. A
+bucket id means nothing under another partition count, so every sidecar
+records the count it was written under and a resume under another count
+is refused (``resumable_partitions``).
 
 The sink stays in Arrow: each upstream block is split into one row per
 partition holding that partition's slice as an Arrow IPC stream, the
@@ -98,13 +101,14 @@ ROW_ORDER = ("url", "warc_ts", "content_sha256")
 
 
 def write_partition(table: pa.Table, out_dir: str, pid: int,
+                    num_partitions: int,
                     schema: pa.Schema | None = None) -> dict:
-    """Write one partition's data + lineage sidecar atomically, rows sorted
-    by the ``ROW_ORDER`` columns the partition has (``table`` cast to
-    ``schema`` first when one is given). ``wall_s`` and ``rows_per_sec``
-    time the parquet write plus the checksum; a partition with a
-    ``status`` column also records its ``status_counts`` (nulls left
-    out)."""
+    """Write partition ``pid`` of ``num_partitions``: data + lineage
+    sidecar atomically, rows sorted by the ``ROW_ORDER`` columns the
+    partition has (``table`` cast to ``schema`` first when one is given).
+    ``wall_s`` and ``rows_per_sec`` time the parquet write plus the
+    checksum; a partition with a ``status`` column also records its
+    ``status_counts`` (nulls left out)."""
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, f"part-{pid:05d}.parquet")
@@ -126,6 +130,7 @@ def write_partition(table: pa.Table, out_dir: str, pid: int,
     n = table.num_rows
     record = {
         "partition_id": pid,
+        "num_partitions": num_partitions,
         "input_row_start": 0,
         "input_row_end": n,
         "row_count": n,
@@ -147,20 +152,34 @@ def write_partition(table: pa.Table, out_dir: str, pid: int,
     return record
 
 
-_SIDECAR = re.compile(r"lineage-(\d+)\.json")
+_SINK_FILE = re.compile(r"(lineage|part)-(\d+)\.(json|parquet)")
+_EXT = {"lineage": "json", "part": "parquet"}
+
+
+def _sink_files(out_dir: str, kind: str) -> dict[int, str]:
+    """pid -> name of each ``kind`` ("lineage" or "part") file under
+    ``out_dir`` that the sink writes: ``lineage-00007.json``, but not
+    ``lineage-old.json`` or ``lineage-7.json``."""
+    if not os.path.isdir(out_dir):
+        return {}
+    out = {}
+    for name in os.listdir(out_dir):
+        m = _SINK_FILE.fullmatch(name)
+        if m and name == f"{kind}-{int(m[2]):05d}.{_EXT[kind]}":
+            out[int(m[2])] = name
+    return out
 
 
 def completed_partitions(out_dir: str) -> set[int]:
-    if not os.path.isdir(out_dir):
-        return set()
-    out = set()
-    for name in os.listdir(out_dir):
-        m = _SIDECAR.fullmatch(name)
-        # only the names the sink writes: ``lineage-old.json`` or
-        # ``lineage-7.json`` are not commit records
-        if m and name == f"lineage-{int(m.group(1)):05d}.json":
-            out.add(int(m.group(1)))
-    return out
+    return set(_sink_files(out_dir, "lineage"))
+
+
+def clear_partitions(out_dir: str) -> None:
+    """Delete every sidecar, then every part file, the sink wrote under
+    ``out_dir``; other files stay."""
+    for kind in ("lineage", "part"):
+        for name in _sink_files(out_dir, kind).values():
+            os.remove(os.path.join(out_dir, name))
 
 
 def read_lineage(out_dir: str) -> list[dict]:
@@ -169,6 +188,23 @@ def read_lineage(out_dir: str) -> list[dict]:
         with open(os.path.join(out_dir, f"lineage-{pid:05d}.json")) as f:
             recs.append(json.load(f))
     return recs
+
+
+def resumable_partitions(out_dir: str, num_partitions: int) -> set[int]:
+    """The completed partitions a run of ``num_partitions`` into
+    ``out_dir`` may skip. Raises ValueError, naming both counts, when a
+    sidecar records another partition count or none: its bucket ids
+    would select other urls under this run's count."""
+    recs = read_lineage(out_dir)
+    other = {r.get("num_partitions") for r in recs} - {num_partitions}
+    if other:
+        found = ", ".join(sorted("none" if c is None else str(c)
+                                 for c in other))
+        raise ValueError(
+            f"{out_dir} holds partitions written with num_partitions "
+            f"{found}, not {num_partitions}; resume with the recorded "
+            "count or write to a new out dir")
+    return {r["partition_id"] for r in recs}
 
 
 def split_by_partition(t: pa.Table, num_partitions: int) -> pa.Table:
@@ -225,7 +261,7 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
         # that is all null in one block is pa.null() there)
         table = pa.concat_tables(slices, promote_options="default")
         rec = write_partition(table, out_dir, g["partition_id"][0].as_py(),
-                              schema=schema)
+                              num_partitions, schema=schema)
         row = {k: [v] for k, v in rec.items()}
         if "status_counts" in rec:
             # a map column: one summary schema whatever statuses a group has

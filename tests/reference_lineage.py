@@ -35,6 +35,7 @@ def partition_checksum(df: pd.DataFrame) -> str:
 
 
 def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
+                    num_partitions: int,
                     schema: pa.Schema | None = None) -> dict:
     import json
     import time
@@ -50,6 +51,7 @@ def write_partition(df: pd.DataFrame, out_dir: str, pid: int,
     wall_s = time.perf_counter() - t0
     record = {
         "partition_id": pid,
+        "num_partitions": num_partitions,
         "input_row_start": 0,
         "input_row_end": int(len(df)),
         "row_count": int(len(df)),
@@ -75,7 +77,7 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
     def write_group(g: pd.DataFrame) -> pd.DataFrame:
         pid = int(g["partition_id"].iloc[0])
         rec = write_partition(g.drop(columns=["partition_id"]), out_dir, pid,
-                              schema=schema)
+                              num_partitions, schema=schema)
         return pd.DataFrame([rec])
 
     tagged = articles.map_batches(

@@ -1,5 +1,7 @@
 """CLI argument checks that exit 2 before Ray starts."""
 
+import os
+
 import pytest
 
 from crawtext_ray.run import main
@@ -14,6 +16,24 @@ def test_incremental_from_with_curate_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "--incremental-from" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_resume_with_other_partition_count_exits_2(tmp_path, capsys):
+    """An out dir whose sidecars record 4 partitions is refused for a
+    2-partition extract job: its bucket ids would skip other urls."""
+    import pyarrow as pa
+
+    from crawtext_ray.state.lineage import write_partition
+
+    out = str(tmp_path / "out")
+    write_partition(pa.table({"url": ["http://a.example/1"]}), out, 1, 4)
+    rc = main(["--input", str(tmp_path / "pages"), "--out", out,
+               "--partitions", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "num_partitions 4, not 2" in err
+    assert sorted(os.listdir(out)) == ["lineage-00001.json",
+                                       "part-00001.parquet"]
 
 
 def test_dsir_from_without_curate_exits_2(tmp_path, capsys):

@@ -42,12 +42,12 @@ def test_checksum_matches_pandas_reference(table):
 def test_status_counts_leave_out_nulls(tmp_path):
     table = pa.table({"url": [f"http://a.example/{i}" for i in range(5)],
                       "status": ["ok", None, "ok", "blocked", None]})
-    rec = lineage.write_partition(table, str(tmp_path / "a"), 0)
-    want = ref.write_partition(table.to_pandas(), str(tmp_path / "b"), 0)
+    rec = lineage.write_partition(table, str(tmp_path / "a"), 0, 1)
+    want = ref.write_partition(table.to_pandas(), str(tmp_path / "b"), 0, 1)
     assert rec["status_counts"] == want["status_counts"] == {"ok": 2,
                                                              "blocked": 1}
     nulls = pa.table({"url": ["http://a.example/1"], "status": pa.nulls(1)})
-    assert lineage.write_partition(nulls, str(tmp_path / "c"), 0)[
+    assert lineage.write_partition(nulls, str(tmp_path / "c"), 0, 1)[
         "status_counts"] == {}
 
 
@@ -59,8 +59,8 @@ def test_completed_partitions_ignores_stray_names(tmp_path):
     out = str(tmp_path)
     table = pa.table({"url": ["http://a.example/1"],
                       "content_sha256": [b"\x01"]})
-    lineage.write_partition(table, out, 3)
-    lineage.write_partition(table, out, 123456)
+    lineage.write_partition(table, out, 3, 123457)
+    lineage.write_partition(table, out, 123456, 123457)
     for stray in ("lineage-old.json", "lineage-7.json", "lineage-.json",
                   "lineage-00004.json.tmp", "lineage-00005.jsonx"):
         (tmp_path / stray).write_text("{}")

@@ -160,13 +160,54 @@ def test_entry_module_compiles_with_warnings_as_errors():
         compile(path.read_text(), str(path), "exec")
 
 
-def test_window_composite_overflow_fallback():
-    """The composite-key searchsorted and the per-segment fallback must
-    produce identical frames (the fallback fires when users x time-span
-    would overflow int64). Kernel-level test: both paths run in-process
-    on the same shard frame, no Ray."""
-    from functools import partial
+def _asof_reference(t, starts):
+    """Per-user loop form of ``_asof_merge_frame``: each purchase takes
+    its user's last click with click.ts <= purchase.ts."""
+    import numpy as np
 
+    from crawtext_ray.stages.relational import _int64_table, _ts_us
+
+    ts, eid = _ts_us(t), t["event_id"].to_numpy()
+    types = t["event_type"].to_numpy(zero_copy_only=False)
+    out_e, out_c = [], []
+    for s, e in zip(starts, np.append(starts[1:], len(ts))):
+        is_c, is_p = types[s:e] == "click", types[s:e] == "purchase"
+        cts, cid = ts[s:e][is_c], eid[s:e][is_c]
+        pts, pid = ts[s:e][is_p], eid[s:e][is_p]
+        if not len(cts) or not len(pts):
+            continue
+        pos = np.searchsorted(cts, pts, side="right") - 1
+        ok = pos >= 0
+        out_e.extend(pid[ok])
+        out_c.extend(cid[pos[ok]])
+    return _int64_table(event_id=out_e, click_event_id=out_c)
+
+
+def _window_reference(t, starts):
+    """Per-user loop form of ``_window_funcs_frame``: row number, lag and
+    the count of the user's rows with ts in [ts - 1 h, ts]."""
+    import numpy as np
+
+    from crawtext_ray.stages.relational import _int64_table, _ts_us
+
+    ts, eid = _ts_us(t), t["event_id"].to_numpy()
+    seq, prev, n_last = [], [], []
+    for s, e in zip(starts, np.append(starts[1:], len(ts))):
+        seg = ts[s:e]
+        seq.extend(range(1, e - s + 1))
+        prev.extend([-1, *eid[s:e - 1]])
+        lo = np.searchsorted(seg, seg - 3_600_000_000, side="left")
+        n_last.extend(np.searchsorted(seg, seg, side="right") - lo)
+    return _int64_table(event_id=eid, event_seq=seq, prev_event_id=prev,
+                        n_last_hour=n_last)
+
+
+def test_window_composite_overflow_fallback():
+    """The window family's one composite-key path (user run x dense ts
+    rank) equals the per-user loop on a random frame, on the empty frame
+    and on a frame where users x µs span reaches 2^62 (where a
+    user x µs-offset composite would overflow int64). Kernel-level: both
+    run in-process on the same block, no Ray."""
     import numpy as np
     import pyarrow as pa
 
@@ -178,7 +219,7 @@ def test_window_composite_overflow_fallback():
 
     rng = np.random.default_rng(5)
     n = 4000
-    g = pa.table({
+    random = pa.table({
         "event_id": np.arange(n, dtype=np.int64),
         "user_id": rng.integers(0, 300, n),
         "ts": pa.array(
@@ -186,19 +227,27 @@ def test_window_composite_overflow_fallback():
             pa.timestamp("us")),
         "event_type": rng.choice(["click", "purchase", "view"], n),
     })
+    # 5,000 users spread over ~40 years, each with events 15 min apart
+    # in a 3 h burst (equal ts and exact 1 h boundaries included)
+    users, n = 5000, 20_000
+    user_id = rng.integers(0, users, n)
+    ts = (rng.integers(0, 1_260_000_000_000_000, users)[user_id]
+          + rng.integers(0, 13, n) * 900_000_000)
+    assert len(np.unique(user_id)) * int(ts.max() - ts.min()) >= 1 << 62
+    wide = pa.table({
+        "event_id": np.arange(n, dtype=np.int64),
+        "user_id": user_id,
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "event_type": rng.choice(["click", "purchase", "view"], n),
+    })
     by_time = ["ts", "event_id"]
-    for fn in (_asof_merge_frame, _window_funcs_frame):
-        a = shard_runs(g, "user_id", by_time, fn).to_pandas().sort_values(
-            "event_id").reset_index(drop=True)
-        b = shard_runs(g, "user_id", by_time,
-                       partial(fn, use_composite=False)).to_pandas() \
-            .sort_values("event_id").reset_index(drop=True)
-        assert len(a) and a.equals(b), fn.__name__
-    # degenerate shards hold too
-    empty = g.slice(0, 0)
-    for fn in (_asof_merge_frame, _window_funcs_frame):
-        assert shard_runs(empty, "user_id", by_time,
-                          partial(fn, use_composite=False)).num_rows == 0
+    for g in (random, wide, random.slice(0, 0)):
+        for fn, ref in ((_asof_merge_frame, _asof_reference),
+                        (_window_funcs_frame, _window_reference)):
+            a = shard_runs(g, "user_id", by_time, fn)
+            assert a.equals(shard_runs(g, "user_id", by_time, ref)), \
+                fn.__name__
+            assert bool(a.num_rows) == bool(g.num_rows), fn.__name__
 
 
 def test_doc_reports_equals_quartet(ray_session):

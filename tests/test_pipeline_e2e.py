@@ -131,6 +131,39 @@ def test_lineage_resume(ray_session, pages_small, tmp_path):
     assert c1 == c2
 
 
+def test_resume_refuses_another_partition_count(ray_session, pages_small,
+                                                tmp_path):
+    """A 4-partition run killed before partition 3, rerun with 2
+    partitions: its buckets {0, 1} are among the completed {0, 1, 2}, so
+    every page would be skipped and partition 3's pages lost. The rerun
+    is refused, naming both counts; so is an out dir whose sidecar
+    records no count."""
+    import json
+    import os
+
+    from crawtext_ray.pipelines.flagship import run_extract_job
+
+    out = str(tmp_path / "out")
+    run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+    os.remove(f"{out}/part-00003.parquet")
+    os.remove(f"{out}/lineage-00003.json")
+    with pytest.raises(ValueError, match="num_partitions 4, not 2"):
+        run_extract_job(pages_small, out, num_partitions=2, concurrency=2)
+    assert sorted(os.listdir(out)) == [
+        f"{k}-{i:05d}.{e}" for k, e in (("lineage", "json"),
+                                        ("part", "parquet"))
+        for i in range(3)]
+
+    side = f"{out}/lineage-00001.json"
+    with open(side) as f:
+        rec = json.load(f)
+    del rec["num_partitions"]
+    with open(side, "w") as f:
+        json.dump(rec, f)
+    with pytest.raises(ValueError, match="num_partitions none, not 4"):
+        run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+
+
 def test_audit_flags_corrupt_and_missing_partitions(ray_session, pages_small, tmp_path):
     from crawtext_ray.audit import audit
     from crawtext_ray.pipelines.flagship import run_extract_job
@@ -398,7 +431,7 @@ def test_write_partition_fsyncs_data_before_commit(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", recording_replace)
     table = pa.table({"url": ["http://a.example/1", "http://a.example/2"]})
-    lineage.write_partition(table, str(tmp_path), 3)
+    lineage.write_partition(table, str(tmp_path), 3, 4)
     data_tmp, side_tmp = "part-00003.parquet.tmp", "lineage-00003.json.tmp"
     assert events == [("fsync", data_tmp), ("replace", data_tmp),
                       ("fsync", side_tmp), ("replace", side_tmp)]
@@ -551,7 +584,7 @@ def test_write_partition_times_the_write(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lineage.pq, "write_table", slow_write)
     table = pa.table({"url": ["http://a.example/1", "http://a.example/2"]})
-    rec = lineage.write_partition(table, str(tmp_path), 3)
+    rec = lineage.write_partition(table, str(tmp_path), 3, 4)
     assert rec["wall_s"] >= 0.05
     assert 0 < rec["rows_per_sec"] <= 2 / 0.05
     assert lineage.read_lineage(str(tmp_path)) == [rec]

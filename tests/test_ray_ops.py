@@ -764,8 +764,8 @@ def test_hll_distributed_build_matches_serial(ray_session):
     keys = [f"user-{i % 700}" for i in range(5000)]  # dups collapse
     ds = rd.from_items([{"user_id": k} for k in keys],
                        override_num_blocks=8)
-    dist = build_hll(ds, "user_id", p=12)
-    ser = HyperLogLog(12)
+    dist = build_hll(ds, "user_id")
+    ser = HyperLogLog()
     ser.update(keys)
     assert np.array_equal(dist.registers, ser.registers)
     assert abs(dist.estimate() - 700) / 700 < 0.03
@@ -913,10 +913,8 @@ def test_minhash_verified_equals_brute_truth(ray_session, docs_with_dups):
         minhash_verified_duplicates,
     )
 
-    truth = jaccard_dups_brute(docs_with_dups, k=3, threshold=0.5).to_pandas()
-    got = minhash_verified_duplicates(
-        docs_with_dups, shingle_k=3, threshold=0.5
-    ).to_pandas()
+    truth = jaccard_dups_brute(docs_with_dups, threshold=0.5).to_pandas()
+    got = minhash_verified_duplicates(docs_with_dups).to_pandas()
     ft = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
           for _, r in truth.iterrows()}
     fg = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
@@ -936,10 +934,8 @@ def test_simhash_verified_finds_planted_pairs(ray_session, docs_with_dups,
         simhash_verified_duplicates,
     )
 
-    truth = jaccard_dups_brute(docs_with_dups, k=3, threshold=0.8).to_pandas()
-    got = simhash_verified_duplicates(
-        docs_with_dups, shingle_k=3, threshold=0.8
-    ).to_pandas()
+    truth = jaccard_dups_brute(docs_with_dups, threshold=0.8).to_pandas()
+    got = simhash_verified_duplicates(docs_with_dups).to_pandas()
     ft = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
           for _, r in truth.iterrows()}
     fg = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
@@ -960,7 +956,7 @@ def test_candidate_pairs_no_dups_and_empty_ok(ray_session):
         [{"doc_id": i, "text": " ".join(f"u{i}x{j}" for j in range(40))}
          for i in range(8)]
     )
-    out = minhash_verified_duplicates(distinct, shingle_k=3)
+    out = minhash_verified_duplicates(distinct)
     # Ray's to_pandas() drops columns on ANY empty dataset; the Dataset
     # schema is the stable contract (query wrappers pandas-fix it up)
     assert out.schema().names == ["doc_id_a", "doc_id_b", "jaccard"]
@@ -990,7 +986,7 @@ def test_minhash_verified_string_ids(ray_session):
     rows.append({"doc_id": "dup-a", "text": base})
     rows.append({"doc_id": "dup-b", "text": base})
     ds = rd.from_items(rows)
-    out = minhash_verified_duplicates(ds, shingle_k=3, threshold=0.5)
+    out = minhash_verified_duplicates(ds)
     assert out.schema().names == ["doc_id_a", "doc_id_b", "jaccard"]
     df = out.to_pandas()
     pairs = {(r["doc_id_a"], r["doc_id_b"], r["jaccard"])

@@ -75,3 +75,32 @@ def test_bench_host_facts_without_ray(tmp_path, monkeypatch):
     spec.loader.exec_module(outside)
     assert outside.host_facts()["git_sha"] is None
     json.dumps(facts)  # the block is plain JSON
+
+
+def test_option_census_every_option_has_a_caller():
+    """Every defaulted parameter of the package is varied by a caller
+    outside tests/, or is on the census allowlist with a one-line
+    reason; no allowlist entry outlives its option."""
+    from tools.option_census import ALLOWLIST, census, stale, unlisted
+
+    options = census()
+    assert unlisted(options) == []
+    assert stale(options) == []
+    assert all(r.strip() and "\n" not in r for r in ALLOWLIST.values())
+
+
+def test_option_census_counts_every_way_of_setting_a_value():
+    """Positional, keyword, ``functools.partial``, ``*args`` and
+    ``**kwargs`` calls all set an option; a name bound once to the
+    default literal passes the default."""
+    import ast
+
+    from tools.option_census import Option, _calls, _passed
+
+    opt = Option("m", "f", "k", 1, 0, ast.Constant(3))  # def f(a, k=3)
+    src = ("f(1)\nf(1, 4)\nf(1, k=3)\npartial(f, 1, 5)\nf(**kw)\nf(*a)\n"
+           "def g():\n    n = 3\n    f(1, k=n)\n")
+    vals = [v for name, args, kws in _calls(ast.parse(src)) if name == "f"
+            for v in _passed(opt, args, kws)]
+    # f(1) passes nothing; f(1, 4), partial, **kw and *a another value
+    assert sorted(opt.is_default(v) for v in vals) == [False] * 4 + [True] * 2

@@ -29,6 +29,33 @@ def test_curate_chain(ray_session, pages_small, tmp_path):
     assert sum(r["rows"] for r in res) == len(df)
 
 
+def test_curate_rerun_keeps_no_stale_partitions(ray_session, pages_small,
+                                                tmp_path):
+    """The sink writes only the partitions that have rows, so a rerun into
+    a used out dir whose output is a strict subset must remove the first
+    run's other partitions: it leaves exactly the partitions and rows of
+    the same run into a fresh dir."""
+    import os
+
+    from crawtext_ray.pipelines.training_data import curate
+
+    few = {"en": 0.0, "fr": 0.0, "de": 0.0, "es": 0.03}
+
+    def run(out, **kw):
+        urls = sorted(curate(pages_small, out_dir=out, num_partitions=4,
+                             concurrency=2, min_words=10, **kw)
+                      .to_pandas()["url"])
+        sink = sorted(f for f in os.listdir(out)
+                      if f.startswith(("part-", "lineage-")))
+        return urls, sink
+
+    used, fresh = str(tmp_path / "used"), str(tmp_path / "fresh")
+    assert len(run(used)[1]) == 8  # all four partitions have rows
+    got, want = run(used, rates=few), run(fresh, rates=few)
+    assert 0 < len(want[1]) < 8 and want[0]
+    assert got == want
+
+
 def test_drop_near_dups_verified_keeps_non_dups(ray_session, no_map_groups):
     """With verify_threshold set, only candidates that pass exact Jaccard
     are dropped — a planted true near-dup goes, distinct docs stay."""
@@ -285,7 +312,7 @@ def test_contamination_flags_vs_string_oracle(ray_session):
 
     flags = {
         r["doc_id"]: (r["contaminated"], r["n_hits"])
-        for r in contamination_flags(docs, benchmark, n=N).take_all()
+        for r in contamination_flags(docs, benchmark).take_all()
     }
     assert set(flags) == set(texts)
     for d, (c, hits) in flags.items():
@@ -294,7 +321,7 @@ def test_contamination_flags_vs_string_oracle(ray_session):
 
     kept = {
         r["doc_id"]
-        for r in decontaminate(docs, benchmark, n=N).take_all()
+        for r in decontaminate(docs, benchmark).take_all()
     }
     assert kept == {d for d, c in expected.items() if not c}
 
@@ -309,12 +336,12 @@ def test_contamination_empty_and_dataset_benchmark(ray_session):
     docs = rd.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
     ).limit(50)
-    out = contamination_flags(docs, [], n=8).take_all()
+    out = contamination_flags(docs, []).take_all()
     assert len(out) == 50 and not any(r["contaminated"] for r in out)
 
     bench_ds = docs.limit(2)
     out2 = {r["doc_id"]: r["contaminated"]
-            for r in contamination_flags(docs, bench_ds, n=8).take_all()}
+            for r in contamination_flags(docs, bench_ds).take_all()}
     rows = docs.take_all()
     first_two = {rows[0]["doc_id"], rows[1]["doc_id"]}
     assert all(out2[d] for d in first_two)
@@ -449,7 +476,7 @@ def test_unigram_lm_scores_vs_reference(ray_session):
 
     got = {
         r["doc_id"]: r
-        for r in unigram_lm_scores(docs, vocab_size=V, alpha=ALPHA).take_all()
+        for r in unigram_lm_scores(docs, vocab_size=V).take_all()
     }
     assert set(got) == {r["doc_id"] for r in rows}
     for r in rows:
@@ -464,8 +491,7 @@ def test_unigram_lm_scores_vs_reference(ray_session):
         {"doc_id": 2, "text": "qzxv jkqp wvxz zzqj xqzv pqzw " * 10},
     ])
     s = {r["doc_id"]: r["nll"]
-         for r in unigram_lm_scores(probe, vocab_size=V, alpha=ALPHA,
-                                    model_docs=docs).take_all()}
+         for r in unigram_lm_scores(probe, vocab_size=V, model_docs=docs).take_all()}
     assert s[2] > s[1]
 
 
@@ -665,7 +691,7 @@ def test_curate_with_paragraph_dedup(ray_session, pages_small, tmp_path):
                   num_partitions=4, min_words=10).to_pandas()
     out = curate(pages_small, out_dir=str(tmp_path / "p"),
                  num_partitions=4, min_words=10,
-                 dedup_paras=True, para_min_chars=30).to_pandas()
+                 dedup_paras=True).to_pandas()
     assert 0 < len(out) <= len(base)
     # stats consistent with the (possibly rewritten) text
     for _, r in out.head(50).iterrows():
@@ -748,8 +774,7 @@ def test_curate_paragraph_dedup_drops_hollowed_docs(ray_session, tmp_path):
     pq.write_table(t, f"{pages}/part-0.parquet")
 
     out = curate(pages, out_dir=str(tmp_path / "o"), num_partitions=2,
-                 min_words=10, dedup_paras=True,
-                 para_min_chars=30).to_pandas()
+                 min_words=10, dedup_paras=True).to_pandas()
     # the min-words contract holds AFTER paragraph dedup, not just before
     assert (out["n_words"] >= 10).all()
     assert all((x or "").strip() for x in out["extracted_text"])
