@@ -125,9 +125,9 @@ def _q_extract_reports(sf_dir: str):
 
     from crawtext_ray.pipelines.flagship import build_articles
     from crawtext_ray.stages.report import (
-        report_domain,
         report_lang,
         report_status,
+        top_domains,
     )
 
     pages = _pages_dir(sf_dir)
@@ -161,9 +161,7 @@ def _q_extract_reports(sf_dir: str):
 
         return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
-    top10 = report_domain(arts).sort(
-        ["n_docs", "domain"], descending=[True, False]
-    ).limit(10)
+    top10 = top_domains(arts, 10)
     out = tag(report_lang(arts), "lang", "lang")
     out = out.union(tag(report_status(determinate), "status", "status"))
     return out.union(tag(top10, "domain", "domain"))

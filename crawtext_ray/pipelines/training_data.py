@@ -210,12 +210,12 @@ def drop_near_dups(articles, shingle_k: int = 5,
 
 def curate(
     pages_path,
-    out_dir: str | None = None,
+    out_dir: str,
+    num_partitions: int,
+    min_words: int,
     query_expression: str | None = None,
     rule_lines: list[str] | None = None,
-    num_partitions: int = 16,
     concurrency="tasks",
-    min_words: int = 20,
     verify_dups: float | None = None,
     benchmark=None,
     max_dup_line_frac: float | None = None,
@@ -225,8 +225,9 @@ def curate(
     dsir_target=None,
     dsir_keep: float = 0.25,
 ):
-    """Full curation chain; returns the curated articles Dataset (written
-    to ``out_dir`` when given). ``verify_dups``: exact-Jaccard threshold
+    """Full curation chain: writes the curated articles to ``out_dir``
+    (``num_partitions`` url-hash partitions with lineage sidecars) and
+    returns them re-read from there. ``verify_dups``: exact-Jaccard threshold
     for verifying LSH near-dup candidates before dropping (None = drop
     all candidates). ``benchmark``: optional eval-set texts (list[str] or
     a Dataset with a ``text`` column) — documents sharing any 8-gram
@@ -248,6 +249,10 @@ def curate(
     stages.textops.dsir_select); runs in the sampling family with
     ``rates``, after dedup so duplicate survival is unbiased, and adds
     a ``dsir_logw`` column to the output."""
+    import shutil
+
+    import ray.data as rd
+
     arts = build_articles(
         pages_path,
         query_expression=query_expression,
@@ -261,11 +266,10 @@ def curate(
     )
     # checkpoint between the extract phase and the dedup phase: both dedup
     # stages make a key-gathering pass AND a filtering pass over the gated
-    # corpus, so it must not re-run extraction per pass. With an out_dir
-    # the checkpoint is a PARQUET write + re-read next to the output (the
-    # 100 TB form — an unconditional materialize would spill the whole
-    # gated corpus through the object store); without one (interactive /
-    # small runs) it stays an object-store materialize.
+    # corpus, so it must not re-run extraction per pass. The checkpoint
+    # is a PARQUET write + re-read next to the output (the 100 TB form —
+    # a materialize would spill the whole gated corpus through the
+    # object store).
     gate = quality_gate(ok, min_words=min_words)
     if max_dup_line_frac is not None:
         from ..stages.textops import repetition_gate
@@ -279,12 +283,6 @@ def curate(
     ckpt_dirs = []
 
     def checkpoint(ds, suffix: str):
-        if not out_dir:
-            return ds.materialize()
-        import shutil
-
-        import ray.data as rd
-
         ckpt_dirs.append(out_dir.rstrip("/") + suffix)
         # a crashed prior run leaves parquet here; re-reading it alongside
         # the fresh write would duplicate rows (and hard-fail
@@ -351,8 +349,6 @@ def curate(
     deduped = drop_exact_dups(gated)
     curated = drop_near_dups(deduped, verify_threshold=verify_dups)
     if dsir_target is not None:
-        import ray.data as rd
-
         from ..stages.textops import dsir_select
 
         target = (rd.from_items([{"text": t} for t in dsir_target])
@@ -368,28 +364,22 @@ def curate(
         from ..stages.textops import stratified_sample
 
         curated = stratified_sample(curated, rates, id_col="url")
-    if out_dir:
-        # same partitioned sink + lineage sidecars as the extract job:
-        # url-hash partition files with checksums, auditable by
-        # `python -m crawtext_ray.audit`. NOTE: unlike extraction,
-        # curation dedup is GLOBAL, so lineage here gives atomic
-        # completion + integrity auditing, not partial-rerun reuse — a
-        # rerun recomputes the whole chain (winners can change), so the
-        # partitions of an earlier run go first: the sink writes only the
-        # partitions that have rows and would leave the others stale.
-        import shutil
+    # same partitioned sink + lineage sidecars as the extract job:
+    # url-hash partition files with checksums, auditable by
+    # `python -m crawtext_ray.audit`. NOTE: unlike extraction,
+    # curation dedup is GLOBAL, so lineage here gives atomic
+    # completion + integrity auditing, not partial-rerun reuse — a
+    # rerun recomputes the whole chain (winners can change), so the
+    # partitions of an earlier run go first: the sink writes only the
+    # partitions that have rows and would leave the others stale.
+    from ..state.lineage import clear_partitions, write_partitioned
 
-        import ray.data as rd
-
-        from ..state.lineage import clear_partitions, write_partitioned
-
-        clear_partitions(out_dir)
-        write_partitioned(curated, out_dir, num_partitions).take_all()
-        # the gated checkpoints served their purpose once the audited
-        # sink is complete; the returned Dataset re-reads the SINK
-        # (stable), so they can go (at 100 TB you might keep them for
-        # debugging — plain parquet dirs next to the output)
-        for d in ckpt_dirs:
-            shutil.rmtree(d, ignore_errors=True)
-        return rd.read_parquet(out_dir, file_extensions=["parquet"])
-    return curated
+    clear_partitions(out_dir)
+    write_partitioned(curated, out_dir, num_partitions).take_all()
+    # the gated checkpoints served their purpose once the audited
+    # sink is complete; the returned Dataset re-reads the SINK
+    # (stable), so they can go (at 100 TB you might keep them for
+    # debugging — plain parquet dirs next to the output)
+    for d in ckpt_dirs:
+        shutil.rmtree(d, ignore_errors=True)
+    return rd.read_parquet(out_dir, file_extensions=["parquet"])

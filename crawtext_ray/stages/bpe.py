@@ -8,12 +8,15 @@ are built from primitives:
   an optional leading space — an ASCII approximation of the GPT-2
   pattern; bytes outside ASCII ride along inside the non-alnum runs);
 - training: ONE distributed exchange — map-side ``Counter`` partials
-  per batch, a keyed ``groupby(word).Sum`` — streamed into a
+  per batch, summed per word by ``report.key_sums`` — streamed into a
   driver-side top-``max_distinct_words`` selection; the merge LOOP
   then runs over that bounded word-frequency dict. This is how BPE
   training scales: the corpus pass is O(bytes) ONCE, the loop is
   O(merges × affected distinct words) with a pair→words index, and
-  the corpus never re-streams per merge;
+  the corpus never re-streams per merge. The driver holds O(Σ UTF-8
+  bytes of the kept words): a letter run is one word of any length,
+  the selection key holds one int per byte and the pair index holds
+  every pair of every kept word;
 - encoding: the trained table broadcasts once (``ray.put``); each
   worker memoizes word → token count/ids, so a batch encodes at the
   cost of its DISTINCT words, not its length.
@@ -179,13 +182,15 @@ class BPETokenizer:
 def train_bpe(ds, text_col: str = "text", vocab_size: int = 512,
               max_distinct_words: int = 200_000) -> BPETokenizer:
     """Distributed training front-end: map-side Counter partials, one
-    keyed Sum exchange over distinct words, driver-side top-N selection
-    (deterministic order: count desc, word asc), then the merge loop
-    (pairs seen fewer than 2 times are never merged).
-    Driver memory is O(max_distinct_words), never O(corpus)."""
+    ``report.key_sums`` exchange over distinct words, driver-side top-N
+    selection (deterministic order: count desc, word asc), then the merge
+    loop (pairs seen fewer than 2 times are never merged). Driver memory
+    is O(Σ UTF-8 bytes of the top ``max_distinct_words`` words), never
+    O(corpus): the heap key holds one int per byte of a word, and
+    ``train_merges`` indexes every pair of every kept word."""
     import heapq
 
-    from ray.data.aggregate import Sum
+    from .report import key_sums
 
     if vocab_size < 256:
         raise ValueError("byte-level vocab_size is at least 256")
@@ -199,9 +204,7 @@ def train_bpe(ds, text_col: str = "text", vocab_size: int = 512,
             "n": pa.array(list(c.values()), pa.int64()),
         })
 
-    counts = ds.select_columns([text_col]).map_batches(
-        emit, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("w").aggregate(Sum("n", alias_name="n"))
+    counts = key_sums(ds.select_columns([text_col]), emit, "w")
 
     # stream the aggregate into a bounded top-N heap; the key keeps the
     # LARGEST counts and, on count ties, the lexicographically SMALLEST

@@ -9,9 +9,12 @@ depth (no global sort — depth ordering is the driver loop).
 J1 (seen-url anti-join) with a small seen set is
 ``partitioning.member_filter(..., keep=False)``: the set is shipped once
 per worker and each batch is filtered. When neither side is small it is
-``anti_join_grouped``: union + groupby("url") keeping groups with no
-seen flag (Ray 2.49 has no native anti-join; hash-partition groupby is
-the idiomatic equivalent).
+``anti_join_grouped``, and the page subset of a large frontier is a
+semi-join on url: each is ONE ``partitioning.key_runs`` sort on url over
+the union of both sides, with a flag column that orders each url's run
+so one look at its first row decides it (Ray 2.49 has no native anti- or
+semi-join, and its hash join needs an aggregator pool sized to the
+session).
 
 ``bfs_crawl`` picks between a broadcast frontier and a Dataset frontier
 against ``partitioning.BROADCAST_ROWS``.
@@ -19,41 +22,66 @@ against ``partitioning.BROADCAST_ROWS``.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 
-def anti_join_grouped(new_ds, seen_ds):
-    """Urls of ``new_ds`` not present in ``seen_ds``; both sides large.
-    union with a side flag -> groupby("url") -> keep flagless groups."""
+def _url_runs(left, right, keep):
+    """The rows of ``left`` that ``keep(right_led, first)`` marks: ONE
+    ``key_runs`` sort on url over ``left`` ∪ ``right`` (same columns; a
+    null url is no url and is dropped), ``right``'s rows leading each
+    url run. Per ``left`` row, ``right_led`` says ``right`` holds its
+    url and ``first`` that it leads its run."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max
 
-    flag_new = new_ds.map_batches(
-        lambda t: t.append_column("__seen", pa.array([0] * t.num_rows, pa.int8())),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    flag_seen = seen_ds.map_batches(
-        lambda t: t.append_column("__seen", pa.array([1] * t.num_rows, pa.int8())),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    # "keep groups with no seen flag, one row each" is a Max AGGREGATE
-    # (max flag 0 == never seen), not a per-group Python pass — the
-    # group count here is the url cardinality, i.e. the corpus
-    agg = flag_new.select_columns(["url", "__seen"]).union(
-        flag_seen.select_columns(["url", "__seen"])
-    ).groupby("url").aggregate(Max("__seen"))
-    return agg.map_batches(
-        lambda t: t.filter(pc.equal(t["max(__seen)"], 0)).select(["url"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    from .partitioning import key_runs, run_ids
+
+    def flag(ds, value: int):
+        def flagged(t: pa.Table) -> pa.Table:
+            t = t.filter(pc.is_valid(t["url"]))
+            return t.append_column(
+                "__right", pa.array(np.full(t.num_rows, value, np.int8)))
+        return ds.map_batches(flagged, batch_format="pyarrow",
+                              zero_copy_batch=True)
+
+    def url_runs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        is_right = t["__right"].to_numpy() == 1
+        first = np.isin(np.arange(t.num_rows), starts)
+        right_led = is_right[starts][run_ids(starts, t.num_rows)]
+        return t.filter(pa.array(keep(right_led, first) & ~is_right)
+                        ).drop_columns(["__right"])
+
+    return key_runs(flag(left, 0).union(flag(right, 1)), "url",
+                    [("__right", "descending")], url_runs)
+
+
+def anti_join_grouped(new_ds, seen_ds):
+    """Urls of ``new_ds`` not present in ``seen_ds``, once each; both
+    sides large (one ``key_runs`` sort, ``_url_runs``)."""
+    return _url_runs(new_ds.select_columns(["url"]),
+                     seen_ds.select_columns(["url"]),
+                     lambda right_led, first: first & ~right_led)
+
+
+def _semi_join_urls(pages_ds, frontier_ds):
+    """The page rows of ``pages_ds`` whose url ``frontier_ds`` holds
+    (``_url_runs``; frontier rows carry the pages' columns as typed
+    nulls)."""
+    schema = pages_ds.schema().base_schema
+
+    def as_pages(t: pa.Table) -> pa.Table:
+        return pa.table([t["url"].cast(f.type) if f.name == "url"
+                         else pa.nulls(t.num_rows, f.type) for f in schema],
+                        schema=schema)
+
+    frontier = frontier_ds.map_batches(as_pages, batch_format="pyarrow")
+    return _url_runs(pages_ds, frontier, lambda right_led, first: right_led)
 
 
 def outlinks_frontier(articles, depth: int):
     """M6 -> frontier rows: flat_map outlinks with page-level dedup
     already applied by the extractor; returns (url, depth, parent_url).
     Arrow list-flatten — no Python loop over links."""
-    import numpy as np
     import pyarrow.compute as pc
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -88,11 +116,11 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
     - frontier ≤ that (the common case): broadcast the url set once
       (``partitioning.member_filter``) inside the fused
       read→filter→extract chain — zero shuffles.
-    - a larger frontier: the frontier stays a Dataset; the page subset is a
-      native hash semi-join on url (pages carry only scalar/binary
-      columns, which Acero joins accept) and the next frontier is the
-      keyed ``anti_join_grouped`` against the accumulated seen Dataset —
-      nothing frontier-sized ever lands on the driver.
+    - a larger frontier: the frontier stays a Dataset; the page subset is
+      the key-run semi-join on url (``_semi_join_urls``) and the next
+      frontier is the key-run ``anti_join_grouped`` against the
+      accumulated seen Dataset — nothing frontier-sized ever lands on the
+      driver.
     The seen set tracks both modes as a Dataset; the returned set is
     materialized only when its final size fits ``BROADCAST_ROWS`` (else
     the Dataset itself is returned in its place)."""
@@ -120,30 +148,11 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
             subset = partitioning.member_filter(
                 pages_ds, "url", pa.array(sorted(frontier_urls)), keep=True)
         else:
-            # arrow-normalize + coalesce: anti_join_grouped ends in a
-            # hash AGGREGATE, and a join whose right side's lineage
-            # contains one misplans (observed on Ray 2.49) — the opaque
-            # map_batches + repartition + materialize rebuilds clean
-            # uniform blocks the join planner resolves correctly
-            frontier_ds = (
-                anti_join_grouped(frontier_ds, seen_ds)
-                .map_batches(lambda t: t, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .repartition(16)
-                .materialize()
-            )
+            # read three times: the count, the page subset, the seen set
+            frontier_ds = anti_join_grouped(frontier_ds, seen_ds).materialize()
             if frontier_ds.count() == 0:
                 break
-            subset = pages_ds.join(
-                frontier_ds,
-                join_type="inner",
-                num_partitions=16,
-                on=("url",),
-            )
-            # the join's aggregator actors must fit the session, else it
-            # waits forever for placement (the context is shared with
-            # pages_ds's lineage; the sizing only affects hash shuffles)
-            partitioning.size_hash_shuffle(subset.context)
+            subset = _semi_join_urls(pages_ds, frontier_ds)
         articles = extract_articles(subset).materialize()
         rounds.append(articles)
         if small:

@@ -15,10 +15,12 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 ``key_runs`` is the one per-key reduce: every operator that works on
 "all rows of one key" (first-by, exact content and paragraph dedup,
 LSH buckets, connected-components rounds, candidate verification,
-similarity top-k, the user-window family) range-partitions its rows by
-key with ONE Ray sort and reduces each output block's sorted key runs
-with vectorized code, so Python calls scale with the block count, never
-the key count.
+similarity top-k, the user-window family, the lineage sink's partition
+writes, the shard export, the frontier's anti- and semi-join, and the
+unbounded-key sums ``report.key_sums``) range-partitions its rows by key
+with ONE Ray sort and reduces each output block's sorted key runs with
+vectorized code, so Python calls scale with the block count, never the
+key count.
 
 ``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
 with a small-side and a scale form counts its small side on the driver
@@ -84,26 +86,6 @@ def md5_prefix_array(ids, nbytes: int, seed: int | None = None) -> np.ndarray:
             for i in ids
         )
     return np.frombuffer(buf, dtype=dtype)
-
-
-def size_hash_shuffle(ctx) -> None:
-    """Size a DataContext's hash-shuffle aggregator pool (hash shuffles
-    and ``Dataset.join``) to the session. Ray's defaults (parallelism
-    200 → up to 64 aggregator ACTORS, ~0.9 GiB memory reserved each for
-    a 16-partition join) can never be placed on a small session, and the
-    shuffle then deadlocks inside the 300 s aggregator wait (observed:
-    any groupby at 8 cpus hung; a 16-partition join at 4 cpus hung).
-    Roughly half the CPUs go to aggregators, leaving the rest for the
-    upstream read/map tasks feeding them."""
-    import ray
-
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or None
-        if cpus:
-            ctx.max_hash_shuffle_aggregators = max(1, cpus // 2)
-            ctx.default_hash_shuffle_parallelism = min(
-                200, max(8, cpus * 2)
-            )
 
 
 # Largest small side any operator ships to every worker. Read at call
@@ -191,7 +173,11 @@ def key_runs(ds, key: str, sort_keys: list, fn):
     ``[key, *sort_keys]`` could split a key. ``fn`` returns a pyarrow
     table (empty blocks reach it as empty tables). Keys must be
     non-null. A hot key costs nothing extra — it is one run inside one
-    block's sort."""
+    block's sort. The map is named after ``fn``, so ``ds.stats()`` shows
+    which reduce ran (``MapBatches(write_group)``)."""
+    def runs(table: pa.Table) -> pa.Table:
+        return shard_runs(table, key, sort_keys, fn)
+
+    runs.__name__ = fn.__name__
     return ds.sort(key).map_batches(
-        shard_runs, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True, fn_args=(key, sort_keys, fn))
+        runs, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)

@@ -5,8 +5,9 @@ CSV/JSON).
 Bounded-key counts (languages, statuses, the one-row global tally) run
 through ``tally``: each block is summed per key where it is produced and
 the driver folds the per-block sums as they stream in, so no exchange
-runs and the driver never holds more than one row per key. Per-domain
-counts have unbounded keys and stay a keyed groupby aggregate.
+runs and the driver never holds more than one row per key. Unbounded
+keys (domains, tokens, BPE words) run through ``key_sums``: the same
+per-block fold, then one ``partitioning.key_runs`` sort on the key.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count
 
 from ..extract.urlnorm import domain_of
+from .partitioning import key_runs
 
 _SUM = pc.ScalarAggregateOptions(min_count=0)  # an all-null sum is 0
 
@@ -64,6 +65,19 @@ def tally(ds, partial, keys: list[str]) -> pa.Table:
                        null_placement="at_end") if keys else acc
 
 
+def key_sums(ds, partial, key: str):
+    """Per-key sums over a Dataset with an unbounded key domain, as a
+    Dataset of one row per (non-null) ``key`` value: ``partial`` as in
+    ``tally``, each block folded per key in its task, then ONE
+    ``key_runs`` sort on ``key`` and a fold of each sorted block."""
+    def key_sum(t: pa.Table, _starts) -> pa.Table:
+        return _fold(t, [key])
+
+    folded = ds.map_batches(lambda b: _fold(partial(b), [key]),
+                            batch_format="pyarrow", zero_copy_batch=True)
+    return key_runs(folded, key, [], key_sum)
+
+
 def ones(batch: pa.Table) -> pa.Array:
     """One int64 1 per row: the per-row count column of a tally partial."""
     return pa.array(np.ones(batch.num_rows, np.int64))
@@ -86,31 +100,25 @@ def report_status(articles):
     return key_counts(articles, "status")
 
 
-def _add_domain(batch):
+def _domains(urls: pa.Array) -> pa.Array:
     # domain_of is stdlib urlsplit (exact host semantics incl. ports,
-    # userinfo, IPv6 — a regex kernel would drift on those); the batch
-    # stays Arrow so the surrounding pipeline never leaves arrow blocks
-    doms = [domain_of(u) for u in batch["url"].to_pylist()]
-    return batch.append_column("domain", pa.array(doms, pa.string()))
-
-
-def add_domain(ds):
-    return ds.map_batches(_add_domain, batch_format="pyarrow", zero_copy_batch=True)
+    # userinfo, IPv6); a null url has no host: domain_of's "".
+    return pa.array([domain_of(u or "") for u in urls.to_pylist()],
+                    pa.string())
 
 
 def report_domain(articles):
     """A3: per-domain counts (host skew report; pruned to url first)."""
-    return (
-        add_domain(articles.select_columns(["url"]))
-        .select_columns(["domain"])
-        .groupby("domain")
-        .aggregate(Count(alias_name="n_docs"))
-    )
+    return key_sums(
+        articles.select_columns(["url"]),
+        lambda b: pa.table({"domain": _domains(b["url"]),
+                            "n_docs": ones(b)}), "domain")
 
 
 def top_domains(articles, k: int = 10):
-    """T1: top-k domains by count (small post-agg sort)."""
-    return report_domain(articles).sort("n_docs", descending=True).limit(k)
+    """T1: top-k domains by count, ties by domain (small post-agg sort)."""
+    return report_domain(articles).sort(
+        ["n_docs", "domain"], descending=[True, False]).limit(k)
 
 
 def global_counters(articles) -> dict:

@@ -10,9 +10,10 @@ the same statistical effect deterministically and resumably:
   (``h % n_shards``) and its position within the shard (order by
   ``(h, key)``) — rerunning the job, or re-running only one failed
   shard, reproduces identical bytes;
-- the only exchange is ONE keyed groupby on ``shard`` (the hash is
-  computed map-side), not a row-level all-to-all — the write/pack
-  variants fuse their work into that same single groupby;
+- the only exchange is ONE ``partitioning.key_runs`` sort on ``shard``
+  (the hash is computed map-side), not a random all-to-all — the
+  write/pack variants fuse their work into the same block reduce, which
+  assigns ``pos`` and packs per shard run, vectorized;
 - shard files are written independently (``part-<shard>.parquet``), so a
   failed export resumes per shard.
 
@@ -36,18 +37,15 @@ import pyarrow as pa
 
 
 def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, finish):
-    """Shared core: map-side shard+hash assignment, then ONE keyed
-    groupby whose group function sorts the shard into shuffle order,
-    assigns ``pos``, and hands the ordered table to ``finish`` (the
+    """Shared core: map-side shard+hash assignment, then ONE
+    ``partitioning.key_runs`` sort on ``shard`` whose block reduce sorts
+    each shard into shuffle order, assigns ``pos`` per shard run, and
+    hands the ordered block and its shard-run starts to ``finish`` (the
     caller's per-shard work — identity, packing, or file write) — so
     every variant pays exactly one exchange and one sort."""
-    from .partitioning import md5_prefix_array
+    from .partitioning import key_runs, md5_prefix_array, run_ids
 
     def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(
-                "shard", pa.array([], pa.int64())
-            ).append_column("_h", pa.array([], pa.uint64()))
         h = md5_prefix_array(batch[key].to_pylist(), 8,
                              seed=seed).astype(np.uint64)
         t = batch.append_column(
@@ -58,20 +56,12 @@ def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, finish):
     hashed = ds.map_batches(assign, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def order(g: pa.Table) -> pa.Table:
-        # pyarrow groups (not pandas): rows may carry list/struct
-        # columns (articles do), which pandas map_groups cannot emit
-        if g.num_rows == 0:
-            return finish(g.drop_columns(["_h"]).append_column(
-                "pos", pa.array([], pa.int64())
-            ))
-        g = g.sort_by([("_h", "ascending"), (key, "ascending")])
-        g = g.append_column(
-            "pos", pa.array(np.arange(g.num_rows, dtype=np.int64))
-        )
-        return finish(g.drop_columns(["_h"]))
+    def order(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        pos = np.arange(t.num_rows) - starts[run_ids(starts, t.num_rows)]
+        return finish(t.drop_columns(["_h"]).append_column(
+            "pos", pa.array(pos, pa.int64())), starts)
 
-    return hashed.groupby("shard").map_groups(order, batch_format="pyarrow")
+    return key_runs(hashed, "shard", ["_h", key], order)
 
 
 def shuffle_shards(ds, n_shards: int = 64, seed: int = 0):
@@ -79,7 +69,8 @@ def shuffle_shards(ds, n_shards: int = 64, seed: int = 0):
     that shard (hashing ``doc_id``); rows come back grouped by shard and
     ordered by position. Columns are preserved; ``shard``/``pos`` are
     appended (int64)."""
-    return _grouped_shuffle(ds, n_shards, "doc_id", seed, lambda g: g)
+    return _grouped_shuffle(ds, n_shards, "doc_id", seed,
+                            lambda t, _starts: t)
 
 
 def _resolve_fs(out_dir: str):
@@ -95,16 +86,17 @@ def _resolve_fs(out_dir: str):
     return pafs.LocalFileSystem(), out_dir, None
 
 
-def _pack_table(g: pa.Table, seq_len: int, n_tokens_col: str) -> pa.Table:
-    """Per-shard exclusive token cumsum → (pack_id, pack_offset); the
-    shared kernel of pack_sequences and the packed shard writer."""
-    if g.num_rows == 0:
-        return g.append_column(
-            "pack_id", pa.array([], pa.int64())
-        ).append_column("pack_offset", pa.array([], pa.int64()))
-    toks = g[n_tokens_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    prev = np.concatenate(([0], np.cumsum(toks)[:-1]))
-    return g.append_column(
+def _pack_table(t: pa.Table, starts: np.ndarray, seq_len: int,
+                n_tokens_col: str) -> pa.Table:
+    """Per-shard exclusive token cumsum → (pack_id, pack_offset) over a
+    block of shard runs starting at ``starts``; the shared kernel of
+    pack_sequences and the packed shard writer."""
+    from .partitioning import run_ids
+
+    toks = t[n_tokens_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    prev = np.cumsum(toks) - toks
+    prev -= prev[starts][run_ids(starts, t.num_rows)]
+    return t.append_column(
         "pack_id", pa.array(prev // seq_len, pa.int64())
     ).append_column(
         "pack_offset", pa.array(prev % seq_len, pa.int64())
@@ -117,7 +109,7 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
                           n_tokens_col: str = "n_tokens") -> list[dict]:
     """Shuffle-shard ``ds`` and write one parquet file per shard
     (``part-<shard>.parquet``, rows in shuffle order, written inside the
-    single shuffle groupby) plus a driver-side manifest
+    single shuffle exchange's block reduce) plus a driver-side manifest
     [{shard, rows, path}] covering ALL ``n_shards`` entries — rowless
     shards get an empty file with the full schema, so a rank-per-file
     loader never hits a hole. ``out_dir`` (path or URI, see module
@@ -146,19 +138,19 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
                      or info.base_name.endswith(".parquet.tmp"))):
             fs.delete_file(info.path)
 
-    def write_shard(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"shard": pa.array([], pa.int64()),
-                             "rows": pa.array([], pa.int64())})
+    def write_shard(t: pa.Table, starts: np.ndarray) -> pa.Table:
         if pack_seq_len is not None:
-            g = _pack_table(g, pack_seq_len, n_tokens_col)
+            t = _pack_table(t, starts, pack_seq_len, n_tokens_col)
         wfs, wbase, _ = _resolve_fs(out_dir)  # runs inside the Ray worker
-        shard = int(g["shard"][0].as_py())
-        path = f"{wbase}/part-{shard:05d}.parquet"
-        pq.write_table(g, path + ".tmp", filesystem=wfs)
-        wfs.move(path + ".tmp", path)
-        return pa.table({"shard": pa.array([shard], pa.int64()),
-                         "rows": pa.array([g.num_rows], pa.int64())})
+        ends = np.append(starts[1:], t.num_rows)
+        shards = t["shard"].take(pa.array(starts))
+        for shard, start, end in zip(shards.to_pylist(), starts, ends):
+            path = f"{wbase}/part-{shard:05d}.parquet"
+            pq.write_table(t.slice(start, end - start), path + ".tmp",
+                           filesystem=wfs)
+            wfs.move(path + ".tmp", path)
+        return pa.table({"shard": shards,
+                         "rows": pa.array(ends - starts, pa.int64())})
 
     recs = {
         int(r["shard"]): int(r["rows"])
@@ -212,7 +204,7 @@ def pack_sequences(ds, seq_len: int, n_tokens_col: str = "n_tokens",
     (documents may straddle pack boundaries, as in GPT-style training).
 
     Scale shape: shard assignment is map-side; the per-shard exclusive
-    cumsum runs inside the SAME single shuffle groupby (no second
+    cumsum runs inside the SAME single shuffle exchange (no second
     exchange). Deterministic end to end, so loaders on different hosts
     agree on the layout without coordination. Output: input columns +
     (shard, pos, pack_id, pack_offset); pack_id is unique WITHIN a
@@ -220,4 +212,4 @@ def pack_sequences(ds, seq_len: int, n_tokens_col: str = "n_tokens",
 
     return _grouped_shuffle(
         ds, n_shards, "doc_id", seed,
-        lambda g: _pack_table(g, seq_len, n_tokens_col))
+        lambda t, starts: _pack_table(t, starts, seq_len, n_tokens_col))

@@ -138,24 +138,21 @@ def vocabulary_topk(ds, text_col: str = "text", k: int = 100):
     The shuffle-volume pattern the 100 TB story requires: each block
     PRE-AGGREGATES its token counts map-side (value_counts over the
     flattened token array), so the keyed exchange carries one
-    (token, partial_n) row per DISTINCT token per block — O(block
-    vocabulary), not O(corpus tokens) — then one Sum groupby and a tiny
-    top-k sort."""
+    (token, n) row per DISTINCT token per block — O(block vocabulary),
+    not O(corpus tokens) — then one ``report.key_sums`` sort on the
+    token and a tiny top-k sort."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from .report import key_sums
 
     def partial(batch: pa.Table) -> pa.Table:
         vc = pc.value_counts(house_tokens(batch[text_col])[0])
         return pa.table({
             "token": vc.field("values"),
-            "partial_n": pc.cast(vc.field("counts"), pa.int64()),
+            "n": pc.cast(vc.field("counts"), pa.int64()),
         })
 
-    partials = ds.select_columns([text_col]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True)
-    totals = partials.groupby("token").aggregate(
-        Sum("partial_n", alias_name="n")
-    )
+    totals = key_sums(ds.select_columns([text_col]), partial, "token")
     return totals.sort(["n", "token"], descending=[True, False]).limit(k)
 
 
@@ -402,10 +399,10 @@ def unigram_lm_scores(docs, vocab_size: int = 50_000, model_docs=None):
     perplexity-filter signal).
 
     Two phases, both scale-shaped:
-      1. TRAIN — map-side `value_counts` partials per block, one Sum
-         groupby over O(block-vocabulary) rows, top-``vocab_size`` kept
-         (ties lexicographic). Lidstone smoothing (alpha 0.5) with one
-         shared OOV bucket.
+      1. TRAIN — map-side `value_counts` partials per block, one
+         ``report.key_sums`` over O(block-vocabulary) rows,
+         top-``vocab_size`` kept (ties lexicographic). Lidstone
+         smoothing (alpha 0.5) with one shared OOV bucket.
       2. SCORE — the model (≤ vocab_size rows) is broadcast once via
          ``ray.put``; each batch builds its token list-array, probes
          log-probs vectorized (Arrow index_in against the broadcast vocab)
@@ -554,9 +551,9 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
     importance weight — the data-selection form of ``dsir_weights``.
 
     Scale shape: the threshold comes from a map-side HISTOGRAM of
-    log-weights (``n_bins`` fixed bins over [−clip, clip], per-batch
-    int64 partials merged by a keyed Sum — at most ``n_bins`` rows reach
-    the driver, no sort of the corpus), then selection is a vectorized
+    log-weights (``n_bins`` fixed bins over [−clip, clip], per-block
+    int64 partials folded by ``report.tally`` — at most ``n_bins`` rows
+    on the driver, no sort of the corpus), then selection is a vectorized
     per-batch filter ``logw >= threshold``. Histogram granularity makes
     the kept fraction approximate to one bin of probability mass (an
     exact fraction would need a global sort); with 2048 bins over ±20
@@ -582,13 +579,11 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
         return pa.table({"bin": pa.array(nz, pa.int64()),
                          "n": pa.array(counts[nz], pa.int64())})
 
-    from ray.data.aggregate import Sum
+    from .report import tally
 
+    hist = tally(weighted, hist_partial, ["bin"])
     totals = np.zeros(n_bins, dtype=np.int64)
-    for r in weighted.map_batches(
-        hist_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("bin").aggregate(Sum("n", alias_name="n")).take_all():
-        totals[r["bin"]] = r["n"]
+    totals[hist["bin"].to_numpy()] = hist["n"].to_numpy()
     total = int(totals.sum())
     if total == 0:
         return weighted

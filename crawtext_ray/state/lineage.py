@@ -22,9 +22,11 @@ is refused (``resumable_partitions``).
 
 The sink stays in Arrow: each upstream block is split into one row per
 partition holding that partition's slice as an Arrow IPC stream, the
-keyed exchange moves those few rows, and each grouped writer concatenates
-its slices and writes them. The checksum and status counts are Arrow
-compute; nothing here converts rows to Python objects or pandas.
+keyed exchange (``partitioning.key_runs``: one Ray sort on
+``partition_id``) moves those few rows, and each sorted block's writer
+concatenates the slices of each partition run and writes them. The
+checksum and status counts are Arrow compute; nothing here converts rows
+to Python objects or pandas.
 
 Storage requirement (BASELINE.md "At 100 TB"): the grouped writers run
 INSIDE Ray workers while the driver lists/reads the same paths, and the
@@ -48,7 +50,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.partitioning import url_buckets
+from ..stages.partitioning import key_runs, url_buckets
+
+# The sink's summary rows: the sidecars' fields (``status_counts`` only
+# for articles with a ``status`` column; a map holds any status set).
+SUMMARY_SCHEMA = pa.schema([(f, pa.int64()) for f in (
+    "partition_id", "num_partitions", "input_row_start", "input_row_end",
+    "row_count")] + [("checksum", pa.string()), ("wall_s", pa.float64()),
+    ("rows_per_sec", pa.float64()), ("status", pa.string()),
+    ("status_counts", pa.map_(pa.string(), pa.int64()))])
 
 
 def _values(arr: pa.Array) -> tuple[np.ndarray, memoryview]:
@@ -237,11 +247,11 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
     """Sink: split each article block by ``partition_id`` (the url-hash
     bucket mod ``num_partitions``) into one IPC-packed row per partition
     present (``split_by_partition``, fused into the upstream operator),
-    group those rows by ``partition_id`` — the job's one url-hash keyed
-    exchange, about ``num_partitions`` small rows per block instead of
-    every article row — and in each group concatenate the slices and
-    write the partition + lineage atomically (``write_partition``). The
-    sink stays in Arrow end to end.
+    sort those rows on ``partition_id`` (``key_runs``) — the job's one
+    url-hash keyed exchange, about ``num_partitions`` small rows per block
+    instead of every article row — and per partition run concatenate the
+    slices and write the partition + lineage atomically
+    (``write_partition``). The sink stays in Arrow end to end.
 
     The split rows are materialized (this call runs the upstream plan)
     before the exchange. In one streaming plan, the exchange and the
@@ -254,24 +264,22 @@ def write_partitioned(articles, out_dir: str, num_partitions: int,
 
     Returns the small lineage summary as a Dataset (one row/partition)."""
 
-    def write_group(g: pa.Table) -> pa.Table:
-        slices = [pa.ipc.open_stream(b.as_buffer()).read_all()
-                  for b in g["ipc"]]
-        # blocks of one dataset may type a column differently (a column
-        # that is all null in one block is pa.null() there)
-        table = pa.concat_tables(slices, promote_options="default")
-        rec = write_partition(table, out_dir, g["partition_id"][0].as_py(),
-                              num_partitions, schema=schema)
-        row = {k: [v] for k, v in rec.items()}
-        if "status_counts" in rec:
-            # a map column: one summary schema whatever statuses a group has
-            row["status_counts"] = pa.array(
-                [list(rec["status_counts"].items())],
-                pa.map_(pa.string(), pa.int64()))
-        return pa.table(row)
+    def write_group(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # one summary row per partition run (none: a typed empty table)
+        recs = []
+        for start, end in zip(starts, np.append(starts[1:], t.num_rows)):
+            slices = [pa.ipc.open_stream(b.as_buffer()).read_all()
+                      for b in t["ipc"][start:end]]
+            # blocks of one dataset may type a column differently (a
+            # column that is all null in one block is pa.null() there)
+            table = pa.concat_tables(slices, promote_options="default")
+            recs.append(write_partition(
+                table, out_dir, t["partition_id"][start].as_py(),
+                num_partitions, schema=schema))
+        return pa.Table.from_pylist(recs, schema=pa.schema(
+            [f for f in SUMMARY_SCHEMA if not recs or f.name in recs[0]]))
 
     split_rows = articles.map_batches(
         split_by_partition, fn_kwargs={"num_partitions": num_partitions},
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    return split_rows.groupby("partition_id").map_groups(
-        write_group, batch_format="pyarrow")
+    return key_runs(split_rows, "partition_id", [], write_group)

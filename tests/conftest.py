@@ -38,6 +38,25 @@ def no_map_groups(monkeypatch):
     monkeypatch.setattr(GroupedData, "map_groups", refuse)
 
 
+@pytest.fixture()
+def no_ray_keyed_ops(monkeypatch, no_map_groups):
+    """``no_map_groups``, and Ray's ``GroupedData.aggregate`` and
+    ``count`` and ``Dataset.join`` made to raise as well: the test's keyed
+    steps must all run on ``partitioning.key_runs`` or ``report.tally``."""
+    from ray.data import Dataset
+    from ray.data.grouped_data import GroupedData
+
+    def refusing(name):
+        def refuse(*_a, **_k):
+            raise AssertionError(f"{name} called")
+        return refuse
+
+    for owner, name in ((GroupedData, "aggregate"), (GroupedData, "count"),
+                        (Dataset, "join")):
+        monkeypatch.setattr(owner, name,
+                            refusing(f"{owner.__name__}.{name}"))
+
+
 @pytest.fixture(scope="session")
 def pages_small(tmp_path_factory):
     """Deterministic 1000-row pages fixture (FIXTURES.md §B), cached in

@@ -590,45 +590,6 @@ def test_write_partition_times_the_write(tmp_path, monkeypatch):
     assert lineage.read_lineage(str(tmp_path)) == [rec]
 
 
-def test_hash_shuffle_sized_to_session(ray_session):
-    """size_hash_shuffle must size the aggregator pool to the session's
-    CPUs: with Ray's defaults (parallelism 200 → 64 aggregator actors)
-    any groupby whose partition count is not pinned deadlocks on a
-    small-CPU session inside the 300 s aggregator wait (regression:
-    a HASH_SHUFFLE extract job hung at 8 cpus; bfs_crawl's join relies
-    on the same sizing)."""
-    import pyarrow as pa
-    import ray
-    import ray.data as rd
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    from crawtext_ray.stages.partitioning import size_hash_shuffle
-
-    ctx = DataContext.get_current()
-    prev = (ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators,
-            ctx.default_hash_shuffle_parallelism)
-    try:
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        size_hash_shuffle(ctx)
-        cpus = int(ray.cluster_resources()["CPU"])
-        assert ctx.max_hash_shuffle_aggregators <= max(1, cpus // 2)
-        ds = rd.range(2000).map_batches(
-            lambda t: t.append_column(
-                "k", pa.array([i % 5 for i in range(t.num_rows)])
-            ),
-            batch_format="pyarrow",
-        )
-        # un-pinned partition count: would use the 200-parallelism
-        # default and hang without the sizing
-        n = ds.groupby("k").map_groups(
-            lambda g: g, batch_format="pyarrow"
-        ).count()
-        assert n == 2000
-    finally:
-        (ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators,
-         ctx.default_hash_shuffle_parallelism) = prev
-
-
 def first_by_pandas(ds, key: str, order_col: str, tiebreak: str):
     """Per-group reference form of ``first_by``: one pandas call per key."""
 

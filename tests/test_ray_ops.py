@@ -380,6 +380,57 @@ def test_anti_join_grouped(ray_session):
     assert sorted(r["url"] for r in out.take_all()) == [f"u{i}" for i in range(1, 10, 2)]
 
 
+def test_moved_keyed_steps_run_no_ray_grouping_or_join(
+        ray_session, pages_small, tmp_path, monkeypatch, no_ray_keyed_ops):
+    """Every keyed step moved onto ``key_runs``/``tally`` is built and run
+    with Ray's ``GroupedData.map_groups``/``aggregate``/``count`` and
+    ``Dataset.join`` made to raise: the lineage sink, the shard export
+    (plain, packed, and its Dataset forms), both frontier joins, the
+    domain report, the vocabulary, BPE training and DSIR selection."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawtext_ray.stages import partitioning
+    from crawtext_ray.stages.bpe import train_bpe
+    from crawtext_ray.stages.frontier import anti_join_grouped, bfs_crawl
+    from crawtext_ray.stages.report import top_domains
+    from crawtext_ray.stages.shuffle import (
+        pack_sequences,
+        shuffle_shards,
+        write_training_shards,
+    )
+    from crawtext_ray.stages.textops import dsir_select, vocabulary_topk
+    from crawtext_ray.state.lineage import write_partitioned
+
+    words = ["alpha", "beta", "gamma", "delta"]
+    docs = rd.from_items([
+        {"doc_id": i, "url": f"http://h{i % 5}.example/{i}",
+         "text": " ".join(words[(i + j) % 4] for j in range(i % 7 + 1)),
+         "n_tokens": i % 7 + 1} for i in range(60)]).repartition(4)
+    summary = write_partitioned(docs, str(tmp_path / "sink"), 4).take_all()
+    assert sum(r["row_count"] for r in summary) == 60
+    for pack in (None, 8):
+        manifest = write_training_shards(docs, str(tmp_path / f"s{pack}"),
+                                         n_shards=4, pack_seq_len=pack)
+        assert sum(m["rows"] for m in manifest) == 60
+    assert shuffle_shards(docs, n_shards=4).count() == 60
+    assert pack_sequences(docs, seq_len=8, n_shards=4).count() == 60
+    assert top_domains(docs, 2).take_all() == [
+        {"domain": "h0.example", "n_docs": 12},
+        {"domain": "h1.example", "n_docs": 12}]
+    assert vocabulary_topk(docs, k=1).take_all()[0]["n"] > 0
+    assert train_bpe(docs, vocab_size=260).merges
+    assert 0 < dsir_select(docs, docs, keep_frac=0.5, vocab_size=10,
+                           n_bins=16).count() <= 60
+    seen = rd.from_arrow(pa.table({"url": ["http://h0.example/0"]}))
+    assert anti_join_grouped(docs.select_columns(["url"]), seen).count() == 59
+    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
+    pages = rd.read_parquet(pages_small)
+    rounds, _ = bfs_crawl(pages, [r["url"] for r in pages.take(2)],
+                          max_depth=1)
+    assert rounds and rounds[0].count() == 2
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("keep", [True, False])
 def test_member_filter(ray_session, exact, keep):

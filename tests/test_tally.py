@@ -175,6 +175,67 @@ def test_tally_callers_run_no_take_all_aggregate_or_pandas(ray_session, sf16,
         run(sf)
 
 
+def test_key_sums_match_tally_and_counter(ray_session):
+    """``key_sums`` (unbounded keys: one ``key_runs`` sort) equals
+    ``collections.Counter`` on random string keys over 33 blocks with a
+    hot key and empty blocks, and ``tally`` on bounded keys."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from crawtext_ray.stages.report import key_sums, ones, tally
+
+    rng = np.random.default_rng(22)
+    keys = rng.integers(0, 5000, 6000).astype(str).tolist() + ["hot"] * 3000
+    rng.shuffle(keys)
+    blocks = [pa.table({"k": pa.array(keys[i:i + 300], pa.string())})
+              for i in range(0, len(keys), 300)]
+    empty = pa.table({"k": pa.array([], pa.string())})
+    ds = rd.from_arrow(blocks[:10] + [empty] + blocks[10:] + [empty])
+    assert ds.num_blocks() == 32
+
+    def partial(b):
+        return pa.table({"k": b["k"], "n": ones(b),
+                         "chars": pc.cast(pc.utf8_length(b["k"]), pa.int64())})
+
+    want = Counter(keys)
+    assert sorted(key_sums(ds, partial, "k").take_all(),
+                  key=lambda r: r["k"]) == [
+        {"k": k, "n": want[k], "chars": want[k] * len(k)} for k in sorted(want)]
+
+    first = ds.map_batches(
+        lambda b: pa.table({"k": pc.utf8_slice_codeunits(b["k"], 0, 1)}),
+        batch_format="pyarrow")
+    assert sorted(key_sums(first, partial, "k").take_all(),
+                  key=lambda r: r["k"]) == tally(first, partial, ["k"]).to_pylist()
+
+
+def test_report_domain_null_url_and_top_domains_ties(ray_session):
+    """A null url counts under "" (``domain_of``'s no-host value), and
+    ``top_domains`` orders (n_docs desc, domain asc) like a plain-Python
+    reference, whatever the row order."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from crawtext_ray.extract.urlnorm import domain_of
+    from crawtext_ray.stages.report import report_domain, top_domains
+
+    urls = [f"http://h{i:02d}.example/{j}" for i in range(30)
+            for j in range(1 + i % 3)] + [None, None, "not a url"]
+    want = Counter("" if u is None else domain_of(u) for u in urls)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        rng.shuffle(urls)
+        ds = rd.from_arrow([pa.table({"url": pa.array(urls[i:i + 7], pa.string())})
+                            for i in range(0, len(urls), 7)])
+        assert {r["domain"]: r["n_docs"] for r in report_domain(ds).take_all()} \
+            == want
+        top = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+        assert [(r["domain"], r["n_docs"])
+                for r in top_domains(ds, 10).take_all()] == top
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.none(), st.text(st.one_of(
     st.characters(max_codepoint=127), st.sampled_from(FOLDING)), max_size=24)),

@@ -104,3 +104,38 @@ def test_option_census_counts_every_way_of_setting_a_value():
             for v in _passed(opt, args, kws)]
     # f(1) passes nothing; f(1, 4), partial, **kw and *a another value
     assert sorted(opt.is_default(v) for v in vals) == [False] * 4 + [True] * 2
+
+
+def test_engine_keyed_steps_use_key_runs_or_tally():
+    """Outside ``stages/relational.py`` (whose queries exercise Ray's own
+    operators for the oracle), ``crawtext_ray/`` makes no Ray grouping
+    call (``groupby``/``map_groups``/``aggregate``), no ``join(...,
+    join_type=...)`` and names no hash shuffle: every keyed step is
+    ``partitioning.key_runs`` or ``report.tally``. Arrow's in-block
+    ``Table.group_by(...).aggregate`` (the fold under both) is allowed."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "crawtext_ray"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "stages/relational.py":
+            continue
+        source = path.read_text()
+        if "hash_shuffle" in source:
+            found.append(f"{rel}: hash_shuffle")
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            arrow_fold = (attr == "aggregate" and isinstance(owner, ast.Call)
+                          and isinstance(owner.func, ast.Attribute)
+                          and owner.func.attr == "group_by")
+            if (attr in ("groupby", "map_groups", "aggregate")
+                    and not arrow_fold) or (
+                    attr == "join"
+                    and any(k.arg == "join_type" for k in node.keywords)):
+                found.append(f"{rel}:{node.lineno}: .{attr}(")
+    assert found == []

@@ -873,13 +873,15 @@ def test_dsir_select_keep_all_keeps_weights_below_clip(ray_session):
 
 def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
                                                     monkeypatch):
-    """The histogram partials merge by bin before the driver collect: on
-    a many-block corpus at most ``n_bins`` rows reach the driver (not
-    blocks x bins), and the selection equals the one-block selection."""
+    """The histogram partials fold by bin on the driver as the blocks
+    stream in (``report.tally``): no ``take_all``, at most ``n_bins``
+    rows held on a many-block corpus (not blocks x bins), and the
+    selection equals the one-block selection."""
     import numpy as np
     import ray.data as rd
     from ray.data import Dataset
 
+    from crawtext_ray.stages import report
     from crawtext_ray.stages.textops import dsir_select
 
     rng = np.random.default_rng(3)
@@ -891,16 +893,20 @@ def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
             for i in range(400)]
     n_bins = 64
     collected = []
-    real_take_all = Dataset.take_all
+    real_tally = report.tally
 
-    def counting_take_all(self, *a, **kw):
-        out = real_take_all(self, *a, **kw)
-        collected.append(len(out))
+    def counting_tally(*a, **kw):
+        out = real_tally(*a, **kw)
+        collected.append(out.num_rows)
         return out
 
-    monkeypatch.setattr(Dataset, "take_all", counting_take_all)
+    def refuse(*_a, **_k):
+        raise AssertionError("take_all called")
+
     many = rd.from_items(rows).repartition(8).materialize()
     assert many.num_blocks() == 8
+    monkeypatch.setattr(report, "tally", counting_tally)
+    monkeypatch.setattr(Dataset, "take_all", refuse)
     kept = dsir_select(many, target, keep_frac=0.3, vocab_size=200,
                        n_bins=n_bins).to_pandas()
     assert collected and max(collected) <= n_bins
