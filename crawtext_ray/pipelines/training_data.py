@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages import partitioning
-from ..stages.dedup import first_by, minhash_lsh_duplicates
-from ..stages.partitioning import key_runs, member_filter, run_starts
+from ..stages.dedup import minhash_lsh_duplicates
+from ..stages.partitioning import (key_runs, member_filter, member_join,
+                                   run_starts)
 from .flagship import build_articles
 
 
@@ -103,23 +103,22 @@ def drop_exact_dups(articles):
 
     Key-only shuffle: ONE key-run reduce (``partitioning.key_runs``) over
     the (content_sha256, url, warc_ts) rows — never ``extracted_text`` —
-    emits every run's non-first rows, the LOSERS (the dup fraction, the
-    genuinely small side), which come back as a broadcast anti-join over
-    the streaming articles. Exact: no Bloom decides a drop. When the
-    loser set exceeds ``partitioning.BROADCAST_ROWS`` the stage falls back
-    to a full-row ``first_by`` (pays the wide shuffle, needs zero driver
-    memory) — the same two-modes-by-threshold shape as
-    ``dedup.dedup_paragraphs``' winner map.
+    emits every run's non-first rows, the LOSERS (the dup fraction),
+    as (url, warc_ts) row keys; the articles get the same row key as a
+    column and ``partitioning.member_join(..., keep=False)`` drops the
+    losers. Exact: no Bloom decides a drop. Row identity is (url,
+    warc_ts), NOT url alone: a recrawl of the same url dedupes into the
+    same hash group, so the loser's url can equal the winner's url.
 
     (A native hash semi-join on winners was tried and rejected: Acero
     joins reject struct/list payload columns, which the articles schema
-    carries.) Assumes url is unique per input row (the pages contract)."""
+    carries.) Assumes (url, warc_ts) is unique per input row (the pages
+    contract; checked inside each content group)."""
     import pyarrow.compute as pc
 
     def row_key(t: pa.Table):
         """Composite (url, warc_ts) row-identity key as one string column
-        — url can't contain \\x00, so the join is collision-free — for
-        vectorized ``pc.is_in`` anti-join probes."""
+        — url can't contain \\x00, so the key is collision-free."""
         return pc.binary_join_element_wise(
             pc.cast(t["url"], pa.string()),
             pc.cast(pc.cast(t["warc_ts"], pa.int64()), pa.string()),
@@ -127,7 +126,6 @@ def drop_exact_dups(articles):
         )
 
     keys = articles.select_columns(["content_sha256", "url", "warc_ts"])
-    by_age = ["warc_ts", "url"]
 
     def losers_of(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ident = run_starts(t["content_sha256"], t["warc_ts"], t["url"])
@@ -143,25 +141,14 @@ def drop_exact_dups(articles):
             )
         keep = np.ones(t.num_rows, dtype=bool)
         keep[starts] = False  # all but each run's winner
-        return t.filter(pa.array(keep)).select(["url", "warc_ts"])
+        return pa.table({"_row": row_key(t.filter(pa.array(keep)))})
 
-    losers = key_runs(keys, "content_sha256", by_age,
-                      losers_of).materialize()
-    n_losers = losers.count()
-    if n_losers == 0:
-        return articles
-    if n_losers <= partitioning.BROADCAST_ROWS:
-        # row identity is (url, warc_ts), NOT url alone: a recrawl of the
-        # same url dedupes into the same hash group, so the loser's url
-        # can equal the winner's url
-        loser_keys = pa.concat_arrays([
-            row_key(b).combine_chunks()
-            for b in losers.iter_batches(batch_format="pyarrow")
-            if b.num_rows])
-        return member_filter(articles, row_key, loser_keys, keep=False)
-
-    # distributed fallback: exact, no driver memory, full-row exchange
-    return first_by(articles, "content_sha256", *by_age)
+    losers = key_runs(keys, "content_sha256", ["warc_ts", "url"], losers_of)
+    keyed = articles.map_batches(
+        lambda t: t.append_column("_row", row_key(t)),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return member_join(keyed, losers, "_row", keep=False).drop_columns(
+        ["_row"])
 
 
 def drop_near_dups(articles, shingle_k: int = 5,

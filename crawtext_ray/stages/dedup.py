@@ -18,12 +18,11 @@ dedup, the LSH bucket pass, per-id min and candidate-pair distinct, the
 candidate verifier's two routing passes, the component rounds) is the
 shared key-run reduce (``partitioning.key_runs``).
 
-LSH buckets and connected components have one form each, with no driver
-state. Every other small side (verification participants, the
-duplicated-paragraph winner map) is counted on the driver and broadcast
-only at or under ``partitioning.BROADCAST_ROWS`` rows; above it the
-keyed or Bloom form runs. Membership filters go through
-``partitioning.member_filter``.
+LSH buckets, connected components and the verifier's participant
+filter (one Bloom over both pair id columns, applied with
+``partitioning.member_filter``) have one form each. The one small side
+left is paragraph dedup's loser set: a sorted int64 array broadcast at
+or under ``partitioning.BROADCAST_ROWS`` losers, one Bloom above it.
 """
 
 from __future__ import annotations
@@ -591,32 +590,24 @@ def jaccard_dups_brute(ds, threshold: float = 0.5):
     return map_stage(positions, PairRows)
 
 
-def semi_join_on_ids(ds, ids_ds, ds_col: str, ids_col: str):
-    """Keep rows of ``ds`` whose ``ds_col`` value appears in
-    ``ids_ds[ids_col]`` — the candidate-bounding semi-join. Two modes by
-    |ids|: an exact value set up to ``partitioning.BROADCAST_ROWS``, a
-    distributed-built Bloom above it (no false negatives, so every needed
-    row survives; a false positive keeps an extra row — a SUPERSET
-    semi-join, which is the safe direction for bounding a verification
-    corpus). Either way the filter is ``partitioning.member_filter``."""
-    import pyarrow.compute as pc
+def _pair_participants(ds_docs, ds_pairs, id_col: str):
+    """The rows of ``ds_docs`` whose ``id_col`` is a pair's ``id_col`` or
+    ``rep_id``: one Bloom over both id columns, applied with
+    ``partitioning.member_filter(keep=True)``. No false negatives, so
+    every participant survives; a false positive only keeps a doc row
+    that no pair row joins."""
+    from ..state.bloom import build_bloom
+    from .partitioning import member_filter
 
-    from . import partitioning
+    def both_ids(t: pa.Table) -> pa.Table:
+        return pa.table({"id": pa.concat_arrays([
+            t[id_col].combine_chunks(),
+            t["rep_id"].combine_chunks().cast(t.schema.field(id_col).type)])})
 
-    n_ids = ids_ds.count()
-    if n_ids == 0:
-        return ds.map_batches(lambda t: t.slice(0, 0),
-                              batch_format="pyarrow", zero_copy_batch=True)
-    if n_ids <= partitioning.BROADCAST_ROWS:
-        members = pc.unique(pa.concat_arrays([
-            b[ids_col].combine_chunks()
-            for b in ids_ds.iter_batches(batch_format="pyarrow")
-            if b.num_rows]))
-    else:  # 10^12-row path: Bloom over the ids' text form
-        from ..state.bloom import build_bloom
-
-        members = build_bloom(ids_ds, ids_col, capacity=n_ids, fp_rate=1e-4)
-    return partitioning.member_filter(ds, ds_col, members, keep=True)
+    ids = ds_pairs.map_batches(both_ids, batch_format="pyarrow")
+    bloom = build_bloom(ids, "id", capacity=max(1, 2 * ds_pairs.count()),
+                        fp_rate=1e-4)
+    return member_filter(ds_docs, id_col, bloom, keep=True)
 
 
 def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
@@ -627,9 +618,9 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
     of shipping an {id: text} dict to every worker.
 
     The corpus is candidate-bounded FIRST: only pair participants are
-    ever scored, so ``ds_docs`` is semi-joined down to the left-id set
-    (reduce 1) and the rep-id set (reduce 2) before any shingling — both
-    reduces carry O(candidate shingles), not O(corpus shingles)
+    ever scored, so ``ds_docs`` is filtered down to the ids of either
+    pair column (``_pair_participants``) and shingled once before both
+    reduces — they carry O(candidate shingles), not O(corpus shingles)
     (post-LSH candidates are a small constant fraction of the corpus).
 
     Both reduces run over one row shape, (key, other, kind int8, sh
@@ -638,7 +629,7 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
     keyed on the left id, gives each pair row its run's doc shingles and
     re-keys it on rep_id; reduce 2 scores each pair row's shingles
     against its run's doc. A missing doc is an empty shingle set. Nothing
-    driver- or worker-resident beyond the participant value-set/Bloom."""
+    driver- or worker-resident beyond the participant Bloom."""
     import pyarrow.compute as pc
 
     from .partitioning import key_runs, run_ids
@@ -685,12 +676,12 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
     def rows(ds, fn):
         return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
-    docs_left = semi_join_on_ids(ds_docs, ds_pairs, id_col, id_col)
-    docs_right = semi_join_on_ids(ds_docs, ds_pairs, id_col, "rep_id")
-    routed = key_runs(rows(docs_left, doc_rows).union(
-        rows(ds_pairs, pair_rows)), "key", ["kind"], attach_left)
-    return key_runs(rows(docs_right, doc_rows).union(routed), "key",
-                    ["kind"], score)
+    # shingled once, read by both reduces
+    docs = rows(_pair_participants(ds_docs, ds_pairs, id_col),
+                doc_rows).materialize()
+    routed = key_runs(docs.union(rows(ds_pairs, pair_rows)), "key",
+                      ["kind"], attach_left)
+    return key_runs(docs.union(routed), "key", ["kind"], score)
 
 
 # ------------------------------------------- connected components ----
@@ -779,8 +770,8 @@ def _para_hashes(text: str, min_chars: int) -> tuple[list[str], np.ndarray]:
     Paragraphs = text.split("\\n\\n") verbatim (no stripping — the
     reassembled text must be a pure subsequence join); a paragraph is
     dedup-eligible iff len >= min_chars. Hashes are the md5-top-8-bytes
-    reinterpreted as SIGNED int64: the int64 ``ph`` column the reduce and
-    both Bloom filters key on."""
+    reinterpreted as SIGNED int64: the int64 ``ph`` column the reduce
+    keys on."""
     paras = (text or "").split("\n\n")
     h = np.zeros(len(paras), dtype=np.int64)
     for i, p in enumerate(paras):
@@ -791,26 +782,14 @@ def _para_hashes(text: str, min_chars: int) -> tuple[list[str], np.ndarray]:
     return paras, h
 
 
-def _pair_mix(ph: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """One well-mixed uint64 key per (paragraph-hash, packed-position)
-    pair — the SAME combiner on the winner-filter build and probe sides,
-    so Bloom membership of the pair is exact up to the filter's fp rate.
-    int64 inputs are viewed as uint64 (two's complement) before mixing."""
-    from .partitioning import splitmix64
-
-    a = np.ascontiguousarray(ph, dtype=np.int64).view(np.uint64)
-    b = np.ascontiguousarray(packed, dtype=np.int64).view(np.uint64)
-    with np.errstate(over="ignore"):
-        return splitmix64(splitmix64(a) + b)
-
-
 def _packing_ids(ids) -> "np.ndarray":
-    """int64 packing ids for the paragraph-dedup winner order: integer
+    """int64 packing ids for the paragraph-dedup occurrence order: integer
     ids pass through (range-checked); string ids (e.g. article urls)
-    take the top 43 bits of md5 — a collision merges two docs' winner
-    namespaces (worst case: one duplicated paragraph survives twice, or
-    a global-first occurrence loses to a hash-earlier doc), at ~n²/2^43
-    probability; the dedup stays deterministic either way."""
+    take the top 43 bits of md5 — a collision merges two docs' position
+    namespaces (worst case: one duplicated paragraph survives twice, a
+    global-first occurrence loses to a hash-earlier doc, or a paragraph
+    shares its index with the other doc's lost one and is dropped too),
+    at ~n²/2^43 probability; the dedup stays deterministic either way."""
     arr = np.asarray(ids)
     if np.issubdtype(arr.dtype, np.integer):
         if arr.size and (arr.min() < 0 or arr.max() >= (1 << 43)):
@@ -836,23 +815,19 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     Scale shape (the exact-dedup house pattern): texts never shuffle —
     map pass A emits only (hash, packed) pairs, ONE key-run reduce
-    (``partitioning.key_runs`` sorted by (hash, packed)) keeps the hashes
-    whose run has >= 2 rows and picks each winner (the run's first
-    packed = lexicographic-first occurrence), and map pass B rebuilds
-    documents streaming. Two modes by threshold (the house
-    pattern): at or under ``partitioning.BROADCAST_ROWS`` (1M)
-    duplicated paragraphs the exact winner map broadcasts via ray.put;
-    ABOVE it, two distributed Bloom filters replace the map (the
-    Dolma-style tradeoff) — one over duplicated hashes, one over (hash,
-    winner) pairs — so driver/worker memory stays O(filter bits) at any
-    corpus size. Bloom mode keeps
-    every true winner (winner-filter false positives keep a loser; dup-
-    filter false positives can drop a UNIQUE paragraph at ~``fp_rate``
-    — pick it per corpus; exactness below the threshold is unchanged).
-    The approximate Bloom mode starts above 1M duplicated paragraphs
-    (it started above 20M before the threshold became the shared
-    constant). An equivalence test forces the threshold to 0 and checks
-    bloom == broadcast.
+    (``partitioning.key_runs`` sorted by (hash, packed)) emits the LOSER
+    positions — every packed position of a run of length >= 2 but the
+    run's first (the lexicographic-first occurrence wins) — and map pass
+    B rebuilds documents streaming, dropping each paragraph whose own
+    position is a loser. At or under ``partitioning.BROADCAST_ROWS``
+    losers they ship as one sorted int64 array that each doc's positions
+    are searched in (exact); ABOVE it, one distributed Bloom filter of
+    the losers replaces the array (the Dolma-style tradeoff), so
+    driver/worker memory stays O(filter bits) at any corpus size. A
+    Bloom false positive drops a paragraph that should stay at
+    ~``fp_rate`` — pick it per corpus; exactness below the threshold is
+    unchanged. An equivalence test forces the threshold to 0 and checks
+    bloom == exact.
 
     Packing: winner order = packing_id * 2^20 + idx — integer ids must
     be < 2^43, string ids are hashed (see ``_packing_ids``), and docs
@@ -885,74 +860,46 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
         emit_pairs, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def winners_of(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        # a run of length >= 2 is a duplicated paragraph; its first row
-        # holds the min packed position, the winner
-        lens = np.diff(np.append(starts, t.num_rows))
-        first = t.take(starts[lens > 1])
-        return pa.table({"ph": first["ph"], "w": first["packed"]})
+    def losers_of(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # every row of a run but its first holds a later occurrence; a
+        # row whose packed equals its run's first is the same position
+        # (a packing-id collision) and keeps, as the winner does
+        packed = t["packed"].to_numpy()
+        loses = packed != packed[starts][partitioning.run_ids(
+            starts, t.num_rows)]
+        return pa.table({"packed": pa.array(packed[loses], pa.int64())})
 
     # materialize BEFORE counting: the dataset is lazy, and count() +
     # iter_batches would otherwise run the corpus-wide md5 pass and the
     # reduce twice; the materialized set is O(duplicated paragraphs)
-    dup_winners = partitioning.key_runs(pairs, "ph", ["packed"],
-                                        winners_of).materialize()
-    n_dup = dup_winners.count()
-    if n_dup > partitioning.BROADCAST_ROWS:
-        # Bloom mode: two distributed filters instead of the exact map,
-        # keyed on the RAW int64s (splitmix64 pair hashing) — the filter
-        # build is O(duplicated paragraphs), exactly the regime the
-        # threshold targets, so no per-row stringification anywhere: the
-        # dup filter ingests the ph column as-is and the winner filter a
-        # vectorized (ph, winner) pair mix.
-        win_keys = dup_winners.map_batches(
-            lambda t: pa.table({"k": pa.array(_pair_mix(
-                t["ph"].to_numpy(zero_copy_only=False),
-                t["w"].to_numpy(zero_copy_only=False),
-            ).view(np.int64))}),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        dup_ref = ray.put(build_bloom(dup_winners.select_columns(["ph"]),
-                                      "ph", capacity=n_dup,
-                                      fp_rate=fp_rate, int_keys=True))
-        win_ref = ray.put(build_bloom(win_keys, "k", capacity=n_dup,
-                                      fp_rate=fp_rate, int_keys=True))
-        win_map_ref = None
+    losers = partitioning.key_runs(pairs, "ph", ["packed"],
+                                   losers_of).materialize()
+    n_losers = losers.count()
+    if n_losers > partitioning.BROADCAST_ROWS:
+        lost_ref = ray.put(build_bloom(losers, "packed", capacity=n_losers,
+                                       fp_rate=fp_rate))
     else:
-        winners: dict[int, int] = {}
-        for b in dup_winners.iter_batches(batch_format="pyarrow"):
-            winners.update(zip(b["ph"].to_pylist(), b["w"].to_pylist()))
-        win_map_ref = ray.put(winners)
-        dup_ref = win_ref = None
+        lost_ref = ray.put(np.sort(np.concatenate(
+            [b["packed"] for b in
+             losers.iter_batches(batch_format="numpy")]
+            + [np.empty(0, np.int64)])))
 
     from .fusion import map_stage
 
     def factory():
-        win = ray.get(win_map_ref) if win_map_ref is not None else None
-        dup_bloom = ray.get(dup_ref) if dup_ref is not None else None
-        win_bloom = ray.get(win_ref) if win_ref is not None else None
+        lost = ray.get(lost_ref)
 
-        def keep_mask(did: int, h: np.ndarray) -> list[bool]:
-            if win is not None:
-                return [
-                    hh == 0
-                    or win.get(int(hh), (did << 20) + i) == (did << 20) + i
-                    for i, hh in enumerate(h)
-                ]
-            # bloom mode: eligible paras probe the dup filter; hits keep
-            # only if (hash, own-position) is (probably) the winner pair
-            # — all probes over raw int64s, no stringification
+        def keep_mask(did: int, h: np.ndarray) -> np.ndarray:
             elig = np.flatnonzero(h)
+            own = (np.int64(did) << np.int64(20)) + elig.astype(np.int64)
+            if isinstance(lost, np.ndarray):
+                at = np.searchsorted(lost, own)
+                hit = at < len(lost)
+                hit[hit] = lost[at[hit]] == own[hit]
+            else:
+                hit = lost.contains(pa.array(own))
             mask = np.ones(len(h), dtype=bool)
-            if not len(elig):
-                return mask
-            in_dup = dup_bloom.contains_batch_ints(h[elig])
-            hits = elig[in_dup]
-            if len(hits):
-                own = (np.int64(did) << np.int64(20)) + hits.astype(np.int64)
-                mask[hits] = win_bloom.contains_batch_ints(
-                    _pair_mix(h[hits], own)
-                )
+            mask[elig[hit]] = False
             return mask
 
         def rebuild(batch: pa.Table) -> pa.Table:

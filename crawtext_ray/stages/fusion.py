@@ -28,6 +28,20 @@ _WORKER_CACHE: dict = {}
 _KEYS = itertools.count()
 
 
+def _instance(key, factory):
+    """The worker's instance for ``key``, built on first use; the cache
+    keeps the 8 latest keys. Module-level on purpose: Ray pickles a task
+    function's closure by value, globals included, so a closure reading
+    ``_WORKER_CACHE`` itself would get a fresh copy in every task and
+    build its instance once per task, not once per worker."""
+    inst = _WORKER_CACHE.get(key)
+    if inst is None:
+        if len(_WORKER_CACHE) >= 8:
+            del _WORKER_CACHE[next(iter(_WORKER_CACHE))]
+        inst = _WORKER_CACHE[key] = factory()
+    return inst
+
+
 def fused(factory, key=None, slice_rows: int | None = None):
     """Wrap ``factory() -> callable-batch-stage`` as a task function with
     per-worker cached construction, named after ``factory`` (the Ray
@@ -41,9 +55,7 @@ def fused(factory, key=None, slice_rows: int | None = None):
         key = f"fused-{next(_KEYS)}"
 
     def stage_fn(batch):
-        inst = _WORKER_CACHE.get(key)
-        if inst is None:
-            inst = _WORKER_CACHE[key] = factory()
+        inst = _instance(key, factory)
         if slice_rows is None or batch.num_rows <= slice_rows:
             return inst(batch)
         return pa.concat_tables([

@@ -16,18 +16,21 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 "all rows of one key" (first-by, exact content and paragraph dedup,
 LSH buckets, connected-components rounds, candidate verification,
 similarity top-k, the user-window family, the lineage sink's partition
-writes, the shard export, the frontier's anti- and semi-join, and the
-unbounded-key sums ``report.key_sums``) range-partitions its rows by key
+writes, the shard export, ``run_join`` (the frontier's anti-join and
+``member_join``'s scale form), and the unbounded-key sums
+``report.key_sums``) range-partitions its rows by key
 with ONE Ray sort and reduces each output block's sorted key runs with
 vectorized code, so Python calls scale with the block count, never the
 key count.
 
-``BROADCAST_ROWS`` is the one broadcast-or-scale policy: every operator
-with a small-side and a scale form counts its small side on the driver
-and broadcasts it (``ray.put`` once) only at or under this many rows;
-above it the keyed, Bloom or key-run form runs. LSH buckets have no
-small side: both LSH forms run only on ``key_runs``. ``member_filter``
-is the one row filter both forms of a membership test share.
+``member_join`` is the one exact semi-/anti-join and the only reader of
+``BROADCAST_ROWS`` besides paragraph dedup's loser set: at or under
+that many member rows it ships the unique member values once through
+``member_filter`` (the one row filter, also used with a Bloom filter
+for the approximate tests); above it, one ``run_join`` sort on the key
+over both sides. Its callers (the BFS page subset, the exact-dup loser
+drop) never pick a form. LSH buckets have no small side: both LSH forms
+run only on ``key_runs``.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ def url_buckets(urls: list, num_buckets: int) -> np.ndarray:
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (public-domain constant set from
     the SplitMix64 PRNG): uint64 in → well-mixed uint64 out, pure numpy.
-    The integer-key mixer of the Bloom filter and the paragraph-dedup
-    pair keys; the row hashes of the sampling and shuffle ops are md5
-    (``md5_prefix_array``), which DuckDB reproduces bit-for-bit."""
+    The integer-key mixer of the Bloom filter; the row hashes of the
+    sampling and shuffle ops are md5 (``md5_prefix_array``), which
+    DuckDB reproduces bit-for-bit."""
     x = np.ascontiguousarray(x).astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):
         x += np.uint64(0x9E3779B97F4A7C15)
@@ -88,44 +91,112 @@ def md5_prefix_array(ids, nbytes: int, seed: int | None = None) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype)
 
 
-# Largest small side any operator ships to every worker. Read at call
-# time (``partitioning.BROADCAST_ROWS``), so setting it to 0 forces every
-# scale form.
+# Largest small side shipped to every worker (``member_join``'s members,
+# paragraph dedup's losers). Read at call time
+# (``partitioning.BROADCAST_ROWS``), so setting it to 0 forces both scale
+# forms.
 BROADCAST_ROWS = 1_000_000
 
 
-def member_filter(ds, key, members, keep: bool):
+def member_filter(ds, key: str, members, keep: bool):
     """Keep (``keep=True``) or drop (``keep=False``) the rows of ``ds``
-    whose key is in ``members`` — one vectorized probe per batch.
+    whose ``key`` column value is in ``members`` — one probe per batch.
 
-    ``key`` is a column name or a ``batch -> array`` function.
-    ``members`` is an Arrow array (exact ``pc.is_in``) or a
-    ``state.bloom.BloomFilter`` (approximate: probed with the keys' text
-    form, ``bloom.key_texts``; a false positive counts as a member). It
-    ships once per worker. A null key is never a member."""
-    import pyarrow.compute as pc
+    ``members`` is an Arrow array (exact) or a
+    ``state.bloom.BloomFilter`` (approximate: a false positive counts as
+    a member). It ships once per worker, and each worker builds its
+    lookup once: a set of the exact values (an Arrow ``is_in`` would
+    rebuild its hash table in every batch), or the filter itself. A null
+    key is never a member."""
     import ray
 
-    from ..state.bloom import BloomFilter, key_texts
+    from ..state.bloom import BloomFilter
     from .fusion import map_stage
 
     ref = ray.put(members)
 
     def probe_members():
         probe = ray.get(ref)
+        if isinstance(probe, BloomFilter):
+            def hits(col) -> np.ndarray:
+                return probe.contains(col)
+        else:
+            values = frozenset(probe.drop_null().to_pylist())
+
+            def hits(col) -> np.ndarray:
+                return np.fromiter((v in values for v in col.to_pylist()),
+                                   bool, len(col))
 
         def member_rows(batch: pa.Table) -> pa.Table:
-            col = batch[key] if isinstance(key, str) else key(batch)
-            if isinstance(probe, BloomFilter):
-                hit = pc.and_(pa.array(probe.contains_batch(key_texts(col))),
-                              pc.is_valid(col))
-            else:
-                hit = pc.is_in(col, value_set=probe, skip_nulls=True)
-            return batch.filter(hit if keep else pc.invert(hit))
+            hit = hits(batch[key])
+            return batch.filter(pa.array(hit if keep else ~hit))
 
         return member_rows
 
     return map_stage(ds, probe_members)
+
+
+def run_join(ds, members, key: str, keep):
+    """The rows of ``ds`` that ``keep(member_led, first)`` marks: ONE
+    ``key_runs`` sort on ``key`` over ``ds`` ∪ ``members`` (same columns;
+    a null key is no key and is dropped on both sides), ``members``'
+    rows leading each key run. Per ``ds`` row, ``member_led`` says
+    ``members`` holds its key and ``first`` that it leads its run."""
+    import pyarrow.compute as pc
+
+    def flag(side, value: int):
+        def flagged(t: pa.Table) -> pa.Table:
+            t = t.filter(pc.is_valid(t[key]))
+            return t.append_column(
+                "__member", pa.array(np.full(t.num_rows, value, np.int8)))
+        return side.map_batches(flagged, batch_format="pyarrow",
+                                zero_copy_batch=True)
+
+    def member_runs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        is_member = t["__member"].to_numpy() == 1
+        first = np.zeros(t.num_rows, dtype=bool)
+        first[starts] = True
+        member_led = is_member[starts][run_ids(starts, t.num_rows)]
+        return t.filter(pa.array(keep(member_led, first) & ~is_member)
+                        ).drop_columns(["__member"])
+
+    return key_runs(flag(ds, 0).union(flag(members, 1)), key,
+                    [("__member", "descending")], member_runs)
+
+
+def member_join(ds, members, key: str, keep: bool):
+    """The one exact semi- (``keep=True``) or anti-join (``keep=False``)
+    of ``ds`` against the ``key`` column of the ``members`` Dataset.
+
+    At or under ``BROADCAST_ROWS`` member rows the unique member values
+    ship once through ``member_filter``; above it ONE ``run_join`` sort
+    on ``key`` over ``ds`` ∪ ``members``, the member rows typed as
+    ``ds`` (nulls in every other column). In both forms a null key is
+    never a member and ``ds`` rows keep their multiplicity."""
+    import pyarrow.compute as pc
+
+    members = members.select_columns([key]).materialize()
+    if members.count() <= BROADCAST_ROWS:
+        values = [b[key].combine_chunks() for b in
+                  members.iter_batches(batch_format="pyarrow") if b.num_rows]
+        return member_filter(ds, key, pc.unique(pa.concat_arrays(
+            values or [pa.array([])])), keep)
+
+    schema = ds.schema().base_schema
+
+    def as_ds(t: pa.Table) -> pa.Table:
+        return pa.table([t[key].cast(f.type) if f.name == key
+                         else pa.nulls(t.num_rows, f.type) for f in schema],
+                        schema=schema)
+
+    typed = members.map_batches(as_ds, batch_format="pyarrow")
+    joined = run_join(ds, typed, key,
+                      lambda member_led, first: member_led == keep)
+    if keep:
+        return joined
+    return joined.union(ds.map_batches(
+        lambda t: t.filter(pc.is_null(t[key])), batch_format="pyarrow",
+        zero_copy_batch=True))
 
 
 def run_starts(*cols) -> np.ndarray:

@@ -55,38 +55,57 @@ def test_inner_trim_idempotent(s):
 
 
 def test_bloom_filter_properties():
+    import pyarrow as pa
+
     from crawtext_ray.state.bloom import BloomFilter
 
     bf = BloomFilter(capacity=10_000, fp_rate=0.001)
-    keys = [f"http://h{i}.example/p{i}" for i in range(5_000)]
+    keys = pa.array([f"http://h{i}.example/p{i}" for i in range(5_000)])
     bf.update(keys)
-    assert all(k in bf for k in keys)  # no false negatives, ever
-    fresh = [f"http://other{i}.example/x{i}" for i in range(5_000)]
-    fp = sum(1 for k in fresh if k in bf)
-    assert fp < 50  # ~0.1% target; generous bound
+    assert bf.contains(keys).all()  # no false negatives, ever
+    fresh = pa.array([f"http://other{i}.example/x{i}" for i in range(5_000)])
+    assert bf.contains(fresh).sum() < 50  # ~0.1% target; generous bound
 
 
 def test_bloom_batch_paths_match_scalar():
-    """The vectorized add/probe paths (update / contains_batch) must be
-    bit-identical to the scalar add / __contains__ forms — same md5
-    double-hash positions, same filter bits."""
+    """The Arrow batch paths (update / contains) over a string column set
+    the same bits as a plain per-key reference of the filter's md5
+    double hashing (two big-endian 64-bit halves of the key's md5, an
+    odd stride, positions mod the bit count), so url-keyed filters keep
+    their hashing; a null is never added and never a member."""
+    import hashlib
+
     import numpy as np
+    import pyarrow as pa
 
     from crawtext_ray.state.bloom import BloomFilter
 
+    def positions(bf, key: str) -> list:
+        d = hashlib.md5(key.encode("utf-8")).digest()
+        h1, h2 = int.from_bytes(d[:8], "big"), int.from_bytes(d[8:], "big")
+        return [(h1 + i * (h2 | 1)) % (1 << 64) % bf.n_bits
+                for i in range(bf.n_hashes)]
+
     keys = [f"http://h{i}.example/p{i}" for i in range(500)]
-    scalar = BloomFilter(capacity=1000, fp_rate=0.01)
-    for k in keys:
-        scalar.add(k)
     batched = BloomFilter(capacity=1000, fp_rate=0.01)
-    batched.update(keys)
+    batched.update(pa.array(keys + [None]))
+    scalar = BloomFilter.with_params(batched.n_bits, batched.n_hashes)
+    for k in keys:
+        for p in positions(scalar, k):
+            scalar.bits[p >> 6] |= np.uint64(1) << np.uint64(p & 63)
     assert np.array_equal(scalar.bits, batched.bits)
 
+    def member(k) -> bool:
+        return k is not None and all(
+            int(batched.bits[p >> 6]) >> (p & 63) & 1
+            for p in positions(batched, k))
+
     probes = keys[::7] + [f"http://miss{i}.example/" for i in range(200)]
-    got = batched.contains_batch(probes)
-    want = np.array([k in scalar for k in probes])
-    assert np.array_equal(got, want)
-    assert batched.contains_batch([]).shape == (0,)
+    probes.append(None)
+    got = batched.contains(pa.array(probes))
+    assert np.array_equal(got, np.array([member(k) for k in probes]))
+    assert not got[-1]
+    assert batched.contains(pa.array([], pa.string())).shape == (0,)
 
 
 def test_export_report(tmp_path):
@@ -150,27 +169,33 @@ def test_simhash_batch_invariant(texts):
 
 
 def test_bloom_int_key_paths():
-    """update_ints/contains_batch_ints: every added int64 key (including
-    negative hash values) is found, absent keys stay out at ~fp_rate,
-    and the int path agrees with itself across a partial-filter OR (the
-    distributed build contract)."""
+    """An integer column hashes with the splitmix64 pair: every added
+    int64 key (including negative hash values) is found, absent keys
+    stay out at ~fp_rate, an int32 column probes the same as its int64
+    values, and the int path agrees with itself across a partial-filter
+    OR (the distributed build contract)."""
     import numpy as np
+    import pyarrow as pa
 
     from crawtext_ray.state.bloom import BloomFilter
 
     rng = np.random.default_rng(11)
     keys = rng.integers(-(2**62), 2**62, 5000, dtype=np.int64)
     bf = BloomFilter(capacity=5000, fp_rate=1e-4)
-    bf.update_ints(keys)
-    assert bf.contains_batch_ints(keys).all()
+    bf.update(pa.array(keys))
+    assert bf.contains(pa.array(keys)).all()
     absent = rng.integers(-(2**62), 2**62, 20000, dtype=np.int64)
     absent = absent[~np.isin(absent, keys)]
-    fp = bf.contains_batch_ints(absent).mean()
+    fp = bf.contains(pa.array(absent)).mean()
     assert fp < 0.01
+    small = np.arange(-50, 50, dtype=np.int64)
+    bf.update(pa.array(small))
+    assert bf.contains(pa.array(small.astype(np.int32))).all()
     # distributed build: two partials ORed == one filter over the union
     a = BloomFilter.with_params(bf.n_bits, bf.n_hashes)
     b = BloomFilter.with_params(bf.n_bits, bf.n_hashes)
-    a.update_ints(keys[:2500])
-    b.update_ints(keys[2500:])
+    a.update(pa.array(keys[:2500]))
+    b.update(pa.array(keys[2500:]))
+    b.update(pa.array(small))
     a.bits |= b.bits
     assert np.array_equal(a.bits, bf.bits)

@@ -73,11 +73,9 @@ def test_jaccard_verify(ray_session, docs_with_dups):
     assert 102 in vids and 101 in vids
 
 
-def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dups,
-                                                     monkeypatch):
+def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dups):
     """The broadcast-free routed verifier must agree with the broadcast
     dict verifier on pairs, reps, and jaccard values."""
-    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import (
         minhash_lsh_duplicates,
         verify_pairs_jaccard_distributed,
@@ -94,56 +92,39 @@ def test_jaccard_verify_distributed_matches_broadcast(ray_session, docs_with_dup
     fb = {(int(r["doc_id"]), int(r["rep_id"]), round(r["jaccard"], 12))
           for _, r in b.iterrows()}
     assert fa == fb and len(fa) >= 2
-    # ... and under a forced Bloom participant filter
-    monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    c = verify_pairs_jaccard_distributed(
-        pairs, docs_with_dups, k=3, threshold=0.8,
-    ).to_pandas()
-    fc = {(int(r["doc_id"]), int(r["rep_id"]), round(r["jaccard"], 12))
-          for _, r in c.iterrows()}
-    assert fa == fc
 
 
-def test_verifier_is_candidate_bounded(ray_session, docs_with_dups,
-                                       monkeypatch):
+def test_verifier_is_candidate_bounded(ray_session, docs_with_dups):
     """r2 verdict #3: the routed verifier must shingle only pair
     PARTICIPANTS — doc rows entering the exchanges ≈ |participants|,
-    not |corpus| — in both semi-join modes (broadcast and Bloom)."""
+    not |corpus|. The participant filter is one Bloom over both pair id
+    columns: a superset of the participants (no false negatives), a few
+    false positives at most."""
+    import pyarrow as pa
     import ray.data as rd
 
-    from crawtext_ray.stages import partitioning
     from crawtext_ray.stages.dedup import (
+        _pair_participants,
         minhash_lsh_duplicates,
-        semi_join_on_ids,
     )
 
     pairs = minhash_lsh_duplicates(docs_with_dups, shingle_k=3).materialize()
-    participants_left = {r["doc_id"] for r in pairs.take_all()}
-    participants_right = {r["rep_id"] for r in pairs.take_all()}
+    participants = ({r["doc_id"] for r in pairs.take_all()}
+                    | {r["rep_id"] for r in pairs.take_all()})
     corpus_n = docs_with_dups.count()
 
-    # broadcast mode, then forced Bloom mode
-    for rows in (partitioning.BROADCAST_ROWS, 0):
-        monkeypatch.setattr(partitioning, "BROADCAST_ROWS", rows)
-        left = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "doc_id")
-        right = semi_join_on_ids(docs_with_dups, pairs, "doc_id", "rep_id")
-        left_ids = {r["doc_id"] for r in left.take_all()}
-        right_ids = {r["doc_id"] for r in right.take_all()}
-        # exact in broadcast mode; Bloom may keep a few extra (superset)
-        assert participants_left <= left_ids
-        assert participants_right <= right_ids
-        assert len(left_ids) <= max(2 * len(participants_left), 8)
-        assert len(right_ids) <= max(2 * len(participants_right), 8)
-        assert len(left_ids) < corpus_n
+    kept = {r["doc_id"] for r in
+            _pair_participants(docs_with_dups, pairs, "doc_id").take_all()}
+    assert participants <= kept
+    assert len(kept) <= max(2 * len(participants), 8)
+    assert len(kept) < corpus_n
 
     # empty candidate set → empty corpus subset, not a crash
-    import pyarrow as pa
-
     empty_pairs = rd.from_arrow(pa.table({
         "doc_id": pa.array([], pa.int64()),
         "rep_id": pa.array([], pa.int64()),
     }))
-    none = semi_join_on_ids(docs_with_dups, empty_pairs, "doc_id", "doc_id")
+    none = _pair_participants(docs_with_dups, empty_pairs, "doc_id")
     assert none.count() == 0
 
 
@@ -333,6 +314,10 @@ def test_embedding_dedup_skewed_bucket(ray_session, monkeypatch):
     assert sorted(got["vec_id"]) == list(range(1, 60))
 
 
+def _urls(ds):
+    return sorted(r["url"] for r in ds.select_columns(["url"]).take_all())
+
+
 def test_bfs_crawl_rounds(ray_session, pages_small):
     import ray.data as rd
 
@@ -343,14 +328,15 @@ def test_bfs_crawl_rounds(ray_session, pages_small):
     rounds, seen = bfs_crawl(pages, seeds, max_depth=1)
     assert 1 <= len(rounds) <= 2
     assert rounds[0].count() >= 1
-    assert set(seeds).issubset(seen)
+    assert set(seeds).issubset(_urls(seen))
 
 
 def test_bfs_crawl_distributed_matches_broadcast(ray_session, pages_small,
                                                  monkeypatch):
-    """BROADCAST_ROWS=0 forces the Dataset-frontier mode (hash semi-join
-    subset + keyed anti-join); per-depth article urls must match the
-    driver-frontier mode."""
+    """BROADCAST_ROWS=0 forces ``member_join``'s key-run form for every
+    round's page subset; per-depth article urls and the seen urls must
+    match the broadcast form, and both forms return a Dataset ``seen``
+    holding each url once."""
     import ray.data as rd
 
     from crawtext_ray.stages import partitioning
@@ -358,15 +344,16 @@ def test_bfs_crawl_distributed_matches_broadcast(ray_session, pages_small,
 
     pages = rd.read_parquet(pages_small)
     seeds = [r["url"] for r in pages.take(3)]
-    r_small, seen_small = bfs_crawl(pages, seeds, max_depth=1)
+    r_small, seen_small = bfs_crawl(pages, seeds + seeds[:1], max_depth=1)
     monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    r_big, seen_big = bfs_crawl(pages, seeds, max_depth=1)
-    assert len(r_small) == len(r_big)
+    r_big, seen_big = bfs_crawl(pages, seeds + seeds[:1], max_depth=1)
+    assert len(r_small) == len(r_big) == 2
     for a, b in zip(r_small, r_big):
-        assert sorted(x["url"] for x in a.select_columns(["url"]).take_all()) == \
-               sorted(x["url"] for x in b.select_columns(["url"]).take_all())
-    seen_big_set = {r["url"] for r in seen_big.iter_rows()}
-    assert seen_big_set == set(seen_small)
+        assert _urls(a) == _urls(b)
+    assert isinstance(seen_small, rd.Dataset)
+    assert isinstance(seen_big, rd.Dataset)
+    assert _urls(seen_small) == _urls(seen_big)
+    assert len(set(_urls(seen_big))) == len(_urls(seen_big))
 
 
 def test_anti_join_grouped(ray_session):
@@ -435,10 +422,9 @@ def test_moved_keyed_steps_run_no_ray_grouping_or_join(
 @pytest.mark.parametrize("keep", [True, False])
 def test_member_filter(ray_session, exact, keep):
     """The one membership filter: exact (Arrow value set) and Bloom
-    members, kept or dropped, over string, int, null and computed keys,
-    and an empty member set."""
+    members, kept or dropped, over string, int and null keys, and an
+    empty member set."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from crawtext_ray.stages.partitioning import member_filter
@@ -454,23 +440,91 @@ def test_member_filter(ray_session, exact, keep):
         if exact:
             return pa.array(values, typ)
         bf = BloomFilter(capacity=max(1, len(values)), fp_rate=1e-9)
-        bf.update([str(v) for v in values])
+        bf.update(pa.array(values, typ))
         return bf
 
-    def check(key, values, typ, key_of):
+    def check(key, values, typ):
         out = member_filter(ds, key, members(values, typ), keep=keep)
         got = sorted(out.take_all(), key=lambda r: r["s"] or "")
         want = [r for r in table.to_pylist()
-                if (key_of(r) is not None and key_of(r) in values) == keep]
+                if (r[key] is not None and r[key] in values) == keep]
         assert got == sorted(want, key=lambda r: r["s"] or "")
 
-    check("s", ["a", "c", "zz"], pa.string(), lambda r: r["s"])
-    check("i", [1, 5, 99], pa.int64(), lambda r: r["i"])
-    check(lambda t: pc.utf8_upper(t["s"]), ["A", "B"], pa.string(),
-          lambda r: r["s"] and r["s"].upper())
+    check("s", ["a", "c", "zz"], pa.string())
+    check("i", [1, 5, 99], pa.int64())
     # empty member set: keep -> no rows, drop -> every row (nulls too)
     out = member_filter(ds, "s", members([], pa.string()), keep=keep)
     assert out.count() == (0 if keep else 5)
+
+
+def test_map_stage_builds_once_per_worker(ray_session):
+    """A task-fused stage's factory runs once per worker process, not
+    once per task: over 16 one-block tasks every row names its
+    instance, and there are as many instances as worker pids (a closure
+    that read the cache dict itself got a fresh copy in every task)."""
+    import os
+    import uuid
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawtext_ray.stages.fusion import map_stage
+
+    def tagged():
+        tag = uuid.uuid4().hex
+
+        def tag_rows(t: pa.Table) -> pa.Table:
+            return pa.table({"tag": [tag] * t.num_rows,
+                             "pid": [os.getpid()] * t.num_rows})
+        return tag_rows
+
+    rows = map_stage(rd.range(64, override_num_blocks=16),
+                     tagged).take_all()
+    assert len(rows) == 64
+    assert len({r["tag"] for r in rows}) == len({r["pid"] for r in rows})
+
+
+@pytest.mark.parametrize("broadcast_rows", [None, 0])
+@pytest.mark.parametrize("keep", [True, False])
+def test_member_join(ray_session, monkeypatch, broadcast_rows, keep):
+    """The one exact semi-/anti-join, in its broadcast form and (with
+    BROADCAST_ROWS=0) its key-run form, against a plain-Python set:
+    string, int and binary keys, null keys on both sides, duplicate
+    member values and ds rows, and an empty member set. A null key is
+    never a member; ds rows keep their multiplicity."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from crawtext_ray.stages import partitioning
+    from crawtext_ray.stages.partitioning import member_join
+
+    if broadcast_rows is not None:
+        monkeypatch.setattr(partitioning, "BROADCAST_ROWS", broadcast_rows)
+    keys = {
+        "s": (pa.string(), ["a", None, "b", "c", "a", "d", None, "c"],
+              ["a", "c", "c", None, "zz"]),
+        "i": (pa.int64(), [1, 2, None, 4, 1, 5, 7, 4],
+              [1, 4, 4, None, 99]),
+        "b": (pa.binary(), [b"x", b"y", None, b"x", b"z", b"w", b"y", b""],
+              [b"y", b"", None, b"y", b"q"]),
+    }
+    table = pa.table({k: pa.array(v, t) for k, (t, v, _) in keys.items()}
+                     | {"row": list(range(8))})
+    ds = rd.from_arrow([table.slice(0, 3), table.slice(3)])
+
+    def rows(out):
+        return sorted(r["row"] for r in out.take_all())
+
+    for key, (typ, values, member_values) in keys.items():
+        members = rd.from_arrow(pa.table({key: pa.array(member_values, typ)}))
+        out = member_join(ds, members, key, keep)
+        assert out.schema().names == table.schema.names
+        ref = {v for v in member_values if v is not None}
+        assert rows(out) == [i for i, v in enumerate(values)
+                             if (v is not None and v in ref) == keep]
+        empty = rd.from_arrow(pa.table({key: pa.array([], typ)}))
+        assert rows(member_join(ds, empty, key, keep)) == (
+            [] if keep else list(range(8)))
 
 
 def test_connected_components_transitive(ray_session):
@@ -793,6 +847,7 @@ def test_sampling_native_and_deterministic(ray_session):
 
 
 def test_build_bloom_distributed(ray_session):
+    import pyarrow as pa
     import ray.data as rd
 
     from crawtext_ray.state.bloom import build_bloom
@@ -800,8 +855,9 @@ def test_build_bloom_distributed(ray_session):
     keys = [f"http://ex.com/{i}" for i in range(2000)]
     ds = rd.from_items([{"url": k} for k in keys], override_num_blocks=8)
     bf = build_bloom(ds, "url", capacity=2000, fp_rate=1e-4)
-    assert all(k in bf for k in keys)  # no false negatives, across blocks
-    misses = sum(f"http://other.com/{i}" in bf for i in range(2000))
+    assert bf.contains(pa.array(keys)).all()  # no false negatives, across blocks
+    misses = bf.contains(pa.array([f"http://other.com/{i}"
+                                   for i in range(2000)])).sum()
     assert misses <= 5
 
 
@@ -825,6 +881,7 @@ def test_hll_distributed_build_matches_serial(ray_session):
 def test_bloom_incremental_recrawl(ray_session, pages_small):
     """Batch-incremental re-crawl (SURVEY.md §2.10): second run skips
     already-extracted urls via a Bloom anti-join."""
+    import pyarrow as pa
     import ray.data as rd
 
     from crawtext_ray.stages.partitioning import member_filter
@@ -833,7 +890,7 @@ def test_bloom_incremental_recrawl(ray_session, pages_small):
     pages = rd.read_parquet(pages_small, columns=["url", "warc_ts"])
     first_half = {r["url"] for r in pages.take(500)}
     bf = BloomFilter(capacity=len(first_half))
-    bf.update(first_half)
+    bf.update(pa.array(sorted(first_half)))
     remaining = member_filter(pages, "url", bf, keep=False).to_pandas()
     assert len(remaining) <= 1000 - len(first_half) + 500 * 0.01
     assert not (set(remaining["url"]) & first_half)

@@ -139,3 +139,29 @@ def test_engine_keyed_steps_use_key_runs_or_tally():
                     and any(k.arg == "join_type" for k in node.keywords)):
                 found.append(f"{rel}:{node.lineno}: .{attr}(")
     assert found == []
+
+
+def test_only_member_join_and_paragraph_dedup_read_broadcast_rows():
+    """The broadcast-or-scale choice has two owners: only
+    ``partitioning.member_join`` (the exact semi-/anti-join) and
+    ``dedup.dedup_paragraphs`` (its loser set) read
+    ``BROADCAST_ROWS``; every other membership test calls them or
+    ``member_filter`` and picks no form itself."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "crawtext_ray"
+    readers = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute)
+                        else None)
+                if (name == "BROADCAST_ROWS"
+                        and isinstance(node.ctx, ast.Load)):
+                    readers.add((path.relative_to(root).as_posix(),
+                                 getattr(top, "name", None)))
+    assert readers == {("stages/partitioning.py", "member_join"),
+                       ("stages/dedup.py", "dedup_paragraphs")}

@@ -125,18 +125,20 @@ def test_quality_gate_mask_matches_scalar_definition():
 
 def test_drop_exact_dups_fallback_matches_broadcast(ray_session, pages_small,
                                                    monkeypatch):
-    """BROADCAST_ROWS=0 forces the distributed full-row ``first_by``
-    fallback; surviving urls must equal the broadcast loser-set path."""
+    """BROADCAST_ROWS=0 forces ``member_join``'s key-run form of the
+    loser anti-join; surviving urls must equal the broadcast loser-set
+    form."""
     from crawtext_ray.pipelines.flagship import build_articles
     from crawtext_ray.pipelines.training_data import drop_exact_dups
     from crawtext_ray.stages import partitioning
 
     arts = build_articles(pages_small, num_partitions=4,
                           concurrency=2).materialize()
-    a = set(drop_exact_dups(arts).to_pandas()["url"])
+    a = drop_exact_dups(arts).to_pandas()
     monkeypatch.setattr(partitioning, "BROADCAST_ROWS", 0)
-    b = set(drop_exact_dups(arts).to_pandas()["url"])
-    assert a == b and len(a) > 0
+    b = drop_exact_dups(arts).to_pandas()
+    assert list(a.columns) == list(b.columns) == arts.schema().names
+    assert set(a["url"]) == set(b["url"]) and len(a) == len(b) > 0
 
 
 def _planted_articles():
@@ -189,7 +191,7 @@ def test_drop_exact_dups_matches_reference(ray_session, monkeypatch,
     """Planted content groups of 1, 2 and 3 rows, a same-url recrawl and
     a warc_ts tie the url breaks: the survivors equal the plain-Python
     reference, in the broadcast loser-set form and (BROADCAST_ROWS=0)
-    the full-row ``first_by`` form."""
+    the key-run form of the loser anti-join."""
     import ray.data as rd
 
     from crawtext_ray.pipelines.training_data import drop_exact_dups
@@ -210,7 +212,7 @@ def test_drop_exact_dups_rejects_duplicate_row_identity(ray_session):
     """Two rows sharing (url, warc_ts) inside one content group violate
     the pages contract: the loser anti-join would drop the winner too,
     so the stage raises instead of losing rows silently (the check runs
-    in the loser reduce, before either mode is chosen)."""
+    in the loser reduce, before either form of the anti-join runs)."""
     import ray.data as rd
 
     from crawtext_ray.pipelines.training_data import drop_exact_dups

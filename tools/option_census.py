@@ -73,7 +73,7 @@ ALLOWLIST: dict[str, str] = {
     "stages.dedup.jaccard_dups_brute(threshold)":
         "a test holds the simhash verifier against the 0.8 brute truth",
     "stages.dedup.dedup_paragraphs(fp_rate)":
-        "a test forces the Bloom winner map's false positives",
+        "a test sets the loser Bloom's false-positive rate",
     "stages.frontier.bfs_crawl(max_depth)":
         "tests crawl one level; the harness crawls the default two",
     "stages.shuffle.shuffle_shards(seed)":
