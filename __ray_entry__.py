@@ -284,7 +284,7 @@ def _q_minhash_dups(sf_dir: str):
             "jaccard": pd.Series([], dtype="float64"),
         })
     if docs.count() <= 2_000:  # the diagnostic is O(n²) by design
-        brute = jaccard_dups_brute(docs, threshold=0.5).to_pandas()
+        brute = jaccard_dups_brute(docs).to_pandas()
         lsh_pairs = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
                      for _, r in got.iterrows()}
         brute_pairs = {(int(r["doc_id_a"]), int(r["doc_id_b"]), r["jaccard"])
@@ -313,9 +313,9 @@ def _q_simhash_dups(sf_dir: str):
 
 def _q_embedding_dedup(sf_dir: str):
     """Embedding near-dup dedup with PLANTED ground truth: exact clones
-    of vec_id < 5 are planted at vec_id + 1e6, and the full LSH-bucketed
-    cosine + connected-components machinery must recall exactly those
-    pairs (the corpus's random embeddings have no natural pair ≥ 0.95 —
+    of vec_id < 5 are planted at vec_id + 1e6, and the LSH-bucketed
+    per-pair cosine links must recall exactly those pairs (the corpus's
+    random embeddings have no natural pair ≥ 0.95 —
     measured at sf0.01 and sf0.1). Identical vectors always share every
     hyperplane bucket, so recall of exact clones is deterministic.
     cosine is rounded (float32 clone similarity is 1.0 ± ulp)."""
@@ -370,7 +370,8 @@ def _q_ann_topk(sf_dir: str):
     sf0.001/0.01/0.1 (single-probe sign-LSH on isotropic random
     embeddings only guarantees self-retrieval, measured 0.1; the
     planted-clone regime where LSH recall is total stays pinned by
-    ``embedding_dedup``), while IVF at nprobe=4/16 measures 0.3–1.0.
+    ``embedding_dedup``), while IVF probing 4 of 16 clusters measures
+    0.3–1.0.
     The brute pass is O(n·q) with q=3 — the per-batch matmul baseline,
     cheap at any driver scale, so the bound runs unconditionally."""
     import numpy as np
@@ -391,12 +392,12 @@ def _q_ann_topk(sf_dir: str):
         f"{sf_dir}/embeddings.parquet", 3, dtype=np.float32
     )
     dim = queries["matrix"].shape[1]
-    lsh = lsh_bucket_topk(emb, queries, dim=dim, k=10, multiprobe=2)
+    lsh = lsh_bucket_topk(emb, queries, dim=dim, multiprobe=2)
     pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
     first = next(pf.iter_batches(batch_size=512, columns=["embedding"]))
     sample = np.asarray(first.column(0).to_pylist(), dtype=np.float32)
-    cents = train_ivf_centroids(sample, n_clusters=16)
-    ivf = ivf_topk(emb, queries, cents, k=10, nprobe=4)
+    cents = train_ivf_centroids(sample)
+    ivf = ivf_topk(emb, queries, cents)
 
     def tag(method):
         def fn(t: pa.Table) -> pa.Table:
@@ -410,7 +411,7 @@ def _q_ann_topk(sf_dir: str):
         ivf.map_batches(tag("ivf"), batch_format="pyarrow")
     ).to_pandas()
 
-    exact = brute_force_topk(emb, queries, k=10).to_pandas()
+    exact = brute_force_topk(emb, queries).to_pandas()
     for qid in queries["query_id"]:
         e = set(exact[exact["query_id"] == qid]["vec_id"])
         for method, floor in (("lsh", 0.2), ("ivf", 0.3)):
@@ -568,7 +569,7 @@ def _q_shuffle_shards(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "lang"])
-    return shuffle_shards(docs, n_shards=8, seed=0)
+    return shuffle_shards(docs, n_shards=8)
 
 
 def _q_pack_sequences(sf_dir: str):
@@ -754,7 +755,7 @@ def _q_bfs_crawl(sf_dir: str):
 
     pages = rd.read_parquet(generate_linked(_FIXTURE_ROOT),
                             file_extensions=["parquet"])
-    rounds, _seen = bfs_crawl(pages, [node_url(0)], max_depth=2)
+    rounds, _seen = bfs_crawl(pages, [node_url(0)])
     parts = []
     for depth, arts in enumerate(rounds):
         urls = arts.select_columns(["url"]).to_pandas()

@@ -57,8 +57,8 @@ def _extract_outlinks(root, page_url: str, rules: AdblockRules | None) -> list[s
 
 def extract_article(
     html: bytes,
-    url: str = "",
-    lang: str | None = None,
+    url: str,
+    lang: str | None,
     rules: AdblockRules | None = None,
 ) -> dict[str, Any]:
     """bytes -> article dict. Pure, deterministic, never raises on bad

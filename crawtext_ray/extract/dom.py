@@ -101,7 +101,7 @@ class Node:
         "gravity_score", "gravity_nodes",
     )
 
-    def __init__(self, tag: str, attrs: dict[str, str] | None = None, order: int = -1):
+    def __init__(self, tag: str, order: int, attrs: dict[str, str] | None = None):
         self.tag = tag
         self.attrs = attrs if attrs is not None else {}
         self.parent: Node | None = None
@@ -136,10 +136,6 @@ class Node:
                 self.text += child.tail
         del self.children[i]
         child.parent = None
-
-    def drop_tree(self) -> None:
-        if self.parent is not None:
-            self.parent.remove(self)
 
     def unwrap(self) -> None:
         """lxml ``drop_tag``: remove this element but splice its text and
@@ -322,7 +318,7 @@ class _TreeBuilder(HTMLParser):
         for k, v in attrs:
             if k not in d:  # first value wins (determinism contract)
                 d[k] = v if v is not None else ""
-        n = Node(tag, d, self._order)
+        n = Node(tag, self._order, d)
         self._order += 1
         index = self.root.tag_index
         listed = index.get(tag)
@@ -614,7 +610,7 @@ def _fast_build(html: str, b: _TreeBuilder) -> None:
             ):
                 stack.pop()
                 top = stack[-1]
-            node = Node(tag, d, order)
+            node = Node(tag, order, d)
             order += 1
             if (listed := index_get(tag)) is not None:
                 listed.append(node)
@@ -672,36 +668,3 @@ def parse_html(html: str) -> Document:
             pass
         return b.root
 
-
-def serialize(node: Node) -> str:
-    """Debug/test serializer (not part of the byte-identity contract)."""
-    out: list[str] = []
-
-    def walk(n: Node) -> None:
-        if n.tag == COMMENT:
-            out.append(f"<!--{n.text}-->")
-        elif n.tag == "#document":
-            if n.text:
-                out.append(n.text)
-            for c in n.children:
-                walk(c)
-                if c.tail:
-                    out.append(c.tail)
-            return
-        else:
-            attrs = "".join(f' {k}="{v}"' for k, v in n.attrs.items())
-            if n.tag in VOID_ELEMENTS:
-                out.append(f"<{n.tag}{attrs}/>")
-            else:
-                out.append(f"<{n.tag}{attrs}>")
-        if n.tag not in VOID_ELEMENTS and n.tag != COMMENT:
-            if n.text:
-                out.append(n.text)
-            for c in n.children:
-                walk(c)
-                if c.tail:
-                    out.append(c.tail)
-            out.append(f"</{n.tag}>")
-
-    walk(node)
-    return "".join(out)

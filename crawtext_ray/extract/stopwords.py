@@ -85,7 +85,7 @@ def _token(word: str) -> str:
     return tok
 
 
-def stopword_count(text: str, lang: str = DEFAULT_LANGUAGE) -> int:
+def stopword_count(text: str, lang: str) -> int:
     """Stopword tokens of ``text``: ``tokenize`` counted word by word
     through the token memo."""
     sw = stopword_set(lang)

@@ -75,7 +75,7 @@ def language_id(text: str) -> str:
     return best
 
 
-def quality_features(text: str, lang: str = "en") -> dict:
+def quality_features(text: str, lang: str) -> dict:
     """Quality-scoring features for a training-data filter: length,
     word/punctuation/stopword ratios, mean word length."""
     n_chars = len(text)

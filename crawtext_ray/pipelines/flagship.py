@@ -74,9 +74,9 @@ def run_extract_job(
     out_dir: str,
     query_expression: str | None = None,
     rule_lines: list[str] | None = None,
-    num_partitions: int = 64,
+    *,
+    num_partitions: int,
     batch_size: int = 64,
-    concurrency="tasks",
     incremental_from: str | None = None,
 ) -> dict:
     """Resume-aware job: extract all not-yet-completed url-hash partitions
@@ -130,7 +130,6 @@ def run_extract_job(
         rule_lines=rule_lines,
         query_expression=query_expression,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
     summary_ds = write_partitioned(articles, out_dir, num_partitions,
                                    schema=ARTICLES_SCHEMA)

@@ -81,7 +81,7 @@ def quality_gate_mask(texts_col, langs_col, n_words_col,
     return pa.array(keep, pa.bool_())
 
 
-def quality_gate(articles, min_words: int = 20):
+def quality_gate(articles, min_words: int):
     """Vectorized quality filter over extracted articles (the classic
     pretraining-corpus gates: fewer than ``min_words`` words, a stopword
     ratio under 0.1, a mean word length over 14)."""
@@ -151,10 +151,9 @@ def drop_exact_dups(articles):
         ["_row"])
 
 
-def drop_near_dups(articles, shingle_k: int = 5,
-                   verify_threshold: float | None = None):
-    """MinHash-LSH near-dup removal over extracted text (64 permutations
-    in 16 bands), keyed by url.
+def drop_near_dups(articles, verify_threshold: float | None):
+    """MinHash-LSH near-dup removal over extracted text (5-word shingles,
+    64 permutations in 16 bands), keyed by url.
 
     The dup-url set is folded into a Bloom filter built DISTRIBUTED
     (per-block partial filters ORed on the driver — driver memory is
@@ -163,8 +162,8 @@ def drop_near_dups(articles, shingle_k: int = 5,
     removal is already approximate, so the filter's 1e-4 false-positive
     rate only needs to keep that loss negligible.
 
-    ``verify_threshold``: when set, LSH candidate pairs are verified
-    with the exact n-gram Jaccard (broadcast-free routed verifier) and
+    ``verify_threshold``: when not None, LSH candidate pairs are verified
+    with the exact 5-gram Jaccard (broadcast-free routed verifier) and
     only pairs at/above the threshold are dropped — the precision knob
     that keeps LSH band collisions from deleting non-duplicates."""
     from ..state.bloom import build_bloom
@@ -175,7 +174,7 @@ def drop_near_dups(articles, shingle_k: int = 5,
         id_col="url",
         num_perm=64,
         bands=16,
-        shingle_k=shingle_k,
+        shingle_k=5,
     ).materialize()  # small: one row per near-dup candidate
     if verify_threshold is not None and pairs.count() > 0:
         from ..stages.dedup import verify_pairs_jaccard_distributed
@@ -185,7 +184,7 @@ def drop_near_dups(articles, shingle_k: int = 5,
             articles.select_columns(["url", "extracted_text"]),
             text_col="extracted_text",
             id_col="url",
-            k=shingle_k,
+            k=5,
             threshold=verify_threshold,
         ).materialize()
     n_dups = pairs.count()

@@ -146,10 +146,6 @@ class BPETokenizer:
             self.token_id.setdefault(t, i)
         self.truncated = truncated  # word-count stream hit max_distinct
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
     def encode_word(self, word: bytes) -> list[int]:
         sym = [bytes([b]) for b in word]
         while len(sym) > 1:
@@ -179,7 +175,7 @@ class BPETokenizer:
         )
 
 
-def train_bpe(ds, text_col: str = "text", vocab_size: int = 512,
+def train_bpe(ds, text_col: str = "text", *, vocab_size: int,
               max_distinct_words: int = 200_000) -> BPETokenizer:
     """Distributed training front-end: map-side Counter partials, one
     ``report.key_sums`` exchange over distinct words, driver-side top-N
@@ -238,12 +234,12 @@ _COUNT_CACHE_CAP = 2_000_000
 _IDS_CACHE_CAP = 500_000
 
 
-def add_bpe_token_counts(ds, tokenizer, text_col: str = "text",
-                         out_col: str = "n_bpe_tokens"):
-    """Append the real subword token count per document — what a
-    pretraining loader actually consumes (feed ``out_col`` to
-    ``pack_sequences(n_tokens_col=...)``). The tokenizer broadcasts
-    once; each worker memoizes per distinct word piece (bounded)."""
+def add_bpe_token_counts(ds, tokenizer, text_col: str = "text"):
+    """Append ``n_bpe_tokens``, the real subword token count per document
+    — what a pretraining loader actually consumes (feed it to
+    ``write_training_shards(n_tokens_col=...)``). The tokenizer
+    broadcasts once; each worker memoizes per distinct word piece
+    (bounded)."""
     import ray
 
     ref = tokenizer if isinstance(tokenizer, ray.ObjectRef) \
@@ -269,7 +265,7 @@ def add_bpe_token_counts(ds, tokenizer, text_col: str = "text",
                     n += c
                 counts.append(n)
             return batch.append_column(
-                out_col, pa.array(counts, pa.int64())
+                "n_bpe_tokens", pa.array(counts, pa.int64())
             )
 
         return fn

@@ -15,12 +15,12 @@ Per-batch sketching is vectorized and every shuffle only ever sees
 (key, id) rows — never full text — so the exchange volume is O(rows),
 not O(bytes). Every per-key reduce (exact content dedup, paragraph
 dedup, the LSH bucket pass, per-id min and candidate-pair distinct, the
-candidate verifier's two routing passes, the component rounds) is the
-shared key-run reduce (``partitioning.key_runs``).
+candidate verifier's two routing passes) is the shared key-run reduce
+(``partitioning.key_runs``).
 
-LSH buckets, connected components and the verifier's participant
-filter (one Bloom over both pair id columns, applied with
-``partitioning.member_filter``) have one form each. The one small side
+LSH buckets and the verifier's participant filter (one Bloom over both
+pair id columns, applied with ``partitioning.member_filter``) have one
+form each. The one small side
 left is paragraph dedup's loser set: a sorted int64 array broadcast at
 or under ``partitioning.BROADCAST_ROWS`` losers, one Bloom above it.
 """
@@ -234,7 +234,8 @@ def minhash_lsh_duplicates(
     id_col: str = "doc_id",
     num_perm: int = 128,
     bands: int = 32,
-    shingle_k: int = 5,
+    *,
+    shingle_k: int,
 ):
     """MinHash+LSH near-dup. Returns one (id, rep_id) row per candidate
     near-duplicate, rep_id = the min id sharing any LSH band bucket.
@@ -449,21 +450,21 @@ class _SimHash:
         )
 
 
-def simhash_signatures(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """SimHash fingerprints (near-dup by small hamming distance). Banded
-    grouping on 16-bit quarters finds candidates whose distance is
-    concentrated in the other bands."""
+def simhash_signatures(ds):
+    """SimHash fingerprints (``doc_id``, ``simhash``) of ``text`` (near-dup
+    by small hamming distance). Banded grouping on 16-bit quarters finds
+    candidates whose distance is concentrated in the other bands."""
     from .fusion import map_stage
 
-    return map_stage(ds, lambda: _SimHash(text_col, id_col))
+    return map_stage(ds, lambda: _SimHash("text", "doc_id"))
 
 
-def _simhash_banded(ds, text_col: str, id_col: str):
-    """(id, band_keys fixed_size_list<int64, 4>) from 16-bit simhash
-    quarters (classic Charikar banding); the band index is folded into
-    the bucket key as the top bits, so buckets never merge across
+def _simhash_banded(ds):
+    """(``doc_id``, band_keys fixed_size_list<int64, 4>) from 16-bit
+    simhash quarters (classic Charikar banding); the band index is folded
+    into the bucket key as the top bits, so buckets never merge across
     bands. Shared by the linking and the pair-enumeration forms."""
-    sigs = simhash_signatures(ds, text_col, id_col)
+    sigs = simhash_signatures(ds)
 
     def to_band_keys(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -477,7 +478,7 @@ def _simhash_banded(ds, text_col: str, id_col: str):
                 np.int64
             )
         return pa.table({
-            id_col: batch[id_col],
+            "doc_id": batch["doc_id"],
             "band_keys": pa.FixedSizeListArray.from_arrays(
                 pa.array(keys.reshape(-1), pa.int64()), 4
             ),
@@ -488,12 +489,11 @@ def _simhash_banded(ds, text_col: str, id_col: str):
     )
 
 
-def simhash_duplicates(ds, id_col: str = "doc_id"):
+def simhash_duplicates(ds):
     """Near-dup candidates: docs sharing any of the four 16-bit simhash
-    bands of their ``text`` → (id, rep_id) pairs, via the shared
+    bands of their ``text`` → (``doc_id``, rep_id) pairs, via the shared
     banded-LSH machinery."""
-    banded = _simhash_banded(ds, "text", id_col)
-    return banded_lsh_pairs(banded, 4, id_col)
+    return banded_lsh_pairs(_simhash_banded(ds), 4, "doc_id")
 
 
 def simhash_verified_duplicates(ds):
@@ -501,8 +501,7 @@ def simhash_verified_duplicates(ds):
     (jaccard ≥ 0.8) — the simhash counterpart of
     ``minhash_verified_duplicates`` (same deterministic, oracle-checkable
     output contract over (``doc_id``, ``text``) rows)."""
-    banded = _simhash_banded(ds, "text", "doc_id")
-    cands = banded_lsh_candidate_pairs(banded, 4, "doc_id")
+    cands = banded_lsh_candidate_pairs(_simhash_banded(ds), 4, "doc_id")
     return _verify_candidates(cands, ds, "text", "doc_id", 3, 0.8)
 
 
@@ -516,7 +515,7 @@ def _jaccard(sa: set, sb: set) -> float:
     return len(sa & sb) / union if union else 1.0
 
 
-def jaccard_dups_brute(ds, threshold: float = 0.5):
+def jaccard_dups_brute(ds):
     """Exact O(n²) 3-gram-Jaccard pair finder over (``doc_id``, ``text``)
     rows — the BRUTE-FORCE VERIFIER
     for the LSH paths (and the SQL-oracle-checkable near-dup query: a
@@ -524,7 +523,7 @@ def jaccard_dups_brute(ds, threshold: float = 0.5):
     jaccard, since both sides divide the same set-size integers).
 
     Emits (doc_id_a, doc_id_b, jaccard) for doc_id_a < doc_id_b with
-    jaccard ≥ threshold.
+    jaccard ≥ 0.5.
     The shingle-set table is collected once on the driver and broadcast
     (O(corpus shingles) driver memory) while the n² pair loop runs
     distributed over id partitions — deliberately a small-corpus
@@ -571,7 +570,7 @@ def jaccard_dups_brute(ds, threshold: float = 0.5):
                 sa = self.sets[a_pos]
                 for b_pos in range(a_pos + 1, len(self.ids)):
                     j = _jaccard(sa, self.sets[b_pos])
-                    if j >= threshold:
+                    if j >= 0.5:
                         out_a.append(self.ids[a_pos])
                         out_b.append(self.ids[b_pos])
                         out_j.append(j)
@@ -611,8 +610,8 @@ def _pair_participants(ds_docs, ds_pairs, id_col: str):
 
 
 def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
-                                     id_col: str = "doc_id", k: int = 5,
-                                     threshold: float = 0.8):
+                                     id_col: str = "doc_id", *, k: int,
+                                     threshold: float):
     """Broadcast-free candidate verification: shingles are ROUTED to their
     pairs through two key-run reduces (``partitioning.key_runs``) instead
     of shipping an {id: text} dict to every worker.
@@ -684,84 +683,6 @@ def verify_pairs_jaccard_distributed(ds_pairs, ds_docs, text_col: str = "text",
     return key_runs(docs.union(routed), "key", ["kind"], score)
 
 
-# ------------------------------------------- connected components ----
-
-
-def connected_components(pairs, id_col: str = "doc_id"):
-    """Transitive dup clusters from candidate (id, ``rep_id``) edges — the
-    distributed union-find substitute the LSH bucket-rep output needs
-    when chains occur (a~b, b~c ⇒ {a,b,c}).
-
-    Min-label propagation, Pregel-on-groupby: the state is one keyed
-    stream of (node, kind, value) rows — kind 0 = the node's label,
-    kind 1 = an edge (value = neighbor), kind 2 = a label message. Each
-    round is ONE key-run reduce on node (``partitioning.key_runs``,
-    segment-vectorized per sorted block): a node's new label is the min of its
-    id, its label and its messages, and a node whose label dropped (every
-    node in the first round, which starts from the edge rows alone) sends
-    it to each neighbor. Rounds run to the fixpoint, when no message is
-    in flight: at most diameter + 2 rounds, each carrying int64 columns
-    only, with nothing driver-sized (the stop test reads row counts from
-    block metadata).
-
-    Returns (id_col, cluster_id) with cluster_id = min id of the
-    component (ids absent from every pair are absent — singletons need
-    no relabeling)."""
-    from .partitioning import key_runs, run_ids
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        a = batch[id_col].combine_chunks().cast(pa.int64())
-        b = batch["rep_id"].combine_chunks().cast(pa.int64())
-        return pa.table({
-            "node": pa.concat_arrays([a, b]),
-            "kind": pa.array(np.ones(2 * len(a), dtype=np.int64)),
-            "value": pa.concat_arrays([b, a]),
-        })
-
-    big = np.iinfo(np.int64).max
-
-    def step(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        node = t["node"].to_numpy()
-        kind = t["kind"].to_numpy()
-        value = t["value"].to_numpy()
-        e = kind == 1
-        # every node has an edge row, whose own id bounds its label
-        lab = np.minimum.reduceat(np.where(e, node, value), starts)
-        old = np.minimum.reduceat(np.where(kind == 0, value, big), starts)
-        rid = run_ids(starts, len(node))
-        send = e & (lab < old)[rid]
-        return pa.table({
-            "node": np.concatenate([node[starts], node[e], value[send]]),
-            "kind": np.concatenate([np.zeros(len(starts), np.int64),
-                                    np.ones(int(e.sum()), np.int64),
-                                    np.full(int(send.sum()), 2, np.int64)]),
-            "value": np.concatenate([lab, value[e], lab[rid[send]]]),
-        })
-
-    state = pairs.map_batches(
-        edge_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    n_edges = state.count()
-    # a round's sort shuffle costs blocks² tasks whatever the rows: keep
-    # the state in as few blocks as Ray's target block size allows (at 4
-    # CPUs, 2,000 nodes in 200 input blocks took 45 s, in one block 1.4 s)
-    per_block = state.context.target_max_block_size or float("inf")
-    state = state.repartition(int(state.size_bytes() // per_block) + 1)
-    state = key_runs(state, "node", [], step).materialize()
-    # the first round sends along every edge: label + edge rows are the
-    # rest, and a state of only those has no message in flight
-    at_rest = state.count() - n_edges
-    while state.count() > at_rest:
-        state = key_runs(state, "node", [], step).materialize()
-
-    def labels(t: pa.Table) -> pa.Table:
-        f = t.filter(pa.compute.equal(t["kind"], pa.scalar(0)))
-        return pa.table({id_col: f["node"], "cluster_id": f["value"]})
-
-    return state.map_batches(labels, batch_format="pyarrow",
-                             zero_copy_batch=True)
-
-
 # ----------------------------------------------- paragraph-level dedup ----
 
 
@@ -801,9 +722,8 @@ def _packing_ids(ids) -> "np.ndarray":
             >> np.uint64(21)).astype(np.int64)
 
 
-def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
-                     min_chars: int = 1, fp_rate: float = 1e-6,
-                     output: str = "ids"):
+def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id", *,
+                     min_chars: int, output: str = "ids"):
     """Corpus-wide PARAGRAPH-level exact dedup (the C4/Dolma-style line
     dedup generalized to paragraphs): every paragraph keeps exactly its
     FIRST occurrence — ordered by (doc id, paragraph index) — and every
@@ -824,9 +744,8 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     are searched in (exact); ABOVE it, one distributed Bloom filter of
     the losers replaces the array (the Dolma-style tradeoff), so
     driver/worker memory stays O(filter bits) at any corpus size. A
-    Bloom false positive drops a paragraph that should stay at
-    ~``fp_rate`` — pick it per corpus; exactness below the threshold is
-    unchanged. An equivalence test forces the threshold to 0 and checks
+    Bloom false positive (rate 1e-6) drops a paragraph that should stay;
+    exactness below the threshold is unchanged. An equivalence test forces the threshold to 0 and checks
     bloom == exact.
 
     Packing: winner order = packing_id * 2^20 + idx — integer ids must
@@ -877,7 +796,7 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
     n_losers = losers.count()
     if n_losers > partitioning.BROADCAST_ROWS:
         lost_ref = ray.put(build_bloom(losers, "packed", capacity=n_losers,
-                                       fp_rate=fp_rate))
+                                       fp_rate=1e-6))
     else:
         lost_ref = ray.put(np.sort(np.concatenate(
             [b["packed"] for b in

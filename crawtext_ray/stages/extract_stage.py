@@ -80,8 +80,8 @@ class ExtractArticles:
 
     def __init__(
         self,
-        rule_lines: list[str] | None = None,
-        query_expression: str | None = None,
+        rule_lines: list[str] | None,
+        query_expression: str | None,
     ):
         self.rules = (
             AdblockRules(rule_lines) if rule_lines is not None else default_rules()

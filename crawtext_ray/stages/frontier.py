@@ -58,10 +58,10 @@ def outlinks_frontier(articles, depth: int):
     return articles.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
-    """T2: strict depth-by-depth BFS inside a pre-crawled corpus, each
-    round's pages run through the flagship extraction stage. Returns
-    (articles_per_depth: list[Dataset], seen: Dataset of ``url``).
+def bfs_crawl(pages_ds, seed_urls: list[str]):
+    """T2: strict depth-by-depth BFS inside a pre-crawled corpus to depth
+    2, each round's pages run through the flagship extraction stage.
+    Returns (articles_per_depth: list[Dataset], seen: Dataset of ``url``).
 
     One loop over Datasets: each round's frontier is its links
     anti-joined with the urls seen so far (``anti_join_grouped``), its
@@ -76,7 +76,7 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
     seen = rd.from_arrow(pa.table({"url": pa.array([], pa.string())}))
     links = rd.from_arrow(pa.table({"url": pa.array(seed_urls, pa.string())}))
     rounds = []
-    for depth in range(max_depth + 1):
+    for depth in range(3):
         # read three times: the count, the page subset, the seen urls
         frontier = anti_join_grouped(links, seen).materialize()
         if frontier.count() == 0:
@@ -85,7 +85,7 @@ def bfs_crawl(pages_ds, seed_urls: list[str], max_depth: int = 2):
             member_join(pages_ds, frontier, "url", keep=True)).materialize()
         rounds.append(articles)
         seen = seen.union(frontier).materialize()
-        if depth == max_depth:
+        if depth == 2:
             break
         links = outlinks_frontier(articles, depth + 1)
     return rounds, seen

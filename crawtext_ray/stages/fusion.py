@@ -30,27 +30,31 @@ _KEYS = itertools.count()
 
 def _instance(key, factory):
     """The worker's instance for ``key``, built on first use; the cache
-    keeps the 8 latest keys. Module-level on purpose: Ray pickles a task
-    function's closure by value, globals included, so a closure reading
-    ``_WORKER_CACHE`` itself would get a fresh copy in every task and
-    build its instance once per task, not once per worker."""
-    inst = _WORKER_CACHE.get(key)
+    keeps the 8 most recently used keys (a hit moves its key to the
+    back, so the shared extract instance outlives one-off wirings).
+    Module-level on purpose: Ray pickles a task function's closure by
+    value, globals included, so a closure reading ``_WORKER_CACHE``
+    itself would get a fresh copy in every task and build its instance
+    once per task, not once per worker."""
+    inst = _WORKER_CACHE.pop(key, None)
     if inst is None:
         if len(_WORKER_CACHE) >= 8:
             del _WORKER_CACHE[next(iter(_WORKER_CACHE))]
-        inst = _WORKER_CACHE[key] = factory()
+        inst = factory()
+    _WORKER_CACHE[key] = inst
     return inst
 
 
-def fused(factory, key=None, slice_rows: int | None = None):
+def fused(factory, key, slice_rows: int | None):
     """Wrap ``factory() -> callable-batch-stage`` as a task function with
     per-worker cached construction, named after ``factory`` (the Ray
     operator shows that name). ``factory`` may close over ray.ObjectRef
     broadcasts (resolved once per worker at first batch). ``key``
     (hashable, not a str) shares one instance across wirings built from
-    the same construction args; the default is one instance per wiring.
+    the same construction args; None gives one instance per wiring.
     ``slice_rows`` calls the instance on Arrow slices of at most that many
-    rows and concatenates the results (zero-copy)."""
+    rows and concatenates the results (zero-copy); None calls it on the
+    whole batch."""
     if key is None:
         key = f"fused-{next(_KEYS)}"
 

@@ -14,7 +14,7 @@ extraction measured 3.5–5x the cost of the whole extraction (90–128 s vs
 
 ``key_runs`` is the one per-key reduce: every operator that works on
 "all rows of one key" (first-by, exact content and paragraph dedup,
-LSH buckets, connected-components rounds, candidate verification,
+LSH buckets, candidate verification,
 similarity top-k, the user-window family, the lineage sink's partition
 writes, the shard export, ``run_join`` (the frontier's anti-join and
 ``member_join``'s scale form), and the unbounded-key sums

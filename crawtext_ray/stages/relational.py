@@ -22,11 +22,11 @@ from .partitioning import key_runs, run_ids, run_starts
 from .report import key_counts, ones, report_lang, tally
 
 
-def _docs(sf_dir: str, columns=None):
+def _docs(sf_dir: str, columns: list[str]):
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
 
-def _events(sf_dir: str, columns=None):
+def _events(sf_dir: str, columns: list[str]):
     return rd.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
 

@@ -115,7 +115,7 @@ def report_domain(articles):
                             "n_docs": ones(b)}), "domain")
 
 
-def top_domains(articles, k: int = 10):
+def top_domains(articles, k: int):
     """T1: top-k domains by count, ties by domain (small post-agg sort)."""
     return report_domain(articles).sort(
         ["n_docs", "domain"], descending=[True, False]).limit(k)

@@ -64,13 +64,12 @@ def _grouped_shuffle(ds, n_shards: int, key: str, seed: int, finish):
     return key_runs(hashed, "shard", ["_h", key], order)
 
 
-def shuffle_shards(ds, n_shards: int = 64, seed: int = 0):
+def shuffle_shards(ds, n_shards: int):
     """Assign every row a ``shard`` and its deterministic ``pos`` within
-    that shard (hashing ``doc_id``); rows come back grouped by shard and
-    ordered by position. Columns are preserved; ``shard``/``pos`` are
-    appended (int64)."""
-    return _grouped_shuffle(ds, n_shards, "doc_id", seed,
-                            lambda t, _starts: t)
+    that shard (hashing ``doc_id`` with seed 0); rows come back grouped by
+    shard and ordered by position. Columns are preserved; ``shard``/``pos``
+    are appended (int64)."""
+    return _grouped_shuffle(ds, n_shards, "doc_id", 0, lambda t, _starts: t)
 
 
 def _resolve_fs(out_dir: str):
@@ -103,7 +102,7 @@ def _pack_table(t: pa.Table, starts: np.ndarray, seq_len: int,
     )
 
 
-def write_training_shards(ds, out_dir: str, n_shards: int = 64,
+def write_training_shards(ds, out_dir: str, *, n_shards: int,
                           key: str = "doc_id", seed: int = 0,
                           pack_seq_len: int | None = None,
                           n_tokens_col: str = "n_tokens") -> list[dict]:
@@ -192,12 +191,12 @@ def write_training_shards(ds, out_dir: str, n_shards: int = 64,
     ]
 
 
-def pack_sequences(ds, seq_len: int, n_tokens_col: str = "n_tokens",
-                   n_shards: int = 64, seed: int = 0):
+def pack_sequences(ds, seq_len: int, n_shards: int, seed: int = 0):
     """GPT-style sequence packing assignment: documents are laid out in
-    the deterministic ``doc_id`` shuffle order (``shuffle_shards``) and the token
-    stream is cut into fixed ``seq_len`` windows; every document gets
-    the pack it STARTS in and its offset inside that pack —
+    the deterministic ``doc_id`` shuffle order (``shuffle_shards``'s, for
+    ``seed`` 0) and the ``n_tokens`` stream is cut into fixed ``seq_len``
+    windows; every document gets the pack it STARTS in and its offset
+    inside that pack —
     ``pack_id = floor(prev_cumsum / seq_len)``,
     ``pack_offset = prev_cumsum % seq_len`` — the
     concatenate-and-chunk layout a pretraining loader consumes
@@ -212,4 +211,4 @@ def pack_sequences(ds, seq_len: int, n_tokens_col: str = "n_tokens",
 
     return _grouped_shuffle(
         ds, n_shards, "doc_id", seed,
-        lambda t, starts: _pack_table(t, starts, seq_len, n_tokens_col))
+        lambda t, starts: _pack_table(t, starts, seq_len, "n_tokens"))

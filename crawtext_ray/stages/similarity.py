@@ -4,7 +4,7 @@ rows.
 One scorer, ``_TopK``, serves every top-k form: the query matrix is
 broadcast once, each batch does one matmul against it and keeps each
 query's partial top-k, and one key-run reduce on ``query_id`` keeps each
-query's best ``k``, ranked by (cosine desc, vec_id asc).
+query's best 10, ranked by (cosine desc, vec_id asc).
 
 - ``brute_force_topk``: exact float64 cosine — the baseline and verifier.
 - ``lsh_bucket_topk``: a query scores only the vectors in its probed
@@ -96,14 +96,16 @@ class _TopK:
         return pa.table([qids[hit], ids[idx][hit], top[hit]], schema=_SCORES)
 
 
-def _topk(ds, queries: dict, k: int, probe_col: str | None, dtype):
-    """The one top-k plan: ``_TopK`` partials per batch (nq×k rows per
-    batch cross the exchange, never the vectors), then one key-run
-    reduce on ``query_id`` keeps each query's best ``k`` and ranks them."""
+def _topk(ds, queries: dict, probe_col: str | None, dtype):
+    """The one top-k plan, k = 10: ``_TopK`` partials per batch (nq×k
+    rows per batch cross the exchange, never the vectors), then one
+    key-run reduce on ``query_id`` keeps each query's best k and ranks
+    them."""
     import ray
 
     from .fusion import map_stage
 
+    k = 10
     ref = ray.put(queries)
     partials = map_stage(
         ds, lambda: _TopK(ref, k, probe_col, dtype)
@@ -119,8 +121,7 @@ def _topk(ds, queries: dict, k: int, probe_col: str | None, dtype):
                     [("cosine", "descending"), "vec_id"], best_k)
 
 
-def _probed_topk(ds, queries: dict, probes: list, k: int, probe_col: str,
-                 dtype):
+def _probed_topk(ds, queries: dict, probes: list, probe_col: str, dtype):
     """``_topk`` over only the rows whose ``probe_col`` value some query
     probes; query ``i`` scores only its own ``probes[i]``."""
     wanted = np.unique(np.concatenate(probes))
@@ -128,15 +129,15 @@ def _probed_topk(ds, queries: dict, probes: list, k: int, probe_col: str,
                              keep=True)
     q = {"query_id": queries["query_id"], "matrix": queries["matrix"],
          "probes": probes}
-    return _topk(filtered, q, k, probe_col, dtype)
+    return _topk(filtered, q, probe_col, dtype)
 
 
-def brute_force_topk(ds, queries: dict, k: int = 10):
-    """Exact cosine top-k over (``vec_id``, ``embedding``) rows.
+def brute_force_topk(ds, queries: dict):
+    """Exact cosine top-10 over (``vec_id``, ``embedding``) rows.
     ``queries`` = {"query_id": [...], "matrix": ndarray (nq, dim)};
     float64 on both sides so it bit-matches a double-precision oracle.
     Output (query_id, vec_id, cosine, rank)."""
-    return _topk(ds, queries, k, None, np.float64)
+    return _topk(ds, queries, None, np.float64)
 
 
 class _LshBucket:
@@ -184,9 +185,8 @@ def _probe_buckets(bucket: int, n_planes: int, multiprobe: int) -> list[int]:
     return out
 
 
-def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
-                    multiprobe: int = 0):
-    """Approximate top-k over (``vec_id``, ``embedding``) rows: only
+def lsh_bucket_topk(ds, queries: dict, dim: int, multiprobe: int = 0):
+    """Approximate top-10 over (``vec_id``, ``embedding``) rows: only
     vectors whose LSH bucket (8 sign planes, seed 11) matches one of the
     query's probed buckets are scored (float32 vector side). Recall
     trades off with the plane count and back up with ``multiprobe``
@@ -200,27 +200,20 @@ def lsh_bucket_topk(ds, queries: dict, dim: int, k: int = 10,
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float32))
     probes = [np.asarray(_probe_buckets(int(b), 8, multiprobe),
                          dtype=np.int64) for b in hasher.bucket_of(qm)]
-    return _probed_topk(bucketed, queries, probes, k, "lsh_bucket",
-                        np.float32)
+    return _probed_topk(bucketed, queries, probes, "lsh_bucket", np.float32)
 
 
 # embedding_dedup's within-bucket matmul chunk (rows per matmul)
 CHUNK_ROWS = 1024
 
 
-def embedding_dedup(ds, dim: int, threshold: float = 0.97,
-                    canonical: bool = False):
+def embedding_dedup(ds, dim: int, threshold: float):
     """Embedding-cosine near-dup over (``vec_id``, ``embedding``) rows:
     LSH-bucket vectors, then inside each bucket link each id to the
-    smallest similar-enough smaller id.
-
-    ``canonical=False`` (default) returns the raw PER-PAIR links
-    (vec_id → smallest similar smaller id in its bucket, with the
-    cosine): on a chain a≈b, b≈c with a̸≈c, c links to b, not a. Pass
-    ``canonical=True`` to pipe the pairs through
-    ``dedup.connected_components`` — every non-representative id then
-    maps to the min id of its transitive cluster (columns (vec_id,
-    rep_id), no cosine: a transitive rep has no single pair score).
+    smallest similar-enough smaller id. Returns the PER-PAIR links
+    (vec_id, rep_id, cosine): rep_id is the smallest similar smaller id
+    in vec_id's bucket, so on a chain a≈b, b≈c with a̸≈c, c links to b,
+    not a.
 
     Scale handling (the O(b²) bucket matmul is the hazard):
     - the plane count (seed 11) derives from the corpus size —
@@ -265,37 +258,20 @@ def embedding_dedup(ds, dim: int, threshold: float = 0.97,
         return pa.table({"vec_id": link, "rep_id": rep,
                          "cosine": cos.astype(np.float64)})
 
-    pairs = key_runs(bucketed, "lsh_bucket", ["vec_id"], bucket_pairs)
-    if not canonical:
-        return pairs
-    from .dedup import connected_components
-
-    comp = connected_components(pairs, id_col="vec_id")
-
-    def to_rep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # drop the representatives themselves (cluster_id == id): the
-        # output lists only the rows a dedup pass would remove
-        keep = t.filter(pc.not_equal(t["vec_id"], t["cluster_id"]))
-        return pa.table({"vec_id": keep["vec_id"],
-                         "rep_id": keep["cluster_id"]})
-
-    return comp.map_batches(to_rep, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    return key_runs(bucketed, "lsh_bucket", ["vec_id"], bucket_pairs)
 
 
 # ------------------------------------------------------------- IVF ----
 
 
-def train_ivf_centroids(sample: np.ndarray, n_clusters: int = 16) -> np.ndarray:
+def train_ivf_centroids(sample: np.ndarray) -> np.ndarray:
     """Deterministic mini k-means (numpy, seed 13, 8 iterations) over a
-    driver-side sample — the IVF coarse quantizer. At 100 TB the sample
-    is a ``ds.random_sample`` pulled once; training is O(sample), not
-    corpus."""
+    driver-side sample — the IVF coarse quantizer: 16 clusters, or one per
+    sample row when the sample is smaller. At 100 TB the sample is a
+    ``ds.random_sample`` pulled once; training is O(sample), not corpus."""
     rng = np.random.default_rng(13)
     m = _normalize(sample.astype(np.float64))
-    idx = rng.choice(len(m), size=min(n_clusters, len(m)), replace=False)
+    idx = rng.choice(len(m), size=min(16, len(m)), replace=False)
     cents = m[np.sort(idx)].copy()
     for _ in range(8):
         assign = np.argmax(m @ cents.T, axis=1)
@@ -334,16 +310,15 @@ def add_ivf_cluster(ds, centroids: np.ndarray):
     return map_stage(ds, Assign)
 
 
-def ivf_topk(ds, queries: dict, centroids: np.ndarray, k: int = 10,
-             nprobe: int = 4):
-    """IVF approximate top-k over (``vec_id``, ``embedding``) rows: score
-    only vectors whose cluster is among each query's ``nprobe`` nearest
-    centroids. The cluster column doubles
+def ivf_topk(ds, queries: dict, centroids: np.ndarray):
+    """IVF approximate top-10 over (``vec_id``, ``embedding``) rows: score
+    only vectors whose cluster is among each query's 4 nearest centroids
+    (every cluster when there are 4 or fewer). The cluster column doubles
     as the partition key at scale (one partition per cluster → a query
-    touches nprobe partitions, not the corpus)."""
+    touches 4 partitions, not the corpus)."""
     cents = np.asarray(centroids, dtype=np.float64)
     qm = _normalize(np.asarray(queries["matrix"], dtype=np.float64))
-    probes = list(np.argsort(-(qm @ cents.T), axis=1)[:, :nprobe])
+    probes = list(np.argsort(-(qm @ cents.T), axis=1)[:, :4])
     clustered = add_ivf_cluster(ds, cents)
-    return _probed_topk(clustered, queries, probes, k, "ivf_cluster",
+    return _probed_topk(clustered, queries, probes, "ivf_cluster",
                         np.float64)

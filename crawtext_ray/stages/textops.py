@@ -131,7 +131,7 @@ def chunk_documents(ds):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def vocabulary_topk(ds, text_col: str = "text", k: int = 100):
+def vocabulary_topk(ds, text_col: str = "text", *, k: int):
     """Corpus vocabulary: top-k tokens by global count (tokens =
     lowercased [a-z0-9]+ runs), ties broken lexicographically.
 
@@ -371,8 +371,8 @@ def repetition_stats(docs):
     )
 
 
-def repetition_gate(ds, text_col: str = "text",
-                    max_dup_line_frac: float = 0.3):
+def repetition_gate(ds, text_col: str = "text", *,
+                    max_dup_line_frac: float):
     """Drop documents whose duplicate-line fraction exceeds the
     threshold (same definition as ``repetition_stats``): the actionable
     form of the Gopher-style repetition gate — a pure streaming
@@ -390,12 +390,11 @@ def repetition_gate(ds, text_col: str = "text",
                           zero_copy_batch=True)
 
 
-def unigram_lm_scores(docs, vocab_size: int = 50_000, model_docs=None):
+def unigram_lm_scores(docs, vocab_size: int):
     """Model-based quality scoring, CCNet/C4-shape: train a unigram
-    language model on the corpus's ``text`` (or on ``model_docs`` — e.g.
-    a clean reference corpus), then score every document by its mean token
-    negative log-likelihood (cross-entropy; LOWER = more like the
-    training distribution, high = gibberish/outlier, the classic
+    language model on the corpus's ``text``, then score every document by
+    its mean token negative log-likelihood (cross-entropy; LOWER = more
+    like the training distribution, high = gibberish/outlier, the classic
     perplexity-filter signal).
 
     Two phases, both scale-shaped:
@@ -413,15 +412,13 @@ def unigram_lm_scores(docs, vocab_size: int = 50_000, model_docs=None):
     Tokens = lowercased [a-z0-9]+ runs (the house tokenizer). Returns
     (doc_id, n_tokens:int64, nll:float64) — nll = 0.0 for token-less docs.
     """
-    train = model_docs if model_docs is not None else docs
-
     def scores(batch: pa.Table, nlls: list) -> pa.Table:
         n_toks, nll = nlls[0]
         return pa.table({"doc_id": batch["doc_id"],
                          "n_tokens": pa.array(n_toks, pa.int64()),
                          "nll": pa.array(nll, pa.float64())})
 
-    model = _train_unigram_lm(train, "text", vocab_size)
+    model = _train_unigram_lm(docs, "text", vocab_size)
     return _nll_map(docs.select_columns(["doc_id", "text"]), "text",
                     [model], scores)
 
@@ -436,7 +433,7 @@ def _train_unigram_lm(train, text_col: str, vocab_size: int):
 
     alpha = 0.5
 
-    top = vocabulary_topk(train, text_col, vocab_size)
+    top = vocabulary_topk(train, text_col, k=vocab_size)
     toks_list, counts_list = [], []
     for b in top.iter_batches(batch_format="pyarrow"):
         toks_list.extend(b["token"].to_pylist())
@@ -495,28 +492,26 @@ def _nll_map(ds, text_col: str, models: list, emit):
     return map_stage(ds, factory)
 
 
-def lm_gate(ds, max_nll: float, text_col: str = "text",
-            vocab_size: int = 50_000, model_docs=None):
+def lm_gate(ds, max_nll: float, text_col: str = "text"):
     """Perplexity filter (CCNet shape): drop documents whose mean token
     negative log-likelihood under the unigram LM exceeds ``max_nll``
     (high nll = far from the training distribution — gibberish,
-    boilerplate soup, wrong-language residue). The model trains on
-    ``model_docs`` (a clean reference corpus) or, when None, on ``ds``
-    itself; token-less documents are kept (emptiness is the length
-    gate's job). Scoring streams: broadcast-once model, vectorized
-    probe, no shuffle — same scale shape as ``unigram_lm_scores``."""
-    train = model_docs if model_docs is not None else ds
+    boilerplate soup, wrong-language residue). The model trains on ``ds``
+    itself over its top 50,000 tokens; token-less documents are kept
+    (emptiness is the length gate's job). Scoring streams:
+    broadcast-once model, vectorized probe, no shuffle — same scale shape
+    as ``unigram_lm_scores``."""
 
     def keep(batch: pa.Table, nlls: list) -> pa.Table:
         n_toks, nll = nlls[0]
         return batch.filter(pa.array((nll <= max_nll) | (n_toks == 0)))
 
-    model = _train_unigram_lm(train, text_col, vocab_size)
+    model = _train_unigram_lm(ds, text_col, 50_000)
     return _nll_map(ds, text_col, [model], keep)
 
 
-def dsir_weights(ds, target_docs, text_col: str = "text",
-                 vocab_size: int = 10_000, target_text_col: str | None = None):
+def dsir_weights(ds, target_docs, text_col: str = "text", *,
+                 vocab_size: int, target_text_col: str | None = None):
     """DSIR-shape importance weights (public knowledge: Xie et al.
     2023, "Data Selection for Language Models via Importance
     Resampling" — the n-gram/unigram proxy-LM variant): per-document
@@ -543,16 +538,15 @@ def dsir_weights(ds, target_docs, text_col: str = "text",
     return _nll_map(ds, text_col, models, logw)
 
 
-def dsir_select(ds, target_docs, keep_frac: float = 0.25,
-                text_col: str = "text", vocab_size: int = 10_000,
-                n_bins: int = 2048, clip: float = 20.0,
-                target_text_col: str | None = None):
+def dsir_select(ds, target_docs, keep_frac: float, text_col: str = "text",
+                clip: float = 20.0, target_text_col: str | None = None):
     """Keep (approximately) the top ``keep_frac`` of documents by DSIR
-    importance weight — the data-selection form of ``dsir_weights``.
+    importance weight — the data-selection form of ``dsir_weights``, with
+    10,000-token models.
 
     Scale shape: the threshold comes from a map-side HISTOGRAM of
-    log-weights (``n_bins`` fixed bins over [−clip, clip], per-block
-    int64 partials folded by ``report.tally`` — at most ``n_bins`` rows
+    log-weights (2048 fixed bins over [−clip, clip], per-block
+    int64 partials folded by ``report.tally`` — at most 2048 rows
     on the driver, no sort of the corpus), then selection is a vectorized
     per-batch filter ``logw >= threshold``. Histogram granularity makes
     the kept fraction approximate to one bin of probability mass (an
@@ -566,9 +560,10 @@ def dsir_select(ds, target_docs, keep_frac: float = 0.25,
     if not 0.0 < keep_frac <= 1.0:
         raise ValueError("keep_frac must be in (0, 1]")
     weighted = dsir_weights(ds, target_docs, text_col=text_col,
-                            vocab_size=vocab_size,
+                            vocab_size=10_000,
                             target_text_col=target_text_col)
 
+    n_bins = 2048
     edges = np.linspace(-clip, clip, n_bins + 1)
 
     def hist_partial(batch: pa.Table) -> pa.Table:
@@ -643,43 +638,29 @@ def stratified_sample(docs, rates: dict, id_col: str = "doc_id",
     return docs.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def corpus_data_card(docs, tokenizer=None):
+def corpus_data_card(docs):
     """The corpus "data card" a training-mix planner reads: one row per
     ``lang`` with document, token, and character totals of ``text`` (house
     tokenizer: [a-z0-9]+ runs on lowercased text) plus the mean
     document length in tokens. ONE streaming pass — a ``report.tally``
     over the language key, no shuffle at all. Returns a pandas DataFrame
-    sorted by language (a null language last).
-
-    ``tokenizer``: an optional trained ``stages.bpe.BPETokenizer`` —
-    when given, the card gains an ``n_bpe_tokens`` column (real subword
-    counts, what a trainer actually consumes; computed in the same
-    streaming pass via a per-worker word-memoized encoder). The default
-    card stays tokenizer-free so its DuckDB oracle row is unchanged."""
+    sorted by language (a null language last)."""
     import numpy as np
     import pyarrow.compute as pc
 
     from .report import ones, tally
 
     docs = docs.select_columns(["lang", "text"])
-    with_bpe = tokenizer is not None  # the partial ships without the model
-    if with_bpe:
-        from .bpe import add_bpe_token_counts
-
-        docs = add_bpe_token_counts(docs, tokenizer, out_col="_bpe_n")
 
     def partial(batch: pa.Table) -> pa.Table:
         rows = house_tokens(batch["text"])[1]
-        cols = {
+        return pa.table({
             "lang": batch["lang"],
             "n_docs": ones(batch),
             "n_tokens": pa.array(np.bincount(rows, minlength=batch.num_rows),
                                  pa.int64()),
             "n_chars": pc.cast(pc.utf8_length(batch["text"]), pa.int64()),
-        }
-        if with_bpe:
-            cols["n_bpe_tokens"] = pc.cast(batch["_bpe_n"], pa.int64())
-        return pa.table(cols)
+        })
 
     df = tally(docs, partial, ["lang"]).to_pandas()
     df["mean_doc_tokens"] = df["n_tokens"] / df["n_docs"]

@@ -42,13 +42,6 @@ class HyperLogLog:
         if rank > self.registers[idx]:
             self.registers[idx] = rank
 
-    def update(self, keys) -> None:
-        for k in keys:
-            self.add(k)
-
-    def merge(self, other: "HyperLogLog") -> None:
-        np.maximum(self.registers, other.registers, out=self.registers)
-
     def estimate(self) -> float:
         m = float(self.m)
         alpha = 0.7213 / (1 + 1.079 / m)

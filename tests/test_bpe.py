@@ -161,13 +161,14 @@ def test_pack_sequences_consumes_bpe_counts(ray_session):
          for i in range(40)]
     )
     tok = train_bpe(ds, vocab_size=256 + 30)
-    counted = add_bpe_token_counts(ds, tok)
-    packed = pack_sequences(counted, seq_len=64, n_tokens_col="n_bpe_tokens",
-                            n_shards=4, seed=1).to_pandas()
+    counted = add_bpe_token_counts(ds, tok).rename_columns(
+        {"n_bpe_tokens": "n_tokens"})
+    packed = pack_sequences(counted, seq_len=64, n_shards=4,
+                            seed=1).to_pandas()
     assert len(packed) == 40
     for _, g in packed.groupby("shard"):
         g = g.sort_values("pos")
-        prev = np.concatenate(([0], np.cumsum(g["n_bpe_tokens"])[:-1]))
+        prev = np.concatenate(([0], np.cumsum(g["n_tokens"])[:-1]))
         assert (g["pack_id"].to_numpy() == prev // 64).all()
         assert (g["pack_offset"].to_numpy() == prev % 64).all()
 

@@ -5,7 +5,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crawtext_ray.extract import cleaners
-from crawtext_ray.extract.dom import parse_html
+from crawtext_ray.extract.dom import COMMENT, VOID_ELEMENTS, Node, parse_html
+
+
+def serialize(node: Node) -> str:
+    """Markup of ``node``'s tree, for comparing two trees (not part
+    of the byte-identity contract)."""
+    out: list[str] = []
+
+    def walk(n: Node) -> None:
+        if n.tag == COMMENT:
+            out.append(f"<!--{n.text}-->")
+        elif n.tag == "#document":
+            if n.text:
+                out.append(n.text)
+            for c in n.children:
+                walk(c)
+                if c.tail:
+                    out.append(c.tail)
+            return
+        else:
+            attrs = "".join(f' {k}="{v}"' for k, v in n.attrs.items())
+            if n.tag in VOID_ELEMENTS:
+                out.append(f"<{n.tag}{attrs}/>")
+            else:
+                out.append(f"<{n.tag}{attrs}>")
+        if n.tag not in VOID_ELEMENTS and n.tag != COMMENT:
+            if n.text:
+                out.append(n.text)
+            for c in n.children:
+                walk(c)
+                if c.tail:
+                    out.append(c.tail)
+            out.append(f"</{n.tag}>")
+
+    walk(node)
+    return "".join(out)
 
 
 def text(root):
@@ -99,7 +134,6 @@ def test_fused_remove_unwanted_equals_sequential():
     """The fused single-pass removal must produce the same tree as the
     sequential C1→C2→F3→C3→C4 passes on generator pages."""
     from crawtext_ray.extract.adblock import default_rules
-    from crawtext_ray.extract.dom import parse_html, serialize
     from crawtext_ray.extract.encoding import decode_html
     from fixtures.gen_pages import build_page
 
@@ -123,7 +157,6 @@ def test_extract_cleaning_equals_reference_clean_document():
     """Without Adblock rules, the kernel's cleaning (the fused removal
     walk, then C5/C6) produces the same tree as the sequential C1–C6
     reference."""
-    from crawtext_ray.extract.dom import serialize
     from crawtext_ray.extract.encoding import decode_html
     from fixtures.gen_pages import build_page
 
@@ -184,7 +217,6 @@ def test_remove_unwanted_equals_sequential_reference(html, which):
     reference tree with no rules, the default rules, and rules holding
     a tag-only hiding rule."""
     from crawtext_ray.extract.adblock import AdblockRules, default_rules
-    from crawtext_ray.extract.dom import serialize
 
     rules = {"none": None, "default": default_rules(),
              "tag_only": AdblockRules(_TAG_ONLY_RULES)}[which]
@@ -200,7 +232,6 @@ def test_remove_unwanted_reads_the_index_only_without_tag_only_rules():
     exists; with one, bare nodes are walked and removed too. Either way
     the pass drops the raw-tree index."""
     from crawtext_ray.extract.adblock import AdblockRules
-    from crawtext_ray.extract.dom import serialize
 
     html = ("<html><body><aside>bare</aside><aside class=keep>k</aside>"
             "<div class=sidebar>s</div><!--c--><p>text</p></body></html>")

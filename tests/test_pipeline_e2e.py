@@ -105,7 +105,7 @@ def test_lineage_resume(ray_session, pages_small, tmp_path):
     from crawtext_ray.state.lineage import completed_partitions, read_lineage
 
     out = str(tmp_path / "out")
-    s1 = run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+    s1 = run_extract_job(pages_small, out, num_partitions=4)
     assert s1["partitions_written"] == 4
     assert s1["rows"] == 1000
     recs = read_lineage(out)
@@ -119,7 +119,7 @@ def test_lineage_resume(ray_session, pages_small, tmp_path):
     os.remove(f"{out}/lineage-00002.json")
     assert completed_partitions(out) == {0, 1, 3}
 
-    s2 = run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+    s2 = run_extract_job(pages_small, out, num_partitions=4)
     assert s2["partitions_skipped"] == 3
     assert s2["partitions_written"] == 1
     # full output restored, checksum of the re-done partition unchanged
@@ -144,11 +144,11 @@ def test_resume_refuses_another_partition_count(ray_session, pages_small,
     from crawtext_ray.pipelines.flagship import run_extract_job
 
     out = str(tmp_path / "out")
-    run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+    run_extract_job(pages_small, out, num_partitions=4)
     os.remove(f"{out}/part-00003.parquet")
     os.remove(f"{out}/lineage-00003.json")
     with pytest.raises(ValueError, match="num_partitions 4, not 2"):
-        run_extract_job(pages_small, out, num_partitions=2, concurrency=2)
+        run_extract_job(pages_small, out, num_partitions=2)
     assert sorted(os.listdir(out)) == [
         f"{k}-{i:05d}.{e}" for k, e in (("lineage", "json"),
                                         ("part", "parquet"))
@@ -161,7 +161,7 @@ def test_resume_refuses_another_partition_count(ray_session, pages_small,
     with open(side, "w") as f:
         json.dump(rec, f)
     with pytest.raises(ValueError, match="num_partitions none, not 4"):
-        run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+        run_extract_job(pages_small, out, num_partitions=4)
 
 
 def test_audit_flags_corrupt_and_missing_partitions(ray_session, pages_small, tmp_path):
@@ -169,7 +169,7 @@ def test_audit_flags_corrupt_and_missing_partitions(ray_session, pages_small, tm
     from crawtext_ray.pipelines.flagship import run_extract_job
 
     out = str(tmp_path / "out")
-    run_extract_job(pages_small, out, num_partitions=4, concurrency=2)
+    run_extract_job(pages_small, out, num_partitions=4)
     assert all(r["status"] == "ok" for r in audit(out))
 
     # truncate one data file mid-footer (unreadable), delete another
@@ -210,12 +210,12 @@ def test_incremental_from_previous_output(ray_session, pages_small, tmp_path):
     from crawtext_ray.pipelines.flagship import run_extract_job
 
     first = str(tmp_path / "first")
-    s1 = run_extract_job(pages_small, first, num_partitions=4, concurrency=2)
+    s1 = run_extract_job(pages_small, first, num_partitions=4)
     assert s1["rows"] == 1000
 
     second = str(tmp_path / "second")
     s2 = run_extract_job(pages_small, second, num_partitions=4,
-                         concurrency=2, incremental_from=first)
+                         incremental_from=first)
     assert s2["rows"] == 0  # every url already extracted
 
     third = str(tmp_path / "third")
@@ -224,7 +224,7 @@ def test_incremental_from_previous_output(ray_session, pages_small, tmp_path):
 
     os.makedirs(empty_prev)
     s3 = run_extract_job(pages_small, third, num_partitions=4,
-                         concurrency=2, incremental_from=empty_prev)
+                         incremental_from=empty_prev)
     assert s3["rows"] == 1000
 
 
@@ -488,14 +488,13 @@ def test_extract_job_reruns_byte_identical(ray_session, pages_small, tmp_path):
     for i in range(8):
         pq.write_table(table.slice(i * 125, 125), f"{pages}/p{i}.parquet")
 
-    def digests(out, concurrency):
-        run_extract_job(pages, out, num_partitions=4,
-                        concurrency=concurrency)
+    def digests(out):
+        run_extract_job(pages, out, num_partitions=4)
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in pathlib.Path(out).glob("part-*.parquet")}
 
-    a = digests(str(tmp_path / "a"), 2)
-    b = digests(str(tmp_path / "b"), "tasks")
+    a = digests(str(tmp_path / "a"))
+    b = digests(str(tmp_path / "b"))
     assert len(a) == 4
     assert a == b
 
@@ -565,6 +564,25 @@ def test_extract_wirings_share_worker_state(monkeypatch):
     extract_stage.extract_articles(Pages())(batch)
     extract_stage.extract_articles(Pages())(batch)
     assert len(built) == 3
+
+
+def test_worker_cache_evicts_the_least_recently_used_key(monkeypatch):
+    """A cache hit moves its key to the back of the 8-instance worker
+    cache: key A, used between each of 8 other keys, is built once."""
+    from crawtext_ray.stages import fusion
+
+    monkeypatch.setattr(fusion, "_WORKER_CACHE", {})
+    built = []
+
+    def factory(name):
+        return lambda: built.append(name) or name
+
+    for other in range(8):
+        assert fusion._instance("A", factory("A")) == "A"
+        assert fusion._instance(other, factory(other)) == other
+    assert fusion._instance("A", factory("A")) == "A"
+    assert built.count("A") == 1
+    assert len(fusion._WORKER_CACHE) == 8 and 0 not in fusion._WORKER_CACHE
 
 
 def test_write_partition_times_the_write(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ def test_shuffle_shards_md5_vs_duckdb(ray_session):
 
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "lang"])
-    got = shuffle_shards(docs, n_shards=8, seed=0).to_pandas()
+    got = shuffle_shards(docs, n_shards=8).to_pandas()
     sql = """
     WITH h AS (
       SELECT doc_id, lang,
@@ -34,16 +34,18 @@ def test_shuffle_shards_md5_vs_duckdb(ray_session):
 
 def test_shuffle_shards_splitmix_deterministic_and_balanced(ray_session):
     """The md5 row hash on integer ids: rerun-identical, balanced over
-    shards, seed-dependent, and not the input order within a shard."""
+    shards, seed-dependent (the seed reaches the shared shuffle through
+    ``pack_sequences``), and not the input order within a shard."""
     import pyarrow as pa
     import ray.data as rd
 
-    from crawtext_ray.stages.shuffle import shuffle_shards
+    from crawtext_ray.stages.shuffle import pack_sequences, shuffle_shards
 
     n = 20_000
-    ds = rd.from_arrow(pa.table({"doc_id": np.arange(n, dtype=np.int64)}))
-    a = shuffle_shards(ds, n_shards=16, seed=7).to_pandas()
-    b = shuffle_shards(ds, n_shards=16, seed=7).to_pandas()
+    ds = rd.from_arrow(pa.table({"doc_id": np.arange(n, dtype=np.int64),
+                                 "n_tokens": np.ones(n, dtype=np.int64)}))
+    a = shuffle_shards(ds, n_shards=16).to_pandas()
+    b = shuffle_shards(ds, n_shards=16).to_pandas()
     key = ["doc_id"]
     assert a.sort_values(key).reset_index(drop=True).equals(
         b.sort_values(key).reset_index(drop=True))
@@ -51,7 +53,11 @@ def test_shuffle_shards_splitmix_deterministic_and_balanced(ray_session):
     assert len(sizes) == 16
     assert sizes.max() / sizes.min() < 1.2  # hash balance
     # a different seed is a different permutation
-    c = shuffle_shards(ds, n_shards=16, seed=8).to_pandas()
+    same = pack_sequences(ds, seq_len=8, n_shards=16).to_pandas()
+    c = pack_sequences(ds, seq_len=8, n_shards=16, seed=8).to_pandas()
+    assert same[["doc_id", "shard", "pos"]].sort_values("doc_id").reset_index(
+        drop=True).equals(a[["doc_id", "shard", "pos"]].sort_values(
+            "doc_id").reset_index(drop=True))
     merged = a.merge(c, on="doc_id", suffixes=("_a", "_c"))
     assert (merged["shard_a"] != merged["shard_c"]).any()
     # within-shard order is the hash order, not input order
@@ -75,11 +81,11 @@ def test_write_training_shards_roundtrip(ray_session, tmp_path):
         "text": [f"doc {i}" for i in range(n)],
     }))
     out = str(tmp_path / "shards")
-    manifest = write_training_shards(ds, out, n_shards=6, seed=3)
+    manifest = write_training_shards(ds, out, n_shards=6)
     assert [m["shard"] for m in manifest] == list(range(6))
     assert sum(m["rows"] for m in manifest) == n
     # files hold the shuffle order and re-running rewrites identical bytes
-    want = shuffle_shards(ds, n_shards=6, seed=3).to_pandas()
+    want = shuffle_shards(ds, n_shards=6).to_pandas()
     frames = [pq.read_table(m["path"]).to_pandas() for m in manifest]
     got = pd.concat(frames, ignore_index=True)
     a = got.sort_values(["shard", "pos"]).reset_index(drop=True)
@@ -88,7 +94,7 @@ def test_write_training_shards_roundtrip(ray_session, tmp_path):
     import hashlib
     digests = {m["shard"]: hashlib.sha256(open(m["path"], "rb").read()).hexdigest()
                for m in manifest}
-    write_training_shards(ds, out, n_shards=6, seed=3)
+    write_training_shards(ds, out, n_shards=6)
     for m in manifest:
         again = hashlib.sha256(open(m["path"], "rb").read()).hexdigest()
         assert again == digests[m["shard"]]

@@ -70,7 +70,6 @@ def test_tallies_match_one_table_group_by(ray_session, sf16):
     import ray.data as rd
 
     from crawtext_ray.stages import relational as R
-    from crawtext_ray.stages.bpe import train_bpe
     from crawtext_ray.stages.report import global_counters, report_lang, report_status
     from crawtext_ray.stages.textops import corpus_data_card
 
@@ -111,15 +110,11 @@ def test_tallies_match_one_table_group_by(ray_session, sf16):
         "n_tokens": np.bincount(reference_tokens(docs["text"])[1],
                                 minlength=docs.num_rows),
         "n_chars": pc.cast(pc.utf8_length(docs["text"]), pa.int64())})
-    tok = train_bpe(ds, vocab_size=256 + 20)
-    bpe = [len(tok.encode(t)) for t in docs["text"].to_pylist()]
-    for tokenizer, ref in ((None, card),
-                           (tok, card.append_column("n_bpe_tokens", [bpe]))):
-        got = corpus_data_card(ds, tokenizer=tokenizer)
-        exp = _group(ref, ["lang"])
-        assert got.drop(columns="mean_doc_tokens").to_dict("records") == exp
-        assert got["mean_doc_tokens"].tolist() == [
-            r["n_tokens"] / r["n_docs"] for r in exp]
+    got = corpus_data_card(ds)
+    exp = _group(card, ["lang"])
+    assert got.drop(columns="mean_doc_tokens").to_dict("records") == exp
+    assert got["mean_doc_tokens"].tolist() == [
+        r["n_tokens"] / r["n_docs"] for r in exp]
 
 
 def test_null_key_is_one_row_sorted_last(ray_session):

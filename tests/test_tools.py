@@ -106,6 +106,81 @@ def test_option_census_counts_every_way_of_setting_a_value():
     assert sorted(opt.is_default(v) for v in vals) == [False] * 4 + [True] * 2
 
 
+def test_option_census_fails_on_a_dead_default(capsys, monkeypatch):
+    """A default that every call passes a value for is dead code: the
+    census classes it "no call takes the default" and ``--check`` fails
+    on it, allowlisted or not; a default one call omits is not dead."""
+    import ast
+
+    from tools import option_census as oc
+
+    options = oc.options_of(ast.parse(
+        "def f(a, k=3):\n    pass\ndef g(a, j=1):\n    pass\n"), "m")
+    oc.record_calls(options, [(ast.parse(
+        "f(1, k=4)\nf(1, 5)\ng(1)\ng(1, j=2)\n"), "non_test")])
+    klass = {o.name: o.klass() for o in options}
+    assert klass == {"m.f(k)": oc.DEAD, "m.g(j)": oc.VARIES}
+    assert oc.dead(options) == ["m.f(k)"]
+
+    planted = options[:1]
+    real = oc.census()
+    monkeypatch.setattr(oc, "census", lambda: real + planted)
+    monkeypatch.setitem(oc.ALLOWLIST, "m.f(k)", "allowlisting does not help")
+    assert oc.main(["--check"]) == 1
+    assert "dead default: m.f(k)" in capsys.readouterr().err
+
+
+def test_every_package_def_has_a_non_test_caller():
+    """Every top-level function and class of ``crawtext_ray/``, and every
+    method of its classes, is named by some file outside ``tests/`` (the
+    package, ``__ray_entry__.py``, ``bench.py``, ``perfbench/``,
+    ``tools/``, ``fixtures/``): code that only tests reach belongs in
+    ``tests/``. A name counts wherever it appears: as a name, an
+    attribute, an import or a string (``perfbench`` rebinds by string).
+    Exempt: dunder methods and methods that override a base-class method
+    (the ``HTMLParser`` callbacks of ``dom._TreeBuilder``), which their
+    base class calls."""
+    import ast
+    import importlib
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    from tools.option_census import NON_TEST
+
+    named = set()
+    for prefix in NON_TEST:
+        path = root / prefix
+        for f in [path] if path.suffix == ".py" else sorted(path.rglob("*.py")):
+            for n in ast.walk(ast.parse(f.read_text())):
+                if isinstance(n, ast.Name):
+                    named.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    named.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    named.add(n.name.rsplit(".", 1)[-1])
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    named.add(n.value)
+    unreached = []
+    for f in sorted((root / "crawtext_ray").rglob("*.py")):
+        module = ".".join(f.relative_to(root).with_suffix("").parts)
+        for top in ast.parse(f.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if top.name not in named:
+                unreached.append(f"{module}.{top.name}")
+            if not isinstance(top, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(module.removesuffix(
+                ".__init__")), top.name).__mro__[1:]
+            for m in top.body:
+                if (isinstance(m, ast.FunctionDef) and m.name not in named
+                        and not (m.name.startswith("__")
+                                 and m.name.endswith("__"))
+                        and not any(hasattr(b, m.name) for b in bases)):
+                    unreached.append(f"{module}.{top.name}.{m.name}")
+    assert unreached == []
+
+
 def test_engine_keyed_steps_use_key_runs_or_tally():
     """Outside ``stages/relational.py`` (whose queries exercise Ray's own
     operators for the oracle), ``crawtext_ray/`` makes no Ray grouping

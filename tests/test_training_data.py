@@ -73,8 +73,7 @@ def test_drop_near_dups_verified_keeps_non_dups(ray_session, no_map_groups):
     rows.append({"url": "http://x/dupB",
                  "extracted_text": base.replace("lazy", "sleepy", 1)})
     arts = rd.from_items(rows).materialize()
-    kept = drop_near_dups(arts, shingle_k=3,
-                          verify_threshold=0.8).to_pandas()
+    kept = drop_near_dups(arts, verify_threshold=0.8).to_pandas()
     urls = set(kept["url"])
     assert "http://x/dupA" in urls  # the min-url representative survives
     assert "http://x/dupB" not in urls  # the verified near-dup is dropped
@@ -442,39 +441,49 @@ def test_repetition_gate(ray_session):
     assert kept == {1, 3, 4}
 
 
-def test_unigram_lm_scores_vs_reference(ray_session):
-    """LM scorer matches an independent pure-Python model on real docs,
-    and ranks a gibberish doc worse than an in-distribution one."""
+def _reference_unigram_lm(texts, vocab_size):
+    """A pure-Python unigram LM over ``texts``: the top ``vocab_size``
+    lowercased [a-z0-9]+ tokens by (count desc, token asc), Lidstone
+    alpha 0.5 with one shared OOV bucket. Returns text -> (n_tokens,
+    mean token nll), 0.0 for a token-less text."""
     import math
     import re
     from collections import Counter
 
-    import ray.data as rd
-
-    from crawtext_ray.stages.textops import unigram_lm_scores
-
-    docs = rd.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
-    )
-    rows = docs.take_all()
     tok = re.compile(r"[a-z0-9]+")
-    V, ALPHA = 100, 0.5
-
     counts = Counter()
-    for r in rows:
-        counts.update(tok.findall((r["text"] or "").lower()))
-    # top-V by (count desc, token asc) — the operator's tie-break
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:V]
-    total = sum(counts.values())
-    denom = total + ALPHA * (len(top) + 1)
-    logp = {t: math.log((c + ALPHA) / denom) for t, c in top}
-    oov = math.log(ALPHA / denom)
+    for t in texts:
+        counts.update(tok.findall((t or "").lower()))
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:vocab_size]
+    denom = sum(counts.values()) + 0.5 * (len(top) + 1)
+    logp = {t: math.log((c + 0.5) / denom) for t, c in top}
+    oov = math.log(0.5 / denom)
 
-    def ref_nll(text):
+    def nll(text):
         toks = tok.findall((text or "").lower())
         if not toks:
             return 0, 0.0
         return len(toks), -sum(logp.get(t, oov) for t in toks) / len(toks)
+
+    return nll
+
+
+def test_unigram_lm_scores_vs_reference(ray_session):
+    """LM scorer matches an independent pure-Python model on real docs,
+    and ranks a gibberish doc (tokens seen once, so out of vocabulary)
+    worse than an in-distribution one."""
+    import ray.data as rd
+
+    from crawtext_ray.stages.textops import unigram_lm_scores
+
+    rows = rd.read_parquet(
+        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
+    ).take_all()
+    rows.append({"doc_id": -1, "text": " ".join(
+        f"qzx{i}v" for i in range(40))})
+    docs = rd.from_items(rows)
+    V = 100
+    ref_nll = _reference_unigram_lm([r["text"] for r in rows], V)
 
     got = {
         r["doc_id"]: r
@@ -488,13 +497,7 @@ def test_unigram_lm_scores_vs_reference(ray_session):
         assert abs(g["nll"] - nll) < 1e-9, r["doc_id"]
 
     # gibberish scores worse than a real document
-    probe = rd.from_items([
-        {"doc_id": 1, "text": rows[0]["text"]},
-        {"doc_id": 2, "text": "qzxv jkqp wvxz zzqj xqzv pqzw " * 10},
-    ])
-    s = {r["doc_id"]: r["nll"]
-         for r in unigram_lm_scores(probe, vocab_size=V, model_docs=docs).take_all()}
-    assert s[2] > s[1]
+    assert got[-1]["nll"] > got[rows[0]["doc_id"]]["nll"]
 
 
 def test_stratified_sample_vs_duckdb(ray_session):
@@ -608,30 +611,27 @@ def test_lm_gate_matches_scores_threshold(ray_session):
 
     from crawtext_ray.stages.textops import lm_gate, unigram_lm_scores
 
-    docs = rd.read_parquet(
+    rows = rd.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
-    ).limit(200).materialize()
+    ).limit(200).take_all()
+    # planted: an in-distribution doc, gibberish whose tokens occur once
+    # in the corpus, and a token-less doc
+    rows += [
+        {"doc_id": -1, "text": "the data report market energy climate " * 20},
+        {"doc_id": -2, "text": " ".join(f"qzx{i}v" for i in range(40))},
+        {"doc_id": -3, "text": ""},
+    ]
+    docs = rd.from_items(rows).materialize()
     scores = {r["doc_id"]: (r["n_tokens"], r["nll"])
-              for r in unigram_lm_scores(docs, vocab_size=200).take_all()}
+              for r in unigram_lm_scores(docs, vocab_size=50_000).take_all()}
     t = sorted(nll for n, nll in scores.values() if n)[len(scores) // 2]
-    kept = {r["doc_id"]
-            for r in lm_gate(docs, t, vocab_size=200).take_all()}
+    kept = {r["doc_id"] for r in lm_gate(docs, t).take_all()}
     want = {d for d, (n, nll) in scores.items() if n == 0 or nll <= t}
     assert kept == want and 0 < len(kept) < len(scores)
 
-    # planted gibberish is dropped when the model comes from clean docs
-    probe = rd.from_items([
-        {"doc_id": 1, "text": "the data report market energy climate " * 20},
-        {"doc_id": 2, "text": "qzxv jkqp wvxz zzqj xqzv pqzw " * 20},
-        {"doc_id": 3, "text": ""},
-    ])
-    s = {r["doc_id"]: r["nll"]
-         for r in unigram_lm_scores(probe, vocab_size=200,
-                                    model_docs=docs).take_all()}
-    cut = (s[1] + s[2]) / 2
-    kept2 = {r["doc_id"] for r in lm_gate(probe, cut, vocab_size=200,
-                                          model_docs=docs).take_all()}
-    assert kept2 == {1, 3}  # gibberish dropped, token-less kept
+    cut = (scores[-1][1] + scores[-2][1]) / 2
+    kept2 = {r["doc_id"] for r in lm_gate(docs, cut).take_all()}
+    assert {-1, -3} <= kept2 and -2 not in kept2  # gibberish dropped
 
 
 def test_curate_with_lm_gate_and_rates(ray_session, pages_small, tmp_path):
@@ -787,28 +787,27 @@ def test_curate_paragraph_dedup_drops_hollowed_docs(ray_session, tmp_path):
 
 
 def test_dsir_weights_differential_vs_lm_scores(ray_session):
-    """dsir_logw == nll(background model) - nll(target model), where
-    both sides are computed independently by unigram_lm_scores with
-    model_docs — the two operators share kernels but walk different
-    code paths to the per-doc score."""
-    import numpy as np
+    """dsir_logw == nll(background model) - nll(target model), with both
+    models built independently by the pure-Python reference LM: the
+    background on the corpus, the target on the target corpus."""
     import ray.data as rd
 
-    from crawtext_ray.stages.textops import dsir_weights, unigram_lm_scores
+    from crawtext_ray.stages.textops import dsir_weights
 
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "text"]).materialize()
     target = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                              columns=["doc_id", "text"]).limit(50).materialize()
 
-    got = dsir_weights(docs, target, vocab_size=500).to_pandas() \
-        .set_index("doc_id")["dsir_logw"]
-    nll_t = unigram_lm_scores(docs, vocab_size=500, model_docs=target) \
-        .to_pandas().set_index("doc_id")["nll"]
-    nll_b = unigram_lm_scores(docs, vocab_size=500) \
-        .to_pandas().set_index("doc_id")["nll"]
-    exp = (nll_b - nll_t).reindex(got.index)
-    assert np.allclose(got.to_numpy(), exp.to_numpy(), atol=1e-12)
+    got = {r["doc_id"]: r["dsir_logw"]
+           for r in dsir_weights(docs, target, vocab_size=500).take_all()}
+    rows = docs.take_all()
+    nll_b = _reference_unigram_lm([r["text"] for r in rows], 500)
+    nll_t = _reference_unigram_lm([r["text"] for r in target.take_all()], 500)
+    assert set(got) == {r["doc_id"] for r in rows}
+    for r in rows:
+        want = nll_b(r["text"])[1] - nll_t(r["text"])[1]
+        assert abs(got[r["doc_id"]] - want) < 1e-9, r["doc_id"]
 
 
 def test_dsir_select_planted_target(ray_session):
@@ -841,16 +840,14 @@ def test_dsir_select_planted_target(ray_session):
     )
     corpus = rd.from_items(corpus_rows).materialize()
 
-    kept = dsir_select(corpus, target, keep_frac=0.25,
-                       vocab_size=500).to_pandas()
+    kept = dsir_select(corpus, target, keep_frac=0.25).to_pandas()
     frac = len(kept) / len(corpus_rows)
     assert 0.2 <= frac <= 0.35  # one-histogram-bin tolerance
     # selection is dominated by target-like docs
     assert (kept["kind"] == "t").mean() > 0.9
     assert set(kept.columns) >= {"doc_id", "text", "kind", "dsir_logw"}
     # deterministic
-    kept2 = dsir_select(corpus, target, keep_frac=0.25,
-                        vocab_size=500).to_pandas()
+    kept2 = dsir_select(corpus, target, keep_frac=0.25).to_pandas()
     assert sorted(kept2["doc_id"]) == sorted(kept["doc_id"])
 
 
@@ -876,8 +873,9 @@ def test_dsir_select_keep_all_keeps_weights_below_clip(ray_session):
 def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
                                                     monkeypatch):
     """The histogram partials fold by bin on the driver as the blocks
-    stream in (``report.tally``): no ``take_all``, at most ``n_bins``
-    rows held on a many-block corpus (not blocks x bins), and the
+    stream in (``report.tally``): no ``take_all``, the driver holds one
+    row per occupied bin on a many-block corpus (the same rows as on
+    one block, not blocks x bins, and at most the 2048 bins), and the
     selection equals the one-block selection."""
     import numpy as np
     import ray.data as rd
@@ -893,7 +891,6 @@ def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
     ).materialize()
     rows = [{"doc_id": i, "text": " ".join(rng.choice(vocab, 30))}
             for i in range(400)]
-    n_bins = 64
     collected = []
     real_tally = report.tally
 
@@ -909,11 +906,10 @@ def test_dsir_select_driver_collect_bounded_by_bins(ray_session,
     assert many.num_blocks() == 8
     monkeypatch.setattr(report, "tally", counting_tally)
     monkeypatch.setattr(Dataset, "take_all", refuse)
-    kept = dsir_select(many, target, keep_frac=0.3, vocab_size=200,
-                       n_bins=n_bins).to_pandas()
-    assert collected and max(collected) <= n_bins
+    kept = dsir_select(many, target, keep_frac=0.3).to_pandas()
+    assert len(collected) == 1 and collected[0] <= 2048
     one = rd.from_items(rows).repartition(1).materialize()
-    kept_one = dsir_select(one, target, keep_frac=0.3, vocab_size=200,
-                           n_bins=n_bins).to_pandas()
+    kept_one = dsir_select(one, target, keep_frac=0.3).to_pandas()
+    assert collected == [collected[0]] * 2
     assert 0 < len(kept) < len(rows)
     assert sorted(kept["doc_id"]) == sorted(kept_one["doc_id"])

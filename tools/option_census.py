@@ -2,7 +2,8 @@
 values its callers pass.
 
     python -m tools.option_census           # the count, then one line per option
-    python -m tools.option_census --check   # exit 1 on an option that no
+    python -m tools.option_census --check   # exit 1 on a default that no call
+                                            # takes, or on an option that no
                                             # caller varies and ALLOWLIST lacks
 
 An option is a default value of a ``def`` or ``lambda`` in the package.
@@ -13,6 +14,9 @@ it passes it by keyword, by position, through ``*args``/``**kwargs``, in
 a ``functools.partial`` or in a Ray ``fn_args``/``fn_kwargs``. Each
 option falls in the first class it meets:
 
+- *no call takes the default*: calls exist and every one passes a value
+  (a ``**kwargs`` or ``*args`` call may omit it, so it takes the
+  default); the default is dead code, and ``--check`` fails on it;
 - *varies across non-test callers*: a caller outside ``tests/`` passes
   a value other than the default (an expression that is not the default
   literal counts as another value, except a name its scope binds once
@@ -23,7 +27,7 @@ option falls in the first class it meets:
 
 Non-test callers are the package, ``__ray_entry__.py``, ``bench.py``,
 ``perfbench/``, ``tools/`` and ``fixtures/``; test callers are
-``tests/``. Every option outside the first class must be on
+``tests/``. Every option in the last three classes must be on
 ``ALLOWLIST`` with a one-line reason.
 """
 
@@ -41,11 +45,12 @@ NON_TEST = (PACKAGE, "__ray_entry__.py", "bench.py", "perfbench", "tools",
             "fixtures")
 TESTS = ("tests",)
 
+DEAD = "no call takes the default"
 VARIES = "varies across non-test callers"
 PERFBENCH = "passed by perfbench"
 TEST_ONLY = "set only by tests"
 ONE_VALUE = "one value in use"
-CLASSES = (VARIES, PERFBENCH, TEST_ONLY, ONE_VALUE)
+CLASSES = (DEAD, VARIES, PERFBENCH, TEST_ONLY, ONE_VALUE)
 
 UNKNOWN = object()  # a value the census cannot see (*args, **kwargs)
 
@@ -61,46 +66,12 @@ ALLOWLIST: dict[str, str] = {
     "audit.main(argv)": _CLI,
     "report.main(argv)": _CLI,
     "run.main(argv)": _CLI,
-    # set only by tests: each holds a behaviour only a test reaches
-    "pipelines.flagship.run_extract_job(concurrency)":
-        "tests cap the extract at 2 concurrent tasks",
-    "pipelines.training_data.drop_near_dups(shingle_k)":
-        "a test verifies near-dups at 3-word shingles",
+    # set only by tests: each holds a behaviour that only shows at
+    # production scale, which a test reaches with a small value
     "stages.bpe.train_bpe(max_distinct_words)":
         "a test reaches the top-N word truncation with a bound of 5",
-    "stages.dedup.simhash_duplicates(id_col)":
-        "a test links string ids against the reference LSH",
-    "stages.dedup.jaccard_dups_brute(threshold)":
-        "a test holds the simhash verifier against the 0.8 brute truth",
-    "stages.dedup.dedup_paragraphs(fp_rate)":
-        "a test sets the loser Bloom's false-positive rate",
-    "stages.frontier.bfs_crawl(max_depth)":
-        "tests crawl one level; the harness crawls the default two",
-    "stages.shuffle.shuffle_shards(seed)":
-        "tests check that another seed gives another order",
-    "stages.shuffle.pack_sequences(n_tokens_col)":
-        "a test packs on BPE token counts",
-    "stages.similarity.brute_force_topk(k)": "tests score small corpora",
-    "stages.similarity.lsh_bucket_topk(k)": "tests score small corpora",
-    "stages.similarity.embedding_dedup(canonical)":
-        "tests reach the connected-components form",
-    "stages.similarity.train_ivf_centroids(n_clusters)":
-        "tests train on small samples",
-    "stages.similarity.ivf_topk(k)": "tests score small corpora",
-    "stages.similarity.ivf_topk(nprobe)":
-        "tests hold each probe count against the reference",
-    "stages.textops.unigram_lm_scores(model_docs)":
-        "tests score against a reference-corpus model",
-    "stages.textops.lm_gate(vocab_size)": "tests use a small vocabulary",
-    "stages.textops.lm_gate(model_docs)":
-        "a test gates against a reference-corpus model",
-    "stages.textops.dsir_select(vocab_size)": "tests use a small vocabulary",
-    "stages.textops.dsir_select(n_bins)":
-        "a test bounds the driver collect by the bin count",
     "stages.textops.dsir_select(clip)":
         "a test reaches the weights clipped below -clip",
-    "stages.textops.corpus_data_card(tokenizer)":
-        "a test reaches the BPE token-count column",
 }
 
 
@@ -133,6 +104,7 @@ class Option:
         self.default = ast.dump(default)
         self.values: dict[str, list] = {"non_test": [], "perfbench": [],
                                         "tests": []}
+        self.calls = self.omitted = 0
 
     @property
     def name(self) -> str:
@@ -142,6 +114,8 @@ class Option:
         return value is not UNKNOWN and ast.dump(value) == self.default
 
     def klass(self) -> str:
+        if self.calls and not self.omitted:
+            return DEAD
         if any(not self.is_default(v) for v in self.values["non_test"]):
             return VARIES
         if self.values["perfbench"]:
@@ -157,37 +131,44 @@ def collect_options() -> list[Option]:
     for path in _files((PACKAGE,)):
         rel = os.path.relpath(path, os.path.join(ROOT, PACKAGE))
         module = rel[:-3].replace(os.sep, ".").removesuffix(".__init__")
+        options += options_of(_parse(path), module)
+    return options
 
-        def visit(node, scope: list[str], in_class: bool):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    visit(child, scope + [child.name], True)
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                        ast.Lambda)):
-                    name = getattr(child, "name", "<lambda>")
-                    qual = scope + [name]
-                    add(child, ".".join(qual), in_class)
-                    visit(child, qual, False)
-                else:
-                    visit(child, scope, in_class)
 
-        def add(fn, qualname: str, in_class: bool):
-            a = fn.args
-            pos = a.posonlyargs + a.args
-            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                         for d in getattr(fn, "decorator_list", ()))
-            offset = int(in_class and not static and bool(pos)
-                         and pos[0].arg in ("self", "cls"))
-            first = len(pos) - len(a.defaults)
-            for i, d in enumerate(a.defaults):
-                options.append(Option(module, qualname, pos[first + i].arg,
-                                      first + i, offset, d))
-            for p, d in zip(a.kwonlyargs, a.kw_defaults):
-                if d is not None:
-                    options.append(Option(module, qualname, p.arg, None,
-                                          offset, d))
+def options_of(tree: ast.Module, module: str) -> list[Option]:
+    """Every defaulted parameter of one module, in source order."""
+    options = []
 
-        visit(_parse(path), [], False)
+    def visit(node, scope: list[str], in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                qual = scope + [name]
+                add(child, ".".join(qual), in_class)
+                visit(child, qual, False)
+            else:
+                visit(child, scope, in_class)
+
+    def add(fn, qualname: str, in_class: bool):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in getattr(fn, "decorator_list", ()))
+        offset = int(in_class and not static and bool(pos)
+                     and pos[0].arg in ("self", "cls"))
+        first = len(pos) - len(a.defaults)
+        for i, d in enumerate(a.defaults):
+            options.append(Option(module, qualname, pos[first + i].arg,
+                                  first + i, offset, d))
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                options.append(Option(module, qualname, p.arg, None,
+                                      offset, d))
+
+    visit(tree, [], False)
     return options
 
 
@@ -311,23 +292,31 @@ def _passed(opt: Option, args: list, keywords: list) -> list:
 
 def census() -> list[Option]:
     options = collect_options()
+    sources = [(_parse(f), "perfbench" if os.path.relpath(f, ROOT).startswith(
+        "perfbench") else "non_test") for f in _files(NON_TEST)]
+    sources += [(_parse(f), "tests") for f in _files(TESTS)]
+    record_calls(options, sources)
+    return options
+
+
+def record_calls(options: list[Option], sources) -> None:
+    """Record on ``options`` what each call in ``sources`` ((module tree,
+    "non_test" | "perfbench" | "tests") pairs) passes them."""
     by_name: dict[str, list[Option]] = {}
     for o in options:
         *owner, name = o.qualname.split(".")
         if name == "__init__":  # a class is called by its own name
             name = owner[-1]
         by_name.setdefault(name, []).append(o)
-    sources = [(f, "perfbench" if os.path.relpath(f, ROOT).startswith(
-        "perfbench") else "non_test") for f in _files(NON_TEST)]
-    sources += [(f, "tests") for f in _files(TESTS)]
-    for path, kind in sources:
-        for name, args, keywords in _calls(_parse(path)):
+    for tree, kind in sources:
+        for name, args, keywords in _calls(tree):
             for o in by_name.get(name, ()):
                 vals = _passed(o, args, keywords)
+                o.calls += 1
+                o.omitted += not vals or vals[0] is UNKNOWN
                 o.values[kind] += vals
                 if kind == "perfbench":  # perfbench is a non-test caller
                     o.values["non_test"] += vals
-    return options
 
 
 def report(options: list[Option]) -> list[str]:
@@ -336,39 +325,44 @@ def report(options: list[Option]) -> list[str]:
     lines += [f"  {c}: {sum(o.klass() == c for o in options)}" for c in CLASSES]
     for c in CLASSES:
         lines.append(f"{c}:")
-        lines += [f"  {o.name}" + ("" if c == VARIES or o.name in ALLOWLIST
+        lines += [f"  {o.name}" + ("" if c in (DEAD, VARIES) or o.name in ALLOWLIST
                                    else "  [not allowlisted]")
                   for o in options if o.klass() == c]
     return lines
 
 
+def dead(options: list[Option]) -> list[str]:
+    """Options whose default no call takes."""
+    return [o.name for o in options if o.klass() == DEAD]
+
+
 def unlisted(options: list[Option]) -> list[str]:
-    """Options outside the first class that ALLOWLIST lacks."""
-    return [o.name for o in options
-            if o.klass() != VARIES and o.name not in ALLOWLIST]
+    """Options of the last three classes that ALLOWLIST lacks."""
+    return [o.name for o in options if o.klass() not in (DEAD, VARIES)
+            and o.name not in ALLOWLIST]
 
 
 def stale(options: list[Option]) -> list[str]:
-    """ALLOWLIST entries that name no option outside the first class."""
-    kept = {o.name for o in options if o.klass() != VARIES}
+    """ALLOWLIST entries that name no option of the last three classes."""
+    kept = {o.name for o in options if o.klass() not in (DEAD, VARIES)}
     return sorted(set(ALLOWLIST) - kept)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 on an unlisted or stale allowlist option")
+                    help="exit 1 on a dead default, an unlisted option or a "
+                         "stale allowlist entry")
     args = ap.parse_args(argv)
     options = census()
     print("\n".join(report(options)))
     if args.check:
-        bad = unlisted(options)
-        old = stale(options)
-        for name in bad:
-            print(f"unlisted: {name}", file=sys.stderr)
-        for name in old:
-            print(f"stale allowlist entry: {name}", file=sys.stderr)
-        return int(bool(bad or old))
+        found = [("dead default", dead(options)), ("unlisted", unlisted(options)),
+                 ("stale allowlist entry", stale(options))]
+        for what, names in found:
+            for name in names:
+                print(f"{what}: {name}", file=sys.stderr)
+        return int(any(names for _, names in found))
     return 0
 
 
